@@ -19,7 +19,7 @@ use crate::cost::CostModel;
 use crate::kernel::ResolvedKernel;
 use crate::plan::Plan;
 use crate::spec::{JoinSpec, SpecError};
-use crate::split::{drive, drive_parallel, init_singleton, DriveOptions};
+use crate::split::{drive, drive_parallel, init_singleton, DriveOptions, NEVER_CANCELLED};
 use crate::stats::{NoStats, Stats};
 use crate::table::{
     AosTable, HotColdTable, LayoutChoice, SoaTable, SyncTableView, TableLayout, WaveTableLayout,
@@ -104,6 +104,7 @@ where
         n,
         cap,
         RowEngine::with_kernel(kernel),
+        &NEVER_CANCELLED,
         stats,
         product_properties,
     );
@@ -143,6 +144,7 @@ where
             n,
             cap,
             RowEngine::resolve(options, model, n),
+            &NEVER_CANCELLED,
             stats,
             product_properties,
         );
@@ -160,6 +162,7 @@ where
         n,
         cap,
         options,
+        &NEVER_CANCELLED,
         stats,
         product_properties::<SyncTableView<L>, M>,
     );

@@ -659,6 +659,7 @@ mod tests {
             expect += rows * ((1u64 << (k - 1)) - 1);
         }
         assert_eq!(counters.loop_iters, expect);
+        assert_eq!(Counters::conv_candidates(7), expect as f64, "closed form");
     }
 
     /// Driving every row through the conv cascade (scalar, unpruned or

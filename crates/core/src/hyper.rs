@@ -192,6 +192,7 @@ where
         n,
         cap,
         crate::conv::RowEngine::with_kernel(crate::kernel::ResolvedKernel::Scalar),
+        &crate::split::NEVER_CANCELLED,
         stats,
         |t, m, s| hyper_properties(t, m, spec, s),
     );

@@ -28,12 +28,13 @@ use crate::cost::CostModel;
 use crate::kernel::ResolvedKernel;
 use crate::plan::Plan;
 use crate::spec::{JoinSpec, SpecError};
-use crate::split::{drive, drive_parallel, init_singleton, DriveOptions};
+use crate::split::{drive, drive_parallel, init_singleton, DriveOptions, NEVER_CANCELLED};
 use crate::stats::{NoStats, Stats};
 use crate::table::{
     AosTable, HotColdTable, LayoutChoice, SoaTable, SyncTableView, TableLayout, WaveTableLayout,
     MAX_TABLE_RELS,
 };
+use std::sync::atomic::AtomicBool;
 
 /// `compute_properties` for joins: fan recurrence + cardinality recurrence
 /// (paper Section 5.4). Exactly three floating-point multiplications.
@@ -114,6 +115,7 @@ where
         n,
         cap,
         RowEngine::with_kernel(kernel),
+        &NEVER_CANCELLED,
         stats,
         |t, m, s| join_properties(t, m, spec, s),
     );
@@ -132,7 +134,11 @@ where
 /// Stale `f32`/`f64` bit patterns from a previous optimization are
 /// ordinary values, so a recycled table produces bit-identical results
 /// to a freshly allocated one (pinned by a dirty-table regression test
-/// in [`crate::threshold`]).
+/// in [`crate::threshold`]). The same argument covers a table a
+/// cancelled fill left half-written.
+///
+/// Returns `false` when `cancel` stopped the fill before every row was
+/// written (see [`crate::split`]'s drivers for where they poll it).
 ///
 /// # Panics
 /// Panics if `table.rels() != spec.n()`.
@@ -142,8 +148,10 @@ pub(crate) fn fill_join_table_with<L, M, St, const PRUNE: bool>(
     model: &M,
     cap: f32,
     options: DriveOptions,
+    cancel: &AtomicBool,
     stats: &mut St,
-) where
+) -> bool
+where
     L: WaveTableLayout + Send,
     M: CostModel + Sync,
     St: Stats + Default + Send,
@@ -160,9 +168,10 @@ pub(crate) fn fill_join_table_with<L, M, St, const PRUNE: bool>(
             n,
             cap,
             RowEngine::resolve(options, model, n),
+            cancel,
             stats,
             |t, m, s| join_properties(t, m, spec, s),
-        );
+        )
     } else {
         drive_parallel::<L, M, St, _, PRUNE>(
             table,
@@ -170,9 +179,10 @@ pub(crate) fn fill_join_table_with<L, M, St, const PRUNE: bool>(
             n,
             cap,
             options,
+            cancel,
             stats,
             |t: &mut SyncTableView<L>, m, s| join_properties(t, m, spec, s),
-        );
+        )
     }
 }
 
@@ -198,7 +208,15 @@ where
     let n = spec.n();
     assert!(n <= MAX_TABLE_RELS, "unsupported relation count {n}");
     let mut table = L::with_rels(n);
-    fill_join_table_with::<L, M, St, PRUNE>(&mut table, spec, model, cap, options, stats);
+    fill_join_table_with::<L, M, St, PRUNE>(
+        &mut table,
+        spec,
+        model,
+        cap,
+        options,
+        &NEVER_CANCELLED,
+        stats,
+    );
     table
 }
 
@@ -485,5 +503,6 @@ mod tests {
         let _: AosTable = optimize_join_into::<_, _, _, false>(&cart, &Kappa0, f32::INFINITY, &mut c2);
         assert_eq!(c1.loop_iters, c2.loop_iters);
         assert_eq!(c1.subsets, c2.subsets);
+        assert_eq!(c1.loop_iters as f64, Counters::split_candidates(6), "closed form");
     }
 }

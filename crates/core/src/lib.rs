@@ -79,7 +79,8 @@ pub use table::{
     TableLayout, WaveTableLayout, MAX_TABLE_RELS,
 };
 pub use threshold::{
-    optimize_join_threshold, optimize_join_threshold_arena_with, optimize_join_threshold_into,
+    optimize_join_threshold, optimize_join_threshold_arena_cancellable,
+    optimize_join_threshold_arena_with, optimize_join_threshold_into,
     optimize_join_threshold_into_with, optimize_join_threshold_reusing_with,
     optimize_join_threshold_with, ArenaThresholdOutcome, ThresholdOutcome, ThresholdSchedule,
 };

@@ -24,6 +24,16 @@ use crate::cost::{ConvSupport, CostModel};
 use crate::kernel::KernelChoice;
 use crate::stats::Stats;
 use crate::table::{LayoutChoice, SyncTable, SyncTableView, TableLayout, WaveTableLayout};
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+
+/// A cancel flag nobody ever sets: what drives that cannot be cancelled
+/// pass to the cancellable drivers.
+pub(crate) static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
+
+/// The serial driver polls its cancel flag once per block of this many
+/// rows (whenever the low bits of the row's set wrap to zero): one
+/// predictable branch per row, one relaxed load per 4096 rows.
+const CANCEL_CHECK_ROWS: u32 = 1 << 12;
 
 /// How the rank-wave parallel driver deals a wave's rows to workers.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -408,16 +418,24 @@ where
 ///
 /// `compute_properties` receives the table and the set and must fill in
 /// `card` (and `pi_fan`/`aux` where applicable).
+///
+/// `cancel` is polled once per [`CANCEL_CHECK_ROWS`] rows; once it reads
+/// `true` the drive stops and returns `false`, leaving the table partly
+/// filled (harmless: every run rewrites each row before reading it).
+/// Returns `true` when every row was filled.
 #[inline]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<L, M, St, F, const PRUNE: bool>(
     table: &mut L,
     model: &M,
     n: usize,
     cap: f32,
     engine: RowEngine,
+    cancel: &AtomicBool,
     stats: &mut St,
     mut compute_properties: F,
-) where
+) -> bool
+where
     L: TableLayout,
     M: CostModel,
     St: Stats,
@@ -427,6 +445,9 @@ pub(crate) fn drive<L, M, St, F, const PRUNE: bool>(
     let end = 1u32 << n;
     let mut bits = 3u32;
     while bits < end {
+        if bits.is_multiple_of(CANCEL_CHECK_ROWS) && cancel.load(Relaxed) {
+            return false;
+        }
         let s = RelSet::from_bits(bits);
         // Skip powers of two: those are singletons, already initialized.
         if !s.is_singleton() {
@@ -435,6 +456,7 @@ pub(crate) fn drive<L, M, St, F, const PRUNE: bool>(
         }
         bits += 1;
     }
+    true
 }
 
 /// Successor of `v` in the enumeration of same-popcount bit patterns
@@ -549,15 +571,26 @@ const CHUNK_ALIGN_ROWS: u64 = 16;
 /// all drivers respect the same subset-before-superset dependency order
 /// — which rows run on which worker, and in what order within a wave,
 /// cannot be observed in the output bits.
+///
+/// Every worker polls `cancel` at the top of each wave. A worker that
+/// reads `true` skips its rows for the rest of the drive but still
+/// passes every remaining barrier, so no sibling is ever stranded. No
+/// worker reads a skipped row either: a worker that skips wave `k` read
+/// the flag before barrier `k`, so by read-read coherence every sibling
+/// reads `true` at the top of wave `k + 1`, the first wave that would
+/// read wave `k`'s rows. Returns `true` when no worker skipped a row.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_parallel<L, M, St, F, const PRUNE: bool>(
     table: &mut L,
     model: &M,
     n: usize,
     cap: f32,
     options: DriveOptions,
+    cancel: &AtomicBool,
     stats: &mut St,
     compute_properties: F,
-) where
+) -> bool
+where
     L: WaveTableLayout + Send,
     M: CostModel + Sync,
     St: Stats + Default + Send,
@@ -580,6 +613,9 @@ pub(crate) fn drive_parallel<L, M, St, F, const PRUNE: bool>(
         // SAFETY: exactly one view on one thread; trivially race-free.
         let mut view = unsafe { shared.view() };
         for k in 2..=n {
+            if cancel.load(Relaxed) {
+                return false;
+            }
             view.begin_wave(k, None);
             let mut bits = (1u64 << k) - 1;
             while bits < end {
@@ -589,11 +625,12 @@ pub(crate) fn drive_parallel<L, M, St, F, const PRUNE: bool>(
                 bits = same_popcount_successor(bits);
             }
         }
-        return;
+        return true;
     }
     let compute_properties = &compute_properties;
     let barrier = std::sync::Barrier::new(threads);
     let barrier = &barrier;
+    let mut completed = true;
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..threads)
             .map(|t| {
@@ -605,7 +642,13 @@ pub(crate) fn drive_parallel<L, M, St, F, const PRUNE: bool>(
                 let mut view = unsafe { shared.view() };
                 scope.spawn(move || {
                     let mut local = St::default();
+                    let mut skipping = false;
                     for k in 2..=n {
+                        skipping = skipping || cancel.load(Relaxed);
+                        if skipping {
+                            barrier.wait();
+                            continue;
+                        }
                         match schedule {
                             WaveSchedule::Chunked => {
                                 let rows = binomial(n, k);
@@ -651,14 +694,17 @@ pub(crate) fn drive_parallel<L, M, St, F, const PRUNE: bool>(
                         }
                         barrier.wait();
                     }
-                    local
+                    (local, skipping)
                 })
             })
             .collect();
         for worker in workers {
-            stats.absorb(worker.join().expect("wave worker panicked"));
+            let (local, skipped) = worker.join().expect("wave worker panicked");
+            stats.absorb(local);
+            completed &= !skipped;
         }
     });
+    completed
 }
 
 #[cfg(test)]

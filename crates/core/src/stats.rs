@@ -146,6 +146,19 @@ impl Counters {
         3f64.powi(Self::powi_exp(n))
     }
 
+    /// Split candidates the split driver visits over all rows of an
+    /// `n`-relation table without pruning: `Σ_k C(n,k)·(2^k − 2) =
+    /// 3^n − 2^(n+1) + 1` (exact in `f64` for every supported `n`).
+    pub fn split_candidates(n: usize) -> f64 {
+        Self::bound_loop(n) - 2.0 * Self::bound_subset(n) + 1.0
+    }
+
+    /// Candidates the convolution driver's anchored half-walk visits:
+    /// `Σ_k C(n,k)·(2^(k−1) − 1) = (3^n + 1)/2 − 2^n`.
+    pub fn conv_candidates(n: usize) -> f64 {
+        (Self::bound_loop(n) + 1.0) / 2.0 - Self::bound_subset(n)
+    }
+
     /// The analytic expected count `(ln 2 / 2)·n·2^n` of conditional-body
     /// executions (Section 3.3).
     pub fn bound_cond(n: usize) -> f64 {

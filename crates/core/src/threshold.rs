@@ -21,11 +21,12 @@ use crate::cost::CostModel;
 use crate::join::{fill_join_table_with, optimize_join_into};
 use crate::plan::{Plan, PlanArena, PlanNodeId};
 use crate::spec::{JoinSpec, SpecError};
-use crate::split::DriveOptions;
+use crate::split::{DriveOptions, NEVER_CANCELLED};
 use crate::stats::{NoStats, Stats};
 use crate::table::{
     AosTable, HotColdTable, LayoutChoice, SoaTable, TableLayout, WaveTableLayout, MAX_TABLE_RELS,
 };
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// An escalation schedule of plan-cost thresholds.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -219,6 +220,8 @@ pub struct ArenaThresholdOutcome {
 /// arena is not cleared first — recycle it with [`PlanArena::clear`]
 /// between requests.
 ///
+/// The never-cancelled form of [`optimize_join_threshold_arena_cancellable`].
+///
 /// # Panics
 /// Panics if `table.rels() != spec.n()`.
 pub fn optimize_join_threshold_arena_with<L, M, St, const PRUNE: bool>(
@@ -235,6 +238,51 @@ where
     M: CostModel + Sync,
     St: Stats + Default + Send,
 {
+    let out = optimize_join_threshold_arena_cancellable::<L, M, St, PRUNE>(
+        table,
+        arena,
+        spec,
+        model,
+        schedule,
+        options,
+        &NEVER_CANCELLED,
+        stats,
+    );
+    match out {
+        Some(out) => out,
+        None => unreachable!("a never-set cancel flag cannot stop the drive"),
+    }
+}
+
+/// [`optimize_join_threshold_arena_with`] that gives up when `cancel`
+/// is set — by another thread, at any time. The flag is checked before
+/// every threshold pass, and inside each pass by the drivers: at every
+/// wave of the rank-wave parallel driver, and every 4096 rows of the
+/// serial one. A cancelled run returns `None`; the arena is untouched
+/// and the table holds stale rows, which the next run on it overwrites
+/// before reading, so the table can go straight back to a pool.
+///
+/// With a flag that is never set the result, the table and `stats` are
+/// bit-identical to [`optimize_join_threshold_arena_with`]'s.
+///
+/// # Panics
+/// Panics if `table.rels() != spec.n()`.
+#[allow(clippy::too_many_arguments)]
+pub fn optimize_join_threshold_arena_cancellable<L, M, St, const PRUNE: bool>(
+    table: &mut L,
+    arena: &mut PlanArena,
+    spec: &JoinSpec,
+    model: &M,
+    schedule: ThresholdSchedule,
+    options: DriveOptions,
+    cancel: &AtomicBool,
+    stats: &mut St,
+) -> Option<ArenaThresholdOutcome>
+where
+    L: WaveTableLayout + Send,
+    M: CostModel + Sync,
+    St: Stats + Default + Send,
+{
     let full = spec.all_rels();
     let mut cap = schedule.initial;
     let mut passes = 0u32;
@@ -242,7 +290,13 @@ where
         passes += 1;
         let capped = passes <= schedule.max_passes;
         let eff_cap = if capped { cap } else { f32::INFINITY };
-        fill_join_table_with::<L, M, St, PRUNE>(table, spec, model, eff_cap, options, stats);
+        if cancel.load(Relaxed)
+            || !fill_join_table_with::<L, M, St, PRUNE>(
+                table, spec, model, eff_cap, options, cancel, stats,
+            )
+        {
+            return None;
+        }
         let cost = table.cost(full);
         if cost.is_finite() || !capped {
             let root = if cost.is_finite() {
@@ -255,13 +309,13 @@ where
                 arena.left_deep_vine(spec.n())
             };
             let cost = if cost.is_finite() { cost } else { f32::INFINITY };
-            return ArenaThresholdOutcome {
+            return Some(ArenaThresholdOutcome {
                 root,
                 cost,
                 card: table.card(full),
                 passes,
                 final_cap: eff_cap,
-            };
+            });
         }
         cap *= schedule.factor;
     }

@@ -24,10 +24,21 @@
 //! promotion are O(1) and contention is spread `shards` ways. Only
 //! completed entries occupy LRU capacity; in-flight slots are pinned
 //! until resolved.
+//!
+//! Every in-flight [`Slot`] counts the requests waiting on it — the
+//! reserving one plus each [`Lookup::Wait`] — under its shard's lock. A
+//! waiter that gives up calls [`PlanCache::leave`]; when the last one
+//! leaves, the slot's cancel flag is set for the job computing it (see
+//! [`Reservation::cancel_flag`]) and the entry is unpinned, so the next
+//! identical request reserves afresh instead of joining a dying job.
+//! Resolutions are matched to entries by slot identity, never by key
+//! alone, so a cancelled job finishing late cannot clobber the newer
+//! in-flight entry that replaced it.
 
 use crate::sync;
 use blitz_core::Plan;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -61,11 +72,22 @@ enum SlotState {
 pub struct Slot {
     state: Mutex<SlotState>,
     done: Condvar,
+    /// Requests registered on this slot that have not left. Atomic only
+    /// so `Slot` is `Sync`: every change happens under the owning
+    /// shard's lock, which orders it against the lookups that join.
+    waiters: AtomicUsize,
+    /// Set once the last waiter has left; the job polls it.
+    cancelled: AtomicBool,
 }
 
 impl Slot {
     fn new() -> Arc<Slot> {
-        Arc::new(Slot { state: Mutex::new(SlotState::Pending), done: Condvar::new() })
+        Arc::new(Slot {
+            state: Mutex::new(SlotState::Pending),
+            done: Condvar::new(),
+            waiters: AtomicUsize::new(1),
+            cancelled: AtomicBool::new(false),
+        })
     }
 
     fn publish(&self, state: SlotState) {
@@ -164,6 +186,14 @@ impl Shard {
         }
     }
 
+    /// Remove `key`'s entry if it is `slot`'s in-flight pin (compared by
+    /// identity, not by key).
+    fn remove_in_flight(&mut self, key: u128, slot: &Arc<Slot>) {
+        if matches!(self.map.get(&key), Some(Entry::InFlight(s)) if Arc::ptr_eq(s, slot)) {
+            self.map.remove(&key);
+        }
+    }
+
     fn insert_ready(&mut self, key: u128, value: Arc<ComputedPlan>, capacity: usize) {
         let node = Node { key, value, prev: NIL, next: NIL };
         let idx = match self.free.pop() {
@@ -219,11 +249,18 @@ impl Reservation {
         Arc::clone(&self.slot)
     }
 
+    /// Set once every request waiting on this reservation's slot has
+    /// left ([`PlanCache::leave`]): nobody wants the result any more, so
+    /// the job computing it should stop (and then drop the reservation).
+    pub fn cancel_flag(&self) -> &AtomicBool {
+        &self.slot.cancelled
+    }
+
     /// Publish `value` to all waiters and insert it into the LRU.
     pub fn fulfill_cached(mut self, value: ComputedPlan) -> Arc<ComputedPlan> {
         self.resolved = true;
         let value = Arc::new(value);
-        self.cache.complete(self.key, Arc::clone(&value), true);
+        self.cache.complete(self.key, &self.slot, Arc::clone(&value), true);
         self.slot.publish(SlotState::Done(Arc::clone(&value)));
         value
     }
@@ -234,7 +271,7 @@ impl Reservation {
     pub fn fulfill_uncached(mut self, value: ComputedPlan) -> Arc<ComputedPlan> {
         self.resolved = true;
         let value = Arc::new(value);
-        self.cache.complete(self.key, Arc::clone(&value), false);
+        self.cache.complete(self.key, &self.slot, Arc::clone(&value), false);
         self.slot.publish(SlotState::Done(Arc::clone(&value)));
         value
     }
@@ -243,7 +280,7 @@ impl Reservation {
 impl Drop for Reservation {
     fn drop(&mut self) {
         if !self.resolved {
-            self.cache.abandon(self.key);
+            self.cache.abandon(self.key, &self.slot);
             self.slot.publish(SlotState::Abandoned);
         }
     }
@@ -284,7 +321,10 @@ impl PlanCache {
                 shard.touch(idx);
                 Lookup::Hit(value)
             }
-            Some(Entry::InFlight(slot)) => Lookup::Wait(Arc::clone(slot)),
+            Some(Entry::InFlight(slot)) => {
+                slot.waiters.fetch_add(1, Relaxed);
+                Lookup::Wait(Arc::clone(slot))
+            }
             None => {
                 let slot = Slot::new();
                 shard.map.insert(key, Entry::InFlight(Arc::clone(&slot)));
@@ -298,30 +338,46 @@ impl PlanCache {
         }
     }
 
-    fn complete(&self, key: u128, value: Arc<ComputedPlan>, insert: bool) {
+    /// The resident plan for `key`, promoted to most-recently-used —
+    /// without reserving anything on a miss (an in-flight entry counts
+    /// as a miss here). For callers that will not run the optimization.
+    pub fn get(&self, key: u128) -> Option<Arc<ComputedPlan>> {
         let mut shard = sync::lock(self.shard(key));
-        // The in-flight entry may have been dropped already (shutdown
-        // races); only replace an InFlight entry for this key.
-        match shard.map.get(&key) {
-            Some(Entry::InFlight(_)) => {
-                shard.map.remove(&key);
-                if insert {
-                    shard.insert_ready(key, value, self.per_shard_capacity);
-                }
-            }
-            _ => {
-                if insert && !shard.map.contains_key(&key) {
-                    shard.insert_ready(key, value, self.per_shard_capacity);
-                }
-            }
+        let Some(&Entry::Ready(idx)) = shard.map.get(&key) else {
+            return None;
+        };
+        shard.touch(idx);
+        Some(Arc::clone(&shard.nodes[idx].value))
+    }
+
+    /// One request registered on `slot` — by the [`Lookup`] for `key`
+    /// that returned it — stops waiting. When it was the last, this sets
+    /// the slot's cancel flag and unpins the in-flight entry (if it is
+    /// still this slot's), and returns `true`. Call at most once per
+    /// registration.
+    pub fn leave(&self, key: u128, slot: &Arc<Slot>) -> bool {
+        let mut shard = sync::lock(self.shard(key));
+        if slot.waiters.fetch_sub(1, Relaxed) != 1 {
+            return false;
+        }
+        slot.cancelled.store(true, Relaxed);
+        shard.remove_in_flight(key, slot);
+        true
+    }
+
+    fn complete(&self, key: u128, slot: &Arc<Slot>, value: Arc<ComputedPlan>, insert: bool) {
+        let mut shard = sync::lock(self.shard(key));
+        // Replace only this reservation's own in-flight entry. It may be
+        // gone already (its last waiter left), and the key may since
+        // hold a newer in-flight entry or a resident plan: keep those.
+        shard.remove_in_flight(key, slot);
+        if insert && !shard.map.contains_key(&key) {
+            shard.insert_ready(key, value, self.per_shard_capacity);
         }
     }
 
-    fn abandon(&self, key: u128) {
-        let mut shard = sync::lock(self.shard(key));
-        if let Some(Entry::InFlight(_)) = shard.map.get(&key) {
-            shard.map.remove(&key);
-        }
+    fn abandon(&self, key: u128, slot: &Arc<Slot>) {
+        sync::lock(self.shard(key)).remove_in_flight(key, slot);
     }
 
     /// Completed plans currently resident (excludes in-flight slots).
@@ -419,6 +475,32 @@ mod tests {
         assert!(matches!(cache.lookup_or_reserve(1), Lookup::Hit(_)));
         assert!(matches!(cache.lookup_or_reserve(3), Lookup::Hit(_)));
         assert!(matches!(cache.lookup_or_reserve(2), Lookup::Reserved(_)));
+    }
+
+    #[test]
+    fn only_the_last_leaving_waiter_cancels_and_unpins() {
+        let cache = PlanCache::new(8, 1);
+        let Lookup::Reserved(res) = cache.lookup_or_reserve(3) else { panic!() };
+        let owner = res.slot();
+        let Lookup::Wait(joined) = cache.lookup_or_reserve(3) else { panic!() };
+        assert!(!cache.leave(3, &joined), "one waiter remains");
+        assert!(!res.cancel_flag().load(Relaxed));
+        assert!(matches!(cache.lookup_or_reserve(3), Lookup::Wait(_)), "still pinned");
+        // That Wait registered a third waiter; both remaining ones leave.
+        assert!(!cache.leave(3, &owner));
+        assert!(cache.leave(3, &owner), "the last leaver cancels");
+        assert!(res.cancel_flag().load(Relaxed));
+        assert!(matches!(cache.lookup_or_reserve(3), Lookup::Reserved(_)), "unpinned");
+    }
+
+    #[test]
+    fn get_returns_resident_plans_only() {
+        let cache = PlanCache::new(8, 1);
+        assert!(cache.get(4).is_none());
+        let Lookup::Reserved(res) = cache.lookup_or_reserve(4) else { panic!() };
+        assert!(cache.get(4).is_none(), "in flight is not resident");
+        res.fulfill_cached(plan(6.0));
+        assert_eq!(cache.get(4).map(|p| p.cost), Some(6.0));
     }
 
     #[test]

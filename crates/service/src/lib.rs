@@ -19,9 +19,13 @@
 //! greedy `goo` baseline immediately — a *flagged* [`PlanSource`], never
 //! an error), then a cache lookup, then either a cached plan, a shared
 //! in-flight result, or a freshly scheduled optimization on the pool.
-//! When the queue is full or a request's deadline expires while
-//! waiting, the caller again degrades to the greedy baseline rather
-//! than failing. Every path is visible in the metrics.
+//! A request with a deadline that misses the cache is admitted to the
+//! exact path only when the DP's estimated time fits the time left
+//! ([`OptimizerService::exact_estimate`]). When the queue is full or a
+//! request's deadline expires while waiting, the caller again degrades
+//! to the greedy baseline rather than failing, and an exact job whose
+//! every requester has left is cancelled. Every path is visible in the
+//! metrics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -45,13 +49,13 @@ pub use tables::{AnyTable, PoolSlot, TablePool};
 use blitz_baselines::goo;
 use blitz_catalog::CanonicalQuery;
 use blitz_core::{
-    optimize_join_threshold_arena_with, AosTable, CalibrationProfile, ConvSupport, CostModel,
+    optimize_join_threshold_arena_cancellable, AosTable, CalibrationProfile, ConvSupport, CostModel,
     Counters, DiskNestedLoops, DriveOptions, DriverChoice, HotColdTable, JoinSpec, Kappa0,
     KernelChoice, LayoutChoice, Plan, SmDnl, SoaTable, SortMerge, ThresholdSchedule,
     MAX_TABLE_RELS,
 };
 use blitz_ladder::{goo_big, optimize_ladder};
-use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -137,12 +141,17 @@ pub enum FallbackReason {
     OverLimit,
     /// The worker queue was full when the optimization was scheduled.
     QueueFull,
-    /// The request's deadline expired before the optimization finished
-    /// (the exact result may still land in the cache afterwards).
+    /// The request's deadline expired before the optimization finished.
+    /// The exact job keeps running only while another request still
+    /// waits for it; when the last one leaves, it is cancelled.
     DeadlineExceeded,
     /// The in-flight optimization this request was waiting on was
     /// discarded (service shutdown or a dropped queue-full job).
     Abandoned,
+    /// The exact DP's estimated time — its candidate count times the
+    /// measured cost per candidate — exceeded the time left before the
+    /// request's deadline, so none was started.
+    OverBudget,
 }
 
 /// Where a response's plan came from.
@@ -160,6 +169,25 @@ pub enum PlanSource {
 }
 
 impl PlanSource {
+    /// Every plan source, in wire-name order of declaration.
+    pub const ALL: [PlanSource; 10] = [
+        PlanSource::Exact,
+        PlanSource::Greedy(FallbackReason::OverLimit),
+        PlanSource::Greedy(FallbackReason::QueueFull),
+        PlanSource::Greedy(FallbackReason::DeadlineExceeded),
+        PlanSource::Greedy(FallbackReason::Abandoned),
+        PlanSource::Greedy(FallbackReason::OverBudget),
+        PlanSource::Ladder(Rung::Greedy),
+        PlanSource::Ladder(Rung::Exact),
+        PlanSource::Ladder(Rung::HybridDp),
+        PlanSource::Ladder(Rung::Stochastic),
+    ];
+
+    /// Inverse of [`PlanSource::name`].
+    pub fn parse(name: &str) -> Option<PlanSource> {
+        PlanSource::ALL.into_iter().find(|s| s.name() == name)
+    }
+
     /// Wire-protocol string.
     pub fn name(&self) -> &'static str {
         match self {
@@ -168,6 +196,7 @@ impl PlanSource {
             PlanSource::Greedy(FallbackReason::QueueFull) => "greedy_queue_full",
             PlanSource::Greedy(FallbackReason::DeadlineExceeded) => "greedy_deadline",
             PlanSource::Greedy(FallbackReason::Abandoned) => "greedy_abandoned",
+            PlanSource::Greedy(FallbackReason::OverBudget) => "greedy_over_budget",
             PlanSource::Ladder(Rung::Greedy) => "ladder_greedy",
             PlanSource::Ladder(Rung::Exact) => "ladder_exact",
             PlanSource::Ladder(Rung::HybridDp) => "ladder_hybrid_dp",
@@ -187,6 +216,7 @@ impl PlanSource {
             PlanSource::Greedy(FallbackReason::QueueFull) => "queue_full",
             PlanSource::Greedy(FallbackReason::DeadlineExceeded) => "deadline",
             PlanSource::Greedy(FallbackReason::Abandoned) => "abandoned",
+            PlanSource::Greedy(FallbackReason::OverBudget) => "over_budget",
             PlanSource::Ladder(rung) => rung.name(),
         }
     }
@@ -691,6 +721,47 @@ impl OptimizerService {
         }
     }
 
+    /// The drive options an exact optimization of `req` runs under
+    /// (per-request driver override included) and the driver
+    /// disposition derived from them. One disposition drives both the
+    /// cache namespace and the provenance the job will report — deriving
+    /// them from separate sites is how the two once could drift.
+    fn exact_options(&self, req: &Request) -> (DriveOptions, DriverDisposition) {
+        let n = req.spec.n();
+        let mut options = self.drive_options(n, req.model);
+        if let Some(d) = req.driver {
+            options = options.with_driver(d);
+        }
+        let disposition = DriverDisposition::new(req.model, req.driver.is_some(), &options, n);
+        (options, disposition)
+    }
+
+    /// How long `req`'s exact DP would take if it started now: the
+    /// driver's candidate count for the query's size times the measured
+    /// CPU cost per candidate, spread over its wave threads. This is the
+    /// estimate deadline admission compares with the time left. `None`
+    /// until some exact job has completed (a cold service admits
+    /// everything) and for queries over the exact-path limit.
+    pub fn exact_estimate(&self, req: &Request) -> Option<Duration> {
+        if req.spec.n() > self.config.max_exact_rels {
+            return None;
+        }
+        let (options, disposition) = self.exact_options(req);
+        self.estimate(req.spec.n(), &options, &disposition)
+    }
+
+    fn estimate(
+        &self,
+        n: usize,
+        options: &DriveOptions,
+        disposition: &DriverDisposition,
+    ) -> Option<Duration> {
+        let ns_per_candidate = self.metrics.ns_per_candidate()?;
+        let ns = exact_candidates(n, disposition.exact_driver()) * ns_per_candidate
+            / options.effective_parallelism() as f64;
+        Some(Duration::try_from_secs_f64(ns / 1e9).unwrap_or(Duration::MAX))
+    }
+
     /// Optimize one request. Never fails: every degraded path returns a
     /// valid (greedy) plan flagged in [`Response::source`].
     pub fn optimize(&self, req: &Request) -> Response {
@@ -712,17 +783,30 @@ impl OptimizerService {
         }
 
         let schedule = req.schedule.unwrap_or(self.config.default_schedule);
-        // One disposition drives both the cache namespace and the
-        // provenance the job will report — deriving them from separate
-        // sites is how the two once could drift.
-        let mut options = self.drive_options(req.spec.n(), req.model);
-        if let Some(d) = req.driver {
-            options = options.with_driver(d);
-        }
-        let disposition =
-            DriverDisposition::new(req.model, req.driver.is_some(), &options, req.spec.n());
+        let (options, disposition) = self.exact_options(req);
         let canon =
             CanonicalQuery::new(&req.spec, &disposition.fingerprint_tag(), Some(&schedule));
+
+        // Deadline admission, priced in DP work. A resident plan still
+        // wins; otherwise a DP that cannot finish in the time left is
+        // never started: no slot is reserved and no job queued.
+        if let Some(deadline) = req.deadline {
+            let left = deadline.saturating_sub(start.elapsed());
+            if self.estimate(req.spec.n(), &options, &disposition).is_some_and(|e| e > left) {
+                if let Some(cp) = self.cache.get(canon.fingerprint()) {
+                    self.metrics.cache_hits.fetch_add(1, Relaxed);
+                    return self.respond_from(&canon, &cp, CacheOutcome::Hit, start);
+                }
+                self.metrics.cache_bypass.fetch_add(1, Relaxed);
+                self.metrics.fallback_over_budget.fetch_add(1, Relaxed);
+                return self.greedy_response(
+                    req,
+                    FallbackReason::OverBudget,
+                    CacheOutcome::Bypass,
+                    start,
+                );
+            }
+        }
 
         match self.cache.lookup_or_reserve(canon.fingerprint()) {
             Lookup::Hit(cp) => {
@@ -876,7 +960,9 @@ impl OptimizerService {
     }
 
     /// Package the exact optimization as a pool job owning its cache
-    /// reservation.
+    /// reservation. The job stops early — skipped before it takes a
+    /// table, or cancelled mid-DP — once every requester has left; the
+    /// reservation then drops unresolved.
     fn make_job(
         &self,
         req: &Request,
@@ -893,10 +979,33 @@ impl OptimizerService {
         let tables = Arc::clone(&self.tables);
         let driver = disposition.exact_driver();
         Box::new(move || {
+            let cancel = reservation.cancel_flag();
             let started = Instant::now();
-            let (plan, cost, card, passes, counters) =
-                run_exact(&spec, model, schedule, options, driver, &tables, &metrics);
-            metrics.record_optimization(&counters, passes, started.elapsed());
+            let done = if cancel.load(Relaxed) {
+                None
+            } else {
+                let job = ExactJob {
+                    spec: &spec,
+                    schedule,
+                    options,
+                    driver,
+                    cancel,
+                    tables: &tables,
+                    metrics: &metrics,
+                };
+                job.run(model)
+            };
+            let Some((plan, cost, card, passes, counters)) = done else {
+                metrics.exact_cancelled.fetch_add(1, Relaxed);
+                return;
+            };
+            metrics.record_optimization(
+                &counters,
+                passes,
+                started.elapsed(),
+                exact_candidates(spec.n(), driver),
+                options.effective_parallelism(),
+            );
             reservation.fulfill_cached(ComputedPlan {
                 plan: canon.to_canonical(&plan),
                 cost,
@@ -909,12 +1018,14 @@ impl OptimizerService {
     }
 
     /// Wait for an in-flight optimization, honoring the request
-    /// deadline; degrade greedily on timeout or abandonment.
+    /// deadline; degrade greedily on timeout or abandonment. A request
+    /// whose deadline expires leaves the slot, which cancels the job if
+    /// nobody else still waits for it.
     fn await_slot(
         &self,
         req: &Request,
         canon: &CanonicalQuery,
-        slot: &Slot,
+        slot: &Arc<Slot>,
         cache: CacheOutcome,
         start: Instant,
     ) -> Response {
@@ -925,10 +1036,11 @@ impl OptimizerService {
                 let deadline_expired =
                     req.deadline.is_some_and(|d| start.elapsed() >= d);
                 let reason = if deadline_expired {
+                    self.cache.leave(canon.fingerprint(), slot);
                     self.metrics.fallback_deadline.fetch_add(1, Relaxed);
                     FallbackReason::DeadlineExceeded
                 } else {
-                    self.metrics.fallback_queue_full.fetch_add(1, Relaxed);
+                    self.metrics.fallback_abandoned.fetch_add(1, Relaxed);
                     FallbackReason::Abandoned
                 };
                 self.greedy_response(req, reason, cache, start)
@@ -991,24 +1103,57 @@ impl OptimizerService {
     }
 }
 
-fn run_exact(
-    spec: &JoinSpec,
-    model: ModelId,
+/// The driver's DP candidate count for `n` relations — the work unit
+/// of deadline admission (see [`Metrics::ns_per_candidate`]).
+fn exact_candidates(n: usize, driver: ExactDriver) -> f64 {
+    if driver.is_conv() {
+        Counters::conv_candidates(n)
+    } else {
+        Counters::split_candidates(n)
+    }
+}
+
+/// What a finished exact job hands back: plan, cost, cardinality,
+/// threshold passes and the §3.3 counters.
+type ExactRun = (Plan, f32, f64, u32, Counters);
+
+/// One exact job's inputs, on the worker that runs it.
+struct ExactJob<'a> {
+    spec: &'a JoinSpec,
     schedule: ThresholdSchedule,
     options: DriveOptions,
     driver: ExactDriver,
-    tables: &TablePool,
-    metrics: &Metrics,
-) -> (Plan, f32, f64, u32, Counters) {
-    fn go<L: PoolSlot, M: CostModel + Sync>(
-        spec: &JoinSpec,
-        model: &M,
-        schedule: ThresholdSchedule,
-        options: DriveOptions,
-        driver: ExactDriver,
-        tables: &TablePool,
-        metrics: &Metrics,
-    ) -> (Plan, f32, f64, u32, Counters) {
+    cancel: &'a AtomicBool,
+    tables: &'a TablePool,
+    metrics: &'a Metrics,
+}
+
+impl ExactJob<'_> {
+    /// Run the exact DP on a pooled table and arena; `None` when the
+    /// cancel flag stopped it (the table still goes back to the pool).
+    ///
+    /// Static double dispatch: model × layout, all monomorphized. Every
+    /// combination is bit-identical in results; the layout only moves
+    /// bytes around in memory.
+    fn run(&self, model: ModelId) -> Option<ExactRun> {
+        match model {
+            ModelId::Kappa0 => self.by_layout(&Kappa0),
+            ModelId::SortMerge => self.by_layout(&SortMerge),
+            ModelId::DiskNestedLoops => self.by_layout(&DiskNestedLoops::default()),
+            ModelId::SmDnl => self.by_layout(&SmDnl::default()),
+        }
+    }
+
+    fn by_layout<M: CostModel + Sync>(&self, model: &M) -> Option<ExactRun> {
+        match self.options.layout {
+            LayoutChoice::Aos => self.go::<AosTable, M>(model),
+            LayoutChoice::Soa => self.go::<SoaTable, M>(model),
+            LayoutChoice::HotCold => self.go::<HotColdTable, M>(model),
+        }
+    }
+
+    fn go<L: PoolSlot, M: CostModel + Sync>(&self, model: &M) -> Option<ExactRun> {
+        let (spec, options, metrics) = (self.spec, self.options, self.metrics);
         // The disposition was resolved once at the service boundary
         // ([`DriverDisposition`]); here — with the concrete model in
         // hand — assert it matches what the core itself will resolve
@@ -1016,63 +1161,39 @@ fn run_exact(
         debug_assert_eq!(
             options.driver.resolve(model.conv_support(), spec.n(), options.conv_min_rels)
                 == DriverChoice::Conv,
-            driver.is_conv(),
+            self.driver.is_conv(),
             "service disposition disagrees with core driver resolution"
         );
-        let driver_counter =
-            if driver.is_conv() { &metrics.driver_conv } else { &metrics.driver_split };
-        driver_counter.fetch_add(1, Relaxed);
-        let (mut table, recycled) = tables.take::<L>(spec.n());
+        let (mut table, recycled) = self.tables.take::<L>(spec.n());
         let counter =
             if recycled { &metrics.table_pool_hits } else { &metrics.table_pool_misses };
         counter.fetch_add(1, Relaxed);
-        let mut arena = tables.take_arena();
+        let mut arena = self.tables.take_arena();
         let mut counters = Counters::default();
-        let out = optimize_join_threshold_arena_with::<L, M, Counters, true>(
-            &mut table, &mut arena, spec, model, schedule, options, &mut counters,
+        let out = optimize_join_threshold_arena_cancellable::<L, M, Counters, true>(
+            &mut table,
+            &mut arena,
+            spec,
+            model,
+            self.schedule,
+            options,
+            self.cancel,
+            &mut counters,
         );
         // The one allocation left on a warm hot path: the owned plan the
         // cache keeps across requests. It happens once per cache miss;
         // the optimize-and-extract work itself is allocation-free (the
         // `no_alloc` suite pins that).
-        let plan = arena.to_plan(out.root);
-        tables.put(table);
-        tables.put_arena(arena);
-        (plan, out.cost, out.card, out.passes, counters)
-    }
-    // Static double dispatch: model × layout, all monomorphized. Every
-    // combination is bit-identical in results; the layout only moves
-    // bytes around in memory.
-    fn by_layout<M: CostModel + Sync>(
-        spec: &JoinSpec,
-        model: &M,
-        schedule: ThresholdSchedule,
-        options: DriveOptions,
-        driver: ExactDriver,
-        tables: &TablePool,
-        metrics: &Metrics,
-    ) -> (Plan, f32, f64, u32, Counters) {
-        match options.layout {
-            LayoutChoice::Aos => {
-                go::<AosTable, M>(spec, model, schedule, options, driver, tables, metrics)
-            }
-            LayoutChoice::Soa => {
-                go::<SoaTable, M>(spec, model, schedule, options, driver, tables, metrics)
-            }
-            LayoutChoice::HotCold => {
-                go::<HotColdTable, M>(spec, model, schedule, options, driver, tables, metrics)
-            }
+        let run =
+            out.map(|out| (arena.to_plan(out.root), out.cost, out.card, out.passes, counters));
+        self.tables.put(table);
+        self.tables.put_arena(arena);
+        if run.is_some() {
+            let driver_counter =
+                if self.driver.is_conv() { &metrics.driver_conv } else { &metrics.driver_split };
+            driver_counter.fetch_add(1, Relaxed);
         }
-    }
-    match model {
-        ModelId::Kappa0 => by_layout(spec, &Kappa0, schedule, options, driver, tables, metrics),
-        ModelId::SortMerge => by_layout(spec, &SortMerge, schedule, options, driver, tables, metrics),
-        ModelId::DiskNestedLoops => {
-            by_layout(spec, &DiskNestedLoops::default(), schedule, options, driver, tables, metrics)
-        }
-        ModelId::SmDnl => {
-            by_layout(spec, &SmDnl::default(), schedule, options, driver, tables, metrics)
-        }
+        run
     }
 }
 
@@ -1433,6 +1554,79 @@ mod tests {
         assert_eq!(resp.cache, CacheOutcome::Bypass);
         assert!(resp.ladder.is_none());
         assert_eq!(service.snapshot().fallback_over_limit, 1);
+    }
+
+    /// Each fallback reason, triggered once, moves its own counter and
+    /// no other — the counters mean what their names say.
+    #[test]
+    fn each_fallback_reason_moves_only_its_own_counter() {
+        fn fallbacks(s: &MetricsSnapshot) -> [u64; 5] {
+            [
+                s.fallback_over_limit,
+                s.fallback_queue_full,
+                s.fallback_deadline,
+                s.fallback_abandoned,
+                s.fallback_over_budget,
+            ]
+        }
+        fn check(service: &OptimizerService, own: usize, trigger: impl FnOnce() -> Response) {
+            let before = fallbacks(&service.snapshot());
+            let reason = trigger().source;
+            let after = fallbacks(&service.snapshot());
+            for (i, (b, a)) in before.iter().zip(after).enumerate() {
+                assert_eq!(a - b, u64::from(i == own), "{reason:?} moved counter {i}");
+            }
+        }
+        let chain = |n: usize| {
+            let cards: Vec<f64> = (0..n).map(|i| 10.0 + i as f64).collect();
+            let edges: Vec<(usize, usize, f64)> = (0..n - 1).map(|i| (i, i + 1, 0.5)).collect();
+            JoinSpec::new(&cards, &edges).unwrap()
+        };
+        let heavy = blitz_catalog::Workload::new(14, blitz_catalog::Topology::Clique, 100.0, 0.5)
+            .spec();
+        let service = OptimizerService::new(ServiceConfig {
+            workers: 1,
+            max_exact_rels: 14,
+            ..Default::default()
+        });
+
+        // Cold (no work rate yet): admitted, then the deadline expires.
+        check(&service, 2, || {
+            let deadline = Some(Duration::from_millis(1));
+            let resp = service.optimize(&Request { deadline, ..Request::new(heavy.clone()) });
+            assert_eq!(resp.source, PlanSource::Greedy(FallbackReason::DeadlineExceeded));
+            resp
+        });
+        check(&service, 0, || service.optimize(&Request::new(chain(15))));
+        // Abandoned: the job this request waits on is dropped unresolved.
+        check(&service, 3, || {
+            let req = Request::new(chain(5));
+            let canon = CanonicalQuery::new(&req.spec, "k0", None);
+            let Lookup::Reserved(reservation) = service.cache.lookup_or_reserve(canon.fingerprint())
+            else {
+                panic!("fresh key must reserve");
+            };
+            let slot = reservation.slot();
+            drop(reservation);
+            service.await_slot(&req, &canon, &slot, CacheOutcome::Shared, Instant::now())
+        });
+        // A finished job gives the service its work rate; then a zero
+        // deadline is over budget.
+        assert_eq!(service.optimize(&Request::new(chain(6))).source, PlanSource::Exact);
+        check(&service, 4, || {
+            service.optimize(&Request { deadline: Some(Duration::ZERO), ..Request::new(heavy) })
+        });
+        let full = OptimizerService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 0,
+            ..Default::default()
+        });
+        check(&full, 1, || full.optimize(&Request::new(chain(5))));
+        assert_eq!(
+            (service.snapshot().exact_cancelled, service.snapshot().fallback_queue_full),
+            (1, 0),
+            "the deadline request's orphaned job is cancelled, not counted as queue-full"
+        );
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Lock-free service metrics: atomic counters plus log₂-bucketed latency
-//! histograms, with a coherent-enough [`MetricsSnapshot`] for reporting.
+//! Service metrics: atomic counters plus log₂-bucketed latency
+//! histograms, with a coherent-enough [`MetricsSnapshot`] for reporting,
+//! and the measured DP work rate deadline admission prices requests by.
 //!
 //! Counters are plain relaxed `AtomicU64`s — every event is a single
-//! `fetch_add`, so the hot path never takes a lock. A snapshot reads each
+//! `fetch_add`, so counting never takes a lock. The one lock guards the
+//! admission work rate's two sums; it is taken once per completed exact
+//! job and once per deadline request. A snapshot reads each
 //! counter independently; under concurrent load the values may be split
 //! across an instant (e.g. a request counted whose cache outcome is not
 //! yet), which is the standard trade for lock-freedom and is harmless
 //! for monitoring.
 
+use crate::sync;
 use blitz_core::Counters;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Number of log₂ latency buckets: bucket `i` holds samples in
@@ -120,6 +125,15 @@ pub struct Metrics {
     pub fallback_queue_full: AtomicU64,
     /// Greedy fallbacks because the request deadline expired first.
     pub fallback_deadline: AtomicU64,
+    /// Greedy fallbacks because the in-flight optimization a request
+    /// waited on was discarded without a result.
+    pub fallback_abandoned: AtomicU64,
+    /// Greedy fallbacks because the exact DP's estimated time exceeded
+    /// the time left before the request's deadline (no DP was started).
+    pub fallback_over_budget: AtomicU64,
+    /// Exact jobs cancelled because every requester had left: skipped
+    /// before taking a table, or stopped mid-DP.
+    pub exact_cancelled: AtomicU64,
     /// Threshold passes summed over all exact optimizations (> count ⇒
     /// re-optimization happened).
     pub threshold_passes: AtomicU64,
@@ -179,16 +193,53 @@ pub struct Metrics {
     pub optimize_latency: LatencyHistogram,
     /// End-to-end request latency (including queueing and cache waits).
     pub request_latency: LatencyHistogram,
+    /// The measured DP work rate behind deadline admission.
+    work_rate: Mutex<WorkRate>,
 }
+
+/// Exponentially decayed sums of completed exact jobs' CPU time and DP
+/// candidates. Their ratio is a cost per candidate in which large jobs
+/// dominate and small jobs' fixed per-job cost washes out.
+#[derive(Debug, Default)]
+struct WorkRate {
+    cpu_ns: f64,
+    candidates: f64,
+}
+
+/// Weight the work-rate sums keep per completed job: a job's influence
+/// halves about every 7 jobs, so the rate follows the host's load.
+const WORK_RATE_DECAY: f64 = 0.9;
 
 impl Metrics {
     /// Fold one exact optimization's instrumentation into the registry.
-    pub fn record_optimization(&self, counters: &Counters, passes: u32, elapsed: Duration) {
+    /// `candidates` is the driver's candidate count for the query's size
+    /// (`Counters::split_candidates`/`conv_candidates`) and `threads`
+    /// the wave threads it ran on; both feed the work rate
+    /// ([`Metrics::ns_per_candidate`]).
+    pub fn record_optimization(
+        &self,
+        counters: &Counters,
+        passes: u32,
+        elapsed: Duration,
+        candidates: f64,
+        threads: usize,
+    ) {
         self.optimizations.fetch_add(1, Relaxed);
         self.threshold_passes.fetch_add(passes as u64, Relaxed);
         self.split_loop_iters.fetch_add(counters.loop_iters, Relaxed);
         self.subsets_pruned.fetch_add(counters.loops_skipped, Relaxed);
         self.optimize_latency.record(elapsed);
+        let mut rate = sync::lock(&self.work_rate);
+        rate.cpu_ns = rate.cpu_ns * WORK_RATE_DECAY + elapsed.as_nanos() as f64 * threads as f64;
+        rate.candidates = rate.candidates * WORK_RATE_DECAY + candidates;
+    }
+
+    /// Measured CPU nanoseconds per DP candidate over recent exact jobs
+    /// (wave threads × wall time, per candidate); `None` until a job
+    /// has completed.
+    pub fn ns_per_candidate(&self) -> Option<f64> {
+        let rate = sync::lock(&self.work_rate);
+        (rate.candidates > 0.0).then(|| rate.cpu_ns / rate.candidates)
     }
 
     /// Fold one anytime-ladder run into the registry. `rung` is the
@@ -221,6 +272,9 @@ impl Metrics {
             fallback_over_limit: self.fallback_over_limit.load(Relaxed),
             fallback_queue_full: self.fallback_queue_full.load(Relaxed),
             fallback_deadline: self.fallback_deadline.load(Relaxed),
+            fallback_abandoned: self.fallback_abandoned.load(Relaxed),
+            fallback_over_budget: self.fallback_over_budget.load(Relaxed),
+            exact_cancelled: self.exact_cancelled.load(Relaxed),
             threshold_passes: self.threshold_passes.load(Relaxed),
             split_loop_iters: self.split_loop_iters.load(Relaxed),
             subsets_pruned: self.subsets_pruned.load(Relaxed),
@@ -272,6 +326,12 @@ pub struct MetricsSnapshot {
     pub fallback_queue_full: u64,
     /// See [`Metrics::fallback_deadline`].
     pub fallback_deadline: u64,
+    /// See [`Metrics::fallback_abandoned`].
+    pub fallback_abandoned: u64,
+    /// See [`Metrics::fallback_over_budget`].
+    pub fallback_over_budget: u64,
+    /// See [`Metrics::exact_cancelled`].
+    pub exact_cancelled: u64,
     /// See [`Metrics::threshold_passes`].
     pub threshold_passes: u64,
     /// See [`Metrics::split_loop_iters`].
@@ -334,7 +394,8 @@ impl MetricsSnapshot {
         format!(
             "requests={} cache_hits={} cache_misses={} cache_shared={} cache_bypass={} \
              optimizations={} fallback_over_limit={} fallback_queue_full={} \
-             fallback_deadline={} threshold_passes={} split_loop_iters={} \
+             fallback_deadline={} fallback_abandoned={} fallback_over_budget={} \
+             exact_cancelled={} threshold_passes={} split_loop_iters={} \
              subsets_pruned={} table_pool_hits={} table_pool_misses={} \
              driver_conv={} driver_split={} \
              ladder_runs={} ladder_rung_greedy={} ladder_rung_exact={} \
@@ -353,6 +414,9 @@ impl MetricsSnapshot {
             self.fallback_over_limit,
             self.fallback_queue_full,
             self.fallback_deadline,
+            self.fallback_abandoned,
+            self.fallback_over_budget,
+            self.exact_cancelled,
             self.threshold_passes,
             self.split_loop_iters,
             self.subsets_pruned,
@@ -393,11 +457,20 @@ impl std::fmt::Display for MetricsSnapshot {
             self.cache_hits, self.cache_misses, self.cache_shared, self.cache_bypass,
             self.cached_plans
         )?;
-        writeln!(f, "exact optimizations: {}", self.optimizations)?;
         writeln!(
             f,
-            "greedy fallbacks:    {} over-limit / {} queue-full / {} deadline",
-            self.fallback_over_limit, self.fallback_queue_full, self.fallback_deadline
+            "exact optimizations: {} ({} cancelled)",
+            self.optimizations, self.exact_cancelled
+        )?;
+        writeln!(
+            f,
+            "greedy fallbacks:    {} over-limit / {} over-budget / {} queue-full / {} deadline \
+             / {} abandoned",
+            self.fallback_over_limit,
+            self.fallback_over_budget,
+            self.fallback_queue_full,
+            self.fallback_deadline,
+            self.fallback_abandoned
         )?;
         writeln!(f, "threshold passes:    {}", self.threshold_passes)?;
         writeln!(f, "split-loop iters:    {}", self.split_loop_iters)?;
@@ -490,8 +563,8 @@ mod tests {
     fn record_optimization_accumulates() {
         let m = Metrics::default();
         let c = Counters { loop_iters: 100, loops_skipped: 7, ..Counters::default() };
-        m.record_optimization(&c, 2, Duration::from_micros(50));
-        m.record_optimization(&c, 1, Duration::from_micros(70));
+        m.record_optimization(&c, 2, Duration::from_micros(50), 100.0, 1);
+        m.record_optimization(&c, 1, Duration::from_micros(70), 100.0, 1);
         m.table_pool_hits.fetch_add(1, Relaxed);
         m.table_pool_misses.fetch_add(1, Relaxed);
         m.driver_conv.fetch_add(1, Relaxed);
@@ -514,6 +587,25 @@ mod tests {
         assert_eq!(s.optimize_latency.count, 2);
         assert!(s.to_line().contains("optimizations=2"));
         assert!(format!("{s}").contains("exact optimizations: 2"));
+    }
+
+    /// The work rate is a ratio of decayed sums: a big job's per-candidate
+    /// cost outweighs many small jobs' fixed overheads, and wave threads
+    /// multiply wall time into CPU time.
+    #[test]
+    fn work_rate_is_weighted_by_job_size() {
+        let m = Metrics::default();
+        assert_eq!(m.ns_per_candidate(), None, "cold start: no rate yet");
+        let c = Counters::default();
+        // 1M candidates in 1 ms on 2 threads: 2 ns per candidate.
+        m.record_optimization(&c, 1, Duration::from_millis(1), 1e6, 2);
+        assert_eq!(m.ns_per_candidate(), Some(2.0));
+        // Ten tiny jobs at 100 ns per candidate barely move it.
+        for _ in 0..10 {
+            m.record_optimization(&c, 1, Duration::from_micros(5), 50.0, 1);
+        }
+        let rate = m.ns_per_candidate().unwrap();
+        assert!((2.0..2.2).contains(&rate), "{rate}");
     }
 
     #[test]

@@ -42,7 +42,6 @@
 use crate::metrics::Metrics;
 use crate::{
     BigRequest, BigSpec, CacheOutcome, ModelId, OptimizerService, PlanSource, Request, Response,
-    Rung,
 };
 use blitz_core::{DriverChoice, JoinSpec, ThresholdSchedule, MAX_RELS};
 use std::io::{self, BufRead, BufReader, Write};
@@ -740,19 +739,7 @@ pub fn format_optimize_request_with_driver(
 
 /// A server response's outcome flags, parsed back from the wire.
 pub fn response_outcomes(line: &str) -> Option<(PlanSource, CacheOutcome)> {
-    use crate::FallbackReason::*;
-    let source = match response_field(line, "source")? {
-        "exact" => PlanSource::Exact,
-        "greedy_over_limit" => PlanSource::Greedy(OverLimit),
-        "greedy_queue_full" => PlanSource::Greedy(QueueFull),
-        "greedy_deadline" => PlanSource::Greedy(DeadlineExceeded),
-        "greedy_abandoned" => PlanSource::Greedy(Abandoned),
-        "ladder_greedy" => PlanSource::Ladder(Rung::Greedy),
-        "ladder_exact" => PlanSource::Ladder(Rung::Exact),
-        "ladder_hybrid_dp" => PlanSource::Ladder(Rung::HybridDp),
-        "ladder_stochastic" => PlanSource::Ladder(Rung::Stochastic),
-        _ => return None,
-    };
+    let source = PlanSource::parse(response_field(line, "source")?)?;
     let cache = match response_field(line, "cache")? {
         "hit" => CacheOutcome::Hit,
         "miss" => CacheOutcome::Miss,
@@ -1176,5 +1163,42 @@ mod tests {
             assert!(metrics.contains("requests=1"), "{frontend:?}: {metrics}");
             assert!(client.request("QUIT").is_err() || client.request("PING").is_err());
         });
+    }
+
+    /// Every plan source survives `format_response` → `response_outcomes`.
+    /// The exhaustive match (no wildcard) stops a new variant from
+    /// compiling until it is listed in `PlanSource::ALL` too.
+    #[test]
+    fn every_plan_source_round_trips_on_the_wire() {
+        use crate::{FallbackReason as F, Rung as R};
+        let position = |source: PlanSource| match source {
+            PlanSource::Exact => 0,
+            PlanSource::Greedy(F::OverLimit) => 1,
+            PlanSource::Greedy(F::QueueFull) => 2,
+            PlanSource::Greedy(F::DeadlineExceeded) => 3,
+            PlanSource::Greedy(F::Abandoned) => 4,
+            PlanSource::Greedy(F::OverBudget) => 5,
+            PlanSource::Ladder(R::Greedy) => 6,
+            PlanSource::Ladder(R::Exact) => 7,
+            PlanSource::Ladder(R::HybridDp) => 8,
+            PlanSource::Ladder(R::Stochastic) => 9,
+        };
+        for (i, source) in PlanSource::ALL.into_iter().enumerate() {
+            assert_eq!(position(source), i, "{source:?} out of place in PlanSource::ALL");
+            let resp = Response {
+                plan: blitz_core::Plan::join(blitz_core::Plan::scan(0), blitz_core::Plan::scan(1)),
+                cost: 1.0,
+                card: 1.0,
+                passes: 0,
+                source,
+                driver: None,
+                cache: CacheOutcome::Bypass,
+                ladder: None,
+                elapsed: Duration::ZERO,
+            };
+            let line = format_response(&resp);
+            assert_eq!(response_outcomes(&line), Some((source, CacheOutcome::Bypass)), "{line}");
+            assert_eq!(response_field(&line, "source_detail"), Some(source.detail()), "{line}");
+        }
     }
 }

@@ -12,17 +12,21 @@
 use blitzsplit::baselines::best_bushy;
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
-    optimize_join_into, optimize_join_into_with, AosTable, Counters, NoStats, RelSet, TableLayout,
+    optimize_join_into, optimize_join_into_with, optimize_join_threshold_arena_cancellable,
+    optimize_join_threshold_arena_with, AosTable, ArenaThresholdOutcome, Counters, HotColdTable,
+    NoStats, PlanArena, RelSet, Stats, TableLayout,
 };
 use blitzsplit::{
     optimize_join_threshold_with, optimize_join_with, CostModel, DiskNestedLoops, DriveOptions,
-    JoinSpec, Kappa0, SortMerge, ThresholdSchedule,
+    DriverChoice, JoinSpec, Kappa0, SortMerge, ThresholdSchedule,
 };
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::time::Duration;
 
 const TOPOLOGIES: [Topology; 4] =
     [Topology::Chain, Topology::CyclePlus3, Topology::Star, Topology::Clique];
 
-fn assert_tables_bit_identical(n: usize, serial: &AosTable, parallel: &AosTable, label: &str) {
+fn assert_tables_bit_identical<L: TableLayout>(n: usize, serial: &L, parallel: &L, label: &str) {
     for bits in 1u32..(1u32 << n) {
         let s = RelSet::from_bits(bits);
         assert_eq!(
@@ -177,4 +181,189 @@ fn threshold_schedule_agrees_at_four_threads() {
     );
     assert_eq!(cs, cp, "instrumentation counters diverged between drivers");
     assert_tables_bit_identical(spec.n(), &ts, &tp, "thresholded k0 n=10");
+}
+
+/// Split and conv, each on the serial and the rank-wave parallel driver.
+fn cancellable_configs() -> [(&'static str, DriveOptions); 4] {
+    let (serial, parallel) = (DriveOptions::serial(), DriveOptions::parallel(4));
+    [
+        ("split serial", serial.with_driver(DriverChoice::Split)),
+        ("split threads=4", parallel.with_driver(DriverChoice::Split)),
+        ("conv serial", serial.with_driver(DriverChoice::Conv)),
+        ("conv threads=4", parallel.with_driver(DriverChoice::Conv)),
+    ]
+}
+
+fn assert_outcomes_bit_identical(
+    got: (&ArenaThresholdOutcome, &PlanArena),
+    want: (&ArenaThresholdOutcome, &PlanArena),
+    label: &str,
+) {
+    let ((got, got_arena), (want, want_arena)) = (got, want);
+    assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "{label}: cost");
+    assert_eq!(got.card.to_bits(), want.card.to_bits(), "{label}: card");
+    assert_eq!(got.passes, want.passes, "{label}: passes");
+    assert_eq!(got.final_cap.to_bits(), want.final_cap.to_bits(), "{label}: final cap");
+    assert_eq!(
+        got_arena.to_plan(got.root).canonical(),
+        want_arena.to_plan(want.root).canonical(),
+        "{label}: plan"
+    );
+}
+
+/// The cancellable form with a flag nobody sets is the plain arena run:
+/// same outcome, same table bits, same §3.3 counters — through a
+/// schedule that escalates over several passes.
+#[test]
+fn never_set_cancel_flag_is_bit_identical_to_the_plain_arena_run() {
+    let spec = Workload::new(10, Topology::Clique, 1000.0, 0.5).spec();
+    let schedule = ThresholdSchedule::new(10.0, 1e3, 6);
+    for (label, options) in cancellable_configs() {
+        let mut plain = HotColdTable::with_rels(spec.n());
+        let mut plain_arena = PlanArena::new();
+        let mut plain_counters = Counters::default();
+        let want = optimize_join_threshold_arena_with::<HotColdTable, _, _, true>(
+            &mut plain,
+            &mut plain_arena,
+            &spec,
+            &Kappa0,
+            schedule,
+            options,
+            &mut plain_counters,
+        );
+        assert!(want.passes > 1, "want a schedule that actually escalates");
+
+        let mut table = HotColdTable::with_rels(spec.n());
+        let mut arena = PlanArena::new();
+        let mut counters = Counters::default();
+        let never = AtomicBool::new(false);
+        let got = optimize_join_threshold_arena_cancellable::<HotColdTable, _, _, true>(
+            &mut table,
+            &mut arena,
+            &spec,
+            &Kappa0,
+            schedule,
+            options,
+            &never,
+            &mut counters,
+        )
+        .expect("a flag nobody sets cannot cancel");
+        assert_outcomes_bit_identical((&got, &arena), (&want, &plain_arena), label);
+        assert_eq!(counters, plain_counters, "{label}: counters");
+        assert_tables_bit_identical(spec.n(), &table, &plain, label);
+    }
+}
+
+/// Another thread sets the flag while an 18-relation drive has almost
+/// all of its `3^18` work ahead: the run must come back `None`, and
+/// promptly — no worker may be stranded at a wave barrier.
+#[test]
+fn cancel_flag_set_mid_drive_stops_an_eighteen_relation_run() {
+    // Uniform tiny cardinalities keep every plan far below the cost cap,
+    // so nothing is pruned and the full enumeration is pending.
+    let spec = JoinSpec::cartesian(&[2.0; 18]).unwrap();
+    for (label, options) in cancellable_configs() {
+        let cancel = std::sync::Arc::new(AtomicBool::new(false));
+        let (done, finished) = std::sync::mpsc::channel();
+        {
+            let (spec, cancel) = (spec.clone(), std::sync::Arc::clone(&cancel));
+            std::thread::spawn(move || {
+                let mut table = HotColdTable::with_rels(spec.n());
+                let mut arena = PlanArena::new();
+                let out = optimize_join_threshold_arena_cancellable::<HotColdTable, _, _, true>(
+                    &mut table,
+                    &mut arena,
+                    &spec,
+                    &Kappa0,
+                    ThresholdSchedule::default(),
+                    options,
+                    &cancel,
+                    &mut NoStats,
+                );
+                let _ = done.send(out.is_some());
+            });
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        cancel.store(true, Relaxed);
+        let completed = finished
+            .recv_timeout(Duration::from_secs(120))
+            .unwrap_or_else(|_| panic!("{label}: cancelled drive never returned"));
+        assert!(!completed, "{label}: a cancelled drive must return no plan");
+    }
+}
+
+/// Sets [`TRIPPED`] once a sink has seen [`TRIP_AFTER_ROWS`] rows, so a
+/// run cancels itself mid-table at a reproducible point (per worker on
+/// the parallel driver).
+#[derive(Default)]
+struct Tripwire {
+    rows: u64,
+}
+
+static TRIPPED: AtomicBool = AtomicBool::new(false);
+const TRIP_AFTER_ROWS: u64 = 500;
+
+impl Stats for Tripwire {
+    fn subset(&mut self) {
+        self.rows += 1;
+        if self.rows == TRIP_AFTER_ROWS {
+            TRIPPED.store(true, Relaxed);
+        }
+    }
+    fn loop_iter(&mut self) {}
+    fn kappa_ind(&mut self) {}
+    fn kappa_dep(&mut self) {}
+    fn cond_hit(&mut self) {}
+    fn loop_skipped(&mut self) {}
+    fn pass(&mut self) {}
+    fn absorb(&mut self, child: Tripwire) {
+        self.rows += child.rows;
+    }
+}
+
+/// A cancelled run leaves its table half-written. The table goes back to
+/// the pool as is, so the next run on it must be bit-identical to a run
+/// on a fresh table.
+#[test]
+fn a_cancelled_runs_table_gives_bit_identical_results_next_time() {
+    let n = 14;
+    let cancelled_spec = JoinSpec::cartesian(&[3.0; 14]).unwrap();
+    let spec = Workload::new(n, Topology::CyclePlus3, 100.0, 0.5).spec();
+    let schedule = ThresholdSchedule::default();
+    for (label, options) in cancellable_configs() {
+        TRIPPED.store(false, Relaxed);
+        let mut table = HotColdTable::with_rels(n);
+        let mut arena = PlanArena::new();
+        let cancelled = optimize_join_threshold_arena_cancellable::<HotColdTable, _, _, true>(
+            &mut table,
+            &mut arena,
+            &cancelled_spec,
+            &Kappa0,
+            schedule,
+            options,
+            &TRIPPED,
+            &mut Tripwire::default(),
+        );
+        assert!(cancelled.is_none(), "{label}: the tripwire must stop the run");
+
+        let mut counters = Counters::default();
+        let reused = optimize_join_threshold_arena_with::<HotColdTable, _, _, true>(
+            &mut table, &mut arena, &spec, &Kappa0, schedule, options, &mut counters,
+        );
+        let mut fresh = HotColdTable::with_rels(n);
+        let mut fresh_arena = PlanArena::new();
+        let mut fresh_counters = Counters::default();
+        let want = optimize_join_threshold_arena_with::<HotColdTable, _, _, true>(
+            &mut fresh,
+            &mut fresh_arena,
+            &spec,
+            &Kappa0,
+            schedule,
+            options,
+            &mut fresh_counters,
+        );
+        assert_outcomes_bit_identical((&reused, &arena), (&want, &fresh_arena), label);
+        assert_eq!(counters, fresh_counters, "{label}: counters");
+        assert_tables_bit_identical(n, &table, &fresh, label);
+    }
 }

@@ -8,8 +8,8 @@ use blitzsplit::service::server::{
     format_optimize_request, handle_line, response_field, AcceptFault,
 };
 use blitzsplit::service::{
-    CacheOutcome, Client, FallbackReason, Frontend, LadderSettings, ModelId, OptimizerService,
-    PlanSource, Request, Server, ServerOptions, ServiceConfig,
+    CacheOutcome, Client, ComputedPlan, FallbackReason, Frontend, LadderSettings, Lookup, ModelId,
+    OptimizerService, PlanCache, PlanSource, Request, Server, ServerOptions, ServiceConfig,
 };
 use blitzsplit::{optimize_join, JoinSpec, Kappa0};
 use std::io::{BufRead, BufReader, Write};
@@ -113,31 +113,189 @@ fn full_queue_degrades_to_flagged_greedy() {
     assert_eq!(snap.cached_plans, 0, "greedy fallbacks must not be cached");
 }
 
+/// Deadline admission: once the service has measured its work rate, a
+/// request whose DP cannot finish before its deadline is answered
+/// greedily at once — no slot reserved, no DP started, nothing cached.
+/// A resident plan still wins over any deadline.
 #[test]
-fn expired_deadline_degrades_but_optimization_still_lands_in_cache() {
+fn zero_deadline_heavy_request_is_over_budget_and_caches_nothing() {
     let service = OptimizerService::new(ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
     });
+    // One finished job gives the service its work rate.
+    assert_eq!(service.optimize(&Request::new(small_spec())).source, PlanSource::Exact);
     let spec = heavy_spec();
     let mut req = Request::new(spec.clone());
     req.deadline = Some(Duration::ZERO);
     let resp = service.optimize(&req);
-    assert_eq!(resp.source, PlanSource::Greedy(FallbackReason::DeadlineExceeded));
+    assert_eq!(resp.source, PlanSource::Greedy(FallbackReason::OverBudget));
+    assert_eq!(resp.cache, CacheOutcome::Bypass);
     assert!(resp.cost.is_finite());
-    assert_eq!(service.snapshot().fallback_deadline, 1);
+    let snap = service.snapshot();
+    assert_eq!(snap.fallback_over_budget, 1);
+    assert_eq!(snap.fallback_deadline, 0);
+    assert_eq!(snap.optimizations, 1, "no DP may start for the over-budget request");
+    assert_eq!(snap.cache_misses, 1, "no slot may be reserved for it");
+    assert_eq!(snap.cached_plans, 1, "only the warm-up plan is resident");
 
-    // The abandoned-by-the-caller optimization still completes on the
-    // worker and populates the cache for later requests.
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        let again = service.optimize(&Request::new(spec.clone()));
-        if again.cache == CacheOutcome::Hit {
-            assert_eq!(again.source, PlanSource::Exact);
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "optimization never landed in cache");
-        std::thread::sleep(Duration::from_millis(10));
+    // Nothing was cached, so a request without a deadline runs the DP…
+    let exact = service.optimize(&Request::new(spec));
+    assert_eq!((exact.source, exact.cache), (PlanSource::Exact, CacheOutcome::Miss));
+    // …and from then on the resident plan answers even a zero deadline.
+    let hit = service.optimize(&req);
+    assert_eq!((hit.source, hit.cache), (PlanSource::Exact, CacheOutcome::Hit));
+    assert_eq!(hit.cost, exact.cost);
+}
+
+/// A deadline storm behind a long job: the storm's DP estimates fit
+/// their deadlines, so they are admitted, but the deadlines expire while
+/// the jobs sit in the queue. Every requester leaves, so the worker
+/// skips those jobs, and a request queued behind them is answered right
+/// after the long job instead of after the whole storm.
+#[test]
+fn deadline_storm_jobs_expiring_in_the_queue_are_skipped() {
+    const STORM: usize = 4;
+    let service = Arc::new(OptimizerService::new(ServiceConfig {
+        workers: 1,
+        parallelism: 1,
+        ..ServiceConfig::default()
+    }));
+    // A finished mid-sized job gives the service its work rate.
+    let warm = Workload::new(12, Topology::Clique, 90.0, 0.5).spec();
+    assert_eq!(service.optimize(&Request::new(warm)).source, PlanSource::Exact);
+
+    let storm: Vec<JoinSpec> = (0..STORM)
+        .map(|i| Workload::new(12, Topology::Clique, 100.0 + i as f64, 0.5).spec())
+        .collect();
+    let long = Workload::new(16, Topology::Clique, 100.0, 0.5).spec();
+    let storm_estimate = service.exact_estimate(&Request::new(storm[0].clone())).unwrap();
+    let long_estimate = service.exact_estimate(&Request::new(long.clone())).unwrap();
+    let deadline = storm_estimate * 3;
+    assert!(long_estimate > deadline * 8, "{long_estimate:?} vs deadline {deadline:?}");
+
+    // Hold the only worker with a long job nobody will abandon.
+    let holder = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            let resp = service.optimize(&Request::new(long));
+            (resp, std::time::Instant::now())
+        })
+    };
+    while service.snapshot().cache_misses < 2 || service.snapshot().queue_depth > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let waves: Vec<_> = storm
+        .into_iter()
+        .map(|spec| {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || {
+                service.optimize(&Request { deadline: Some(deadline), ..Request::new(spec) })
+            })
+        })
+        .collect();
+    for wave in waves {
+        let resp = wave.join().unwrap();
+        assert_eq!(resp.source, PlanSource::Greedy(FallbackReason::DeadlineExceeded));
+        assert_eq!(resp.cache, CacheOutcome::Miss, "admitted: it reserved and queued a job");
+    }
+
+    // Queued behind the storm's (now orphaned) jobs.
+    let follow = service.optimize(&Request::new(small_spec()));
+    let follow_done = std::time::Instant::now();
+    let (long_resp, long_done) = holder.join().unwrap();
+    assert_eq!(long_resp.source, PlanSource::Exact);
+    assert_eq!(follow.source, PlanSource::Exact);
+
+    let snap = service.snapshot();
+    assert_eq!(snap.exact_cancelled, STORM as u64, "every storm job must be skipped");
+    assert_eq!(snap.fallback_deadline, STORM as u64);
+    assert_eq!(snap.optimizations, 3, "warm-up, long job and follow-up only");
+    let lag = follow_done.saturating_duration_since(long_done);
+    assert!(
+        lag < storm_estimate * STORM as u32,
+        "follow-up answered {lag:?} after the long job: the storm ran (each ≈ {storm_estimate:?})"
+    );
+}
+
+/// Single-flight under cancellation: a short-deadline co-waiter leaving
+/// does not cancel a job another request still waits for.
+#[test]
+fn no_deadline_waiter_still_gets_exact_after_a_deadline_co_waiter_leaves() {
+    let service = Arc::new(OptimizerService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    }));
+    let spec = Workload::new(15, Topology::Clique, 100.0, 0.5).spec();
+    let patient = {
+        let service = Arc::clone(&service);
+        let spec = spec.clone();
+        std::thread::spawn(move || service.optimize(&Request::new(spec)))
+    };
+    while service.snapshot().cache_misses < 1 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Cold service: no work rate yet, so the deadline request is
+    // admitted and joins the in-flight job, then gives up on it.
+    let deadline = Some(Duration::from_millis(2));
+    let hasty = service.optimize(&Request { deadline, ..Request::new(spec) });
+    assert_eq!(hasty.source, PlanSource::Greedy(FallbackReason::DeadlineExceeded));
+    assert_eq!(hasty.cache, CacheOutcome::Shared);
+
+    let patient = patient.join().unwrap();
+    assert_eq!(patient.source, PlanSource::Exact);
+    let snap = service.snapshot();
+    assert_eq!(snap.exact_cancelled, 0);
+    assert_eq!(snap.optimizations, 1);
+    assert_eq!(snap.cached_plans, 1);
+}
+
+/// A cancelled job can still resolve its reservation late (dropped, or
+/// fulfilled after racing to the end). Neither may touch the newer
+/// in-flight entry that replaced it under the same fingerprint:
+/// entries are matched by slot identity, not by key.
+#[test]
+fn a_cancelled_jobs_late_resolution_does_not_clobber_the_newer_entry() {
+    let plan = |cost: f32| ComputedPlan {
+        plan: blitzsplit::Plan::join(blitzsplit::Plan::scan(0), blitzsplit::Plan::scan(1)),
+        cost,
+        card: 1.0,
+        passes: 1,
+        exact: true,
+        driver: None,
+    };
+    let cache = PlanCache::new(8, 1);
+    let key = 77;
+    let mut cancelled = Vec::new();
+    for _ in 0..2 {
+        let Lookup::Reserved(old) = cache.lookup_or_reserve(key) else {
+            panic!("the key must be free");
+        };
+        assert!(cache.leave(key, &old.slot()), "its only waiter left");
+        assert!(old.cancel_flag().load(Ordering::Relaxed));
+        cancelled.push(old);
+    }
+    let Lookup::Reserved(newer) = cache.lookup_or_reserve(key) else {
+        panic!("a cancelled entry must be unpinned");
+    };
+    let newer_slot = newer.slot();
+    let still_newer = |cache: &Arc<PlanCache>| match cache.lookup_or_reserve(key) {
+        Lookup::Wait(slot) => Arc::ptr_eq(&slot, &newer_slot),
+        _ => false,
+    };
+
+    let fulfilled_late = cancelled.pop().unwrap();
+    drop(cancelled);
+    assert!(still_newer(&cache), "a late drop unpinned the newer entry");
+    fulfilled_late.fulfill_cached(plan(1.0));
+    assert!(still_newer(&cache), "a late fulfil replaced the newer entry");
+    assert_eq!(cache.len(), 0);
+
+    newer.fulfill_cached(plan(2.0));
+    match cache.lookup_or_reserve(key) {
+        Lookup::Hit(cp) => assert_eq!(cp.cost, 2.0),
+        _ => panic!("the newer job's plan must be resident"),
     }
 }
 
@@ -195,13 +353,14 @@ fn source_detail_distinguishes_queue_full_from_deadline_on_the_wire() {
     assert_eq!(response_field(&resp, "source"), Some("greedy_queue_full"));
     assert_eq!(response_field(&resp, "source_detail"), Some("queue_full"));
 
-    // Deadline: a heavy query with a zero deadline degrades while the
-    // optimization keeps running on the worker.
+    // Deadline: a cold service (no work rate measured yet) admits a
+    // heavy query with a 1 ms deadline, which then expires mid-DP.
     let slow = OptimizerService::new(ServiceConfig { workers: 1, ..ServiceConfig::default() });
     let spec = heavy_spec();
     let cards = spec.cards().to_vec();
     let preds: Vec<(usize, usize, f64)> = spec.edges().collect();
-    let line = format_optimize_request(&cards, &preds, ModelId::Kappa0, Some(Duration::ZERO));
+    let line =
+        format_optimize_request(&cards, &preds, ModelId::Kappa0, Some(Duration::from_millis(1)));
     let resp = handle_line(&slow, &line);
     assert!(resp.starts_with("OK "), "{resp}");
     assert_eq!(response_field(&resp, "source"), Some("greedy_deadline"));
@@ -210,6 +369,14 @@ fn source_detail_distinguishes_queue_full_from_deadline_on_the_wire() {
     // The exact path names itself too.
     let resp = handle_line(&slow, "OPTIMIZE cards=10,20 preds=0:1:0.5");
     assert_eq!(response_field(&resp, "source_detail"), Some("exact"));
+
+    // Over budget: with a completed job behind it, the service prices a
+    // zero deadline out before any DP starts.
+    let line = format_optimize_request(&cards, &preds, ModelId::Kappa0, Some(Duration::ZERO));
+    let resp = handle_line(&slow, &line);
+    assert_eq!(response_field(&resp, "source"), Some("greedy_over_budget"));
+    assert_eq!(response_field(&resp, "source_detail"), Some("over_budget"));
+    assert_eq!(response_field(&resp, "cache"), Some("bypass"));
 }
 
 /// The acceptance criterion: a ladder-configured service answers a
