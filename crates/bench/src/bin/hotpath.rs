@@ -556,19 +556,20 @@ fn main() {
     for topo in Topology::ALL {
         let spec = Workload::new(max_n, topo, 100.0, 0.5).spec();
         let mut table = Table::new(["model", "conv support", "split", "conv", "conv vs split"]);
-        let mut rows = Vec::new();
-        rows.push(conv_model_row(&Kappa0, &spec, topo, max_n, cfg, rounds, &mut table));
-        rows.push(conv_model_row(&SortMerge, &spec, topo, max_n, cfg, rounds, &mut table));
-        rows.push(conv_model_row(
-            &DiskNestedLoops::default(),
-            &spec,
-            topo,
-            max_n,
-            cfg,
-            rounds,
-            &mut table,
-        ));
-        rows.push(conv_model_row(&SmDnl::default(), &spec, topo, max_n, cfg, rounds, &mut table));
+        let rows = vec![
+            conv_model_row(&Kappa0, &spec, topo, max_n, cfg, rounds, &mut table),
+            conv_model_row(&SortMerge, &spec, topo, max_n, cfg, rounds, &mut table),
+            conv_model_row(
+                &DiskNestedLoops::default(),
+                &spec,
+                topo,
+                max_n,
+                cfg,
+                rounds,
+                &mut table,
+            ),
+            conv_model_row(&SmDnl::default(), &spec, topo, max_n, cfg, rounds, &mut table),
+        ];
         println!("-- {} n={max_n}", topo.name());
         println!("{}", table.render());
         model_groups.push(Json::obj(vec![

@@ -1,8 +1,8 @@
-//! Connection-scale load smoke for the service frontends.
+//! Connection-scale load smoke for the service frontend.
 //!
-//! Boots an in-process server per frontend, parks a swarm of idle
-//! sockets on it, drives a set of concurrent request loops for a fixed
-//! wall-clock window, then cross-checks the wire `METRICS` line:
+//! Boots an in-process server, parks a swarm of idle sockets on it,
+//! drives a set of concurrent request loops for a fixed wall-clock
+//! window, then cross-checks the wire `METRICS` line:
 //!
 //! * the live-connection gauge equals the parked swarm (plus the probe)
 //!   while the loops run, and returns there after they disconnect;
@@ -11,26 +11,20 @@
 //! * every accepted connection is accounted for.
 //!
 //! Any violated invariant exits nonzero, so CI runs this as its
-//! `load-smoke` job. A summary line per frontend reports sustained
-//! requests/second.
+//! `load-smoke` job. A summary line reports sustained requests/second.
 //!
-//! Environment knobs: `BLITZ_LOAD_FRONTENDS` (comma list, default
-//! `poll,threads`), `BLITZ_LOAD_CLIENTS` (request loops, default 8),
-//! `BLITZ_LOAD_IDLE` (idle swarm for the poll frontend, default 500;
-//! the threads frontend is capped at 64 — a thread per idle socket is
-//! exactly the scaling wall the poll frontend exists to remove),
-//! `BLITZ_LOAD_SECS` (request window, default 2).
+//! Environment knobs: `BLITZ_LOAD_CLIENTS` (request loops, default 8),
+//! `BLITZ_LOAD_IDLE` (idle swarm, default 500), `BLITZ_LOAD_SECS`
+//! (request window, default 2). `BLITZ_TEST_POLLER=poll` runs the loop
+//! on the portable `poll(2)` backend.
 
 use blitz_service::server::response_field;
-use blitz_service::{Client, Frontend, OptimizerService, Server, ServerOptions, ServiceConfig};
+use blitz_service::{Client, OptimizerService, Server, ServerOptions, ServiceConfig};
 use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Idle-socket ceiling for the thread-per-connection frontend.
-const THREADS_IDLE_CAP: usize = 64;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -63,13 +57,9 @@ fn await_metric(
     }
 }
 
-/// Run the smoke against one frontend; returns an error message on the
-/// first violated invariant.
-fn smoke(frontend: Frontend, clients: usize, idle_target: usize, secs: u64) -> Result<(), String> {
-    let idle_count = match frontend {
-        Frontend::Poll => idle_target,
-        Frontend::Threads => idle_target.min(THREADS_IDLE_CAP),
-    };
+/// Run the smoke; returns an error message on the first violated
+/// invariant.
+fn smoke(clients: usize, idle_count: usize, secs: u64) -> Result<(), String> {
     let service = Arc::new(OptimizerService::new(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
@@ -78,7 +68,6 @@ fn smoke(frontend: Frontend, clients: usize, idle_target: usize, secs: u64) -> R
         read_timeout: None,
         request_deadline: None,
         max_connections: idle_count + clients + 16,
-        frontend,
         ..ServerOptions::default()
     };
     let server = Server::bind_with("127.0.0.1:0", service, options)
@@ -159,9 +148,8 @@ fn smoke(frontend: Frontend, clients: usize, idle_target: usize, secs: u64) -> R
     }
 
     println!(
-        "load-smoke {name}: {served} requests in {window:?} ({rate:.0}/s) \
+        "load-smoke: {served} requests in {window:?} ({rate:.0}/s) \
          over {clients} clients with {idle_count} idle connections parked",
-        name = frontend.name(),
         rate = served as f64 / window.as_secs_f64(),
     );
     Ok(())
@@ -171,17 +159,11 @@ fn main() -> ExitCode {
     let clients = env_usize("BLITZ_LOAD_CLIENTS", 8).max(1);
     let idle = env_usize("BLITZ_LOAD_IDLE", 500);
     let secs = env_usize("BLITZ_LOAD_SECS", 2).max(1) as u64;
-    let frontends = std::env::var("BLITZ_LOAD_FRONTENDS")
-        .unwrap_or_else(|_| "poll,threads".to_string());
-    for name in frontends.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        let Some(frontend) = Frontend::parse(name) else {
-            eprintln!("load-smoke: unknown frontend {name:?} (poll|threads)");
-            return ExitCode::FAILURE;
-        };
-        if let Err(msg) = smoke(frontend, clients, idle, secs) {
-            eprintln!("load-smoke {name} FAILED: {msg}");
-            return ExitCode::FAILURE;
+    match smoke(clients, idle, secs) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("load-smoke FAILED: {msg}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

@@ -27,66 +27,25 @@
 //! greedy_cost= refine_steps= dp_blocks= ladder_micros=` before
 //! `plan=`.
 //!
-//! Two interchangeable frontends serve the protocol (selected by
-//! [`ServerOptions::frontend`]): the default readiness-loop frontend
-//! ([`Frontend::Poll`], see [`crate::net`]) multiplexes every
-//! connection on one event loop and scales to tens of thousands of
-//! idle sockets, while the classic thread-per-connection frontend
-//! ([`Frontend::Threads`]) spawns one thread per accepted socket.
-//! Both share the same wire semantics, resource limits, and
-//! accept-error policy: transient accept failures (fd exhaustion,
-//! aborted handshakes) are counted and retried with backoff, never
-//! fatal. Admission control for optimization work lives in the service
-//! (bounded worker queue), not the listener.
+//! One readiness-loop frontend serves the protocol (see
+//! [`crate::net`]): it multiplexes every connection on one event loop,
+//! answers what it can on the spot and queues only DP and ladder work
+//! on the service's worker pool. Transient accept failures (fd
+//! exhaustion, aborted handshakes) are counted and retried with backoff,
+//! never fatal. Admission control for optimization work lives in the
+//! service (bounded worker queue), not the listener.
 
 use crate::metrics::Metrics;
 use crate::{
-    BigRequest, BigSpec, CacheOutcome, ModelId, OptimizerService, PlanSource, Request, Response,
+    Begun, BigRequest, BigSpec, CacheOutcome, ModelId, OptimizerService, PlanSource, Request,
+    Response,
 };
 use blitz_core::{DriverChoice, JoinSpec, ThresholdSchedule, MAX_RELS};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Which serving architecture [`Server::run`] uses.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Frontend {
-    /// One nonblocking event loop over an OS readiness poller
-    /// ([`crate::net::Poller`]): per-connection state machines, request
-    /// batching, and capacity for tens of thousands of idle sockets.
-    #[default]
-    Poll,
-    /// One thread per accepted connection, blocking I/O. Simpler to
-    /// reason about; capped by thread cost at a few hundred
-    /// connections.
-    Threads,
-}
-
-impl Frontend {
-    /// Stable CLI/wire name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Frontend::Poll => "poll",
-            Frontend::Threads => "threads",
-        }
-    }
-
-    /// Inverse of [`Frontend::name`].
-    pub fn parse(s: &str) -> Option<Frontend> {
-        match s {
-            "poll" => Some(Frontend::Poll),
-            "threads" => Some(Frontend::Threads),
-            _ => None,
-        }
-    }
-
-    /// Both frontends, for test parameterization.
-    pub fn all() -> [Frontend; 2] {
-        [Frontend::Poll, Frontend::Threads]
-    }
-}
+use std::time::Duration;
 
 /// First pause after a transient accept error; doubles per consecutive
 /// failure up to [`ACCEPT_BACKOFF_MAX`], resetting on the next success.
@@ -140,8 +99,8 @@ pub type AcceptFault = Arc<dyn Fn() -> Option<io::Error> + Send + Sync>;
 
 /// Per-connection resource limits for [`Server`]. Without them a client
 /// sending an endless line (no `\n`) grows a server-side buffer without
-/// bound, and a client that goes silent mid-request pins its connection
-/// thread forever.
+/// bound, and a client that goes silent mid-request or never reads its
+/// replies holds its connection slot forever.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ServerOptions {
     /// Maximum accepted request-line length in bytes (excluding the
@@ -152,22 +111,21 @@ pub struct ServerOptions {
     /// Close a connection after this long with no bytes from the client;
     /// `None` waits forever.
     pub read_timeout: Option<Duration>,
-    /// Give up writing a response after this long; `None` blocks forever.
+    /// Close a connection whose buffered replies made no progress
+    /// towards the client for this long (a client that never reads);
+    /// `None` waits forever.
     pub write_timeout: Option<Duration>,
     /// Wall-clock budget for receiving one complete request line.
-    /// [`read_timeout`](ServerOptions::read_timeout) only bounds each
-    /// individual `recv`, so a slow-loris client trickling one byte per
-    /// interval would otherwise hold its connection thread forever; this
-    /// bounds the whole accumulation. `None` disables the deadline.
+    /// [`read_timeout`](ServerOptions::read_timeout) only bounds the gap
+    /// between bytes, so a slow-loris client trickling one byte per
+    /// interval would otherwise hold its connection forever; this bounds
+    /// the whole accumulation. `None` disables the deadline.
     pub request_deadline: Option<Duration>,
     /// Maximum concurrently served connections. Beyond it, new accepts
     /// are answered `ERR server at connection capacity` (best effort,
     /// nonblocking) and closed instead of occupying a serving slot. `0`
     /// disables the cap.
     pub max_connections: usize,
-    /// Which serving architecture [`Server::run`] uses; the readiness
-    /// loop by default.
-    pub frontend: Frontend,
 }
 
 impl Default for ServerOptions {
@@ -178,7 +136,6 @@ impl Default for ServerOptions {
             write_timeout: Some(Duration::from_secs(30)),
             request_deadline: Some(Duration::from_secs(60)),
             max_connections: 256,
-            frontend: Frontend::Poll,
         }
     }
 }
@@ -214,81 +171,28 @@ impl Server {
 
     /// Install an accept-path fault injector (see [`AcceptFault`]).
     /// Test-only plumbing: kept public so integration tests can drive
-    /// both frontends through synthetic fd pressure.
+    /// the frontend through synthetic fd pressure.
     #[doc(hidden)]
     pub fn set_accept_fault(&mut self, fault: AcceptFault) {
         self.accept_fault = Some(fault);
     }
 
-    /// Serve forever on the calling thread with the configured
-    /// [`Frontend`] — at most [`ServerOptions::max_connections`]
-    /// connections at a time. Transient accept errors are counted in
-    /// the service metrics and retried with backoff; only an
-    /// unrecoverable listener error returns.
+    /// Serve forever on the calling thread with the readiness-loop
+    /// frontend — at most [`ServerOptions::max_connections`] connections
+    /// at a time. Transient accept errors are counted in the service
+    /// metrics and retried with backoff; only an unrecoverable listener
+    /// error returns. The loop needs the unix fd surface: elsewhere this
+    /// returns [`io::ErrorKind::Unsupported`].
+    #[cfg(unix)]
     pub fn run(self) -> io::Result<()> {
-        match self.options.frontend {
-            #[cfg(unix)]
-            Frontend::Poll => crate::net::frontend::run(self),
-            // Readiness polling needs the unix fd surface; elsewhere
-            // the flag degrades to the portable threads frontend.
-            #[cfg(not(unix))]
-            Frontend::Poll => self.run_threads(),
-            Frontend::Threads => self.run_threads(),
-        }
+        crate::net::frontend::run(self)
     }
 
-    /// The thread-per-connection frontend.
-    fn run_threads(self) -> io::Result<()> {
-        let metrics = Arc::clone(self.service.metrics());
-        let live = Arc::new(AtomicUsize::new(0));
-        let mut backoff = ACCEPT_BACKOFF_MIN;
-        loop {
-            let accepted = match self.accept_fault.as_ref().and_then(|f| f()) {
-                Some(err) => Err(err),
-                None => self.listener.accept().map(|(stream, _)| stream),
-            };
-            let stream = match accepted {
-                Ok(stream) => {
-                    backoff = ACCEPT_BACKOFF_MIN;
-                    stream
-                }
-                Err(e) if is_transient_accept_error(&e) => {
-                    // Resource pressure or a peer that gave up: count
-                    // it, breathe, keep accepting. Returning here is
-                    // what used to kill the whole frontend on EMFILE.
-                    metrics.accept_transient_errors.fetch_add(1, Relaxed);
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            if self.options.max_connections > 0
-                && live.load(Ordering::Acquire) >= self.options.max_connections
-            {
-                refuse_connection(stream, &metrics);
-                continue;
-            }
-            metrics.connections_accepted.fetch_add(1, Relaxed);
-            metrics.live_connections.fetch_add(1, Relaxed);
-            live.fetch_add(1, Ordering::AcqRel);
-            let live = Arc::clone(&live);
-            let conn_metrics = Arc::clone(&metrics);
-            let service = Arc::clone(&self.service);
-            let options = self.options;
-            std::thread::spawn(move || {
-                // Release the slot on every exit path, panics included.
-                struct Slot(Arc<AtomicUsize>, Arc<Metrics>);
-                impl Drop for Slot {
-                    fn drop(&mut self) {
-                        self.0.fetch_sub(1, Ordering::AcqRel);
-                        self.1.live_connections.fetch_sub(1, Relaxed);
-                    }
-                }
-                let _slot = Slot(live, conn_metrics);
-                let _ = handle_connection(&service, stream, &options);
-            });
-        }
+    /// The readiness loop needs the unix fd surface.
+    #[cfg(not(unix))]
+    pub fn run(self) -> io::Result<()> {
+        drop(self);
+        Err(io::Error::new(io::ErrorKind::Unsupported, "the readiness loop needs unix"))
     }
 
     /// Serve on a background thread; returns the bound address and the
@@ -300,160 +204,52 @@ impl Server {
     }
 }
 
-/// Outcome of one bounded line read.
-enum LineRead {
-    /// A complete line (without the `\n`).
-    Line(String),
-    /// Clean end of stream.
-    Eof,
-    /// The line exceeded the configured maximum before a `\n` arrived.
-    TooLong,
-    /// The request-line deadline expired before a `\n` arrived.
-    DeadlineExpired,
+/// How [`start_line`] left a protocol line.
+pub(crate) enum Started {
+    /// The reply line, without the trailing newline.
+    Reply(String),
+    /// An `OPTIMIZE` request the service began; see [`Begun`].
+    Optimize(Begun),
 }
 
-/// Read one `\n`-terminated line of at most `options.max_line_bytes`
-/// bytes within `options.request_deadline`. Unlike `BufRead::read_line`,
-/// memory is bounded — the moment the accumulated prefix exceeds the
-/// maximum this returns [`LineRead::TooLong`] without buffering the
-/// remainder — and so is wall-clock time: the deadline is checked across
-/// `recv` iterations (each socket timeout is trimmed to the remaining
-/// budget), so a slow-loris client that keeps every individual `recv`
-/// fast still cannot stretch one request past the deadline.
-///
-/// **Partial line at EOF — pinned protocol behavior.** A client that
-/// sends a request and closes its write side without a final `\n`
-/// (`printf 'PING' | nc`, piped files missing a trailing newline) gets
-/// that unterminated tail treated as a complete request: it is served,
-/// the response is written, and the connection then closes on the EOF.
-/// The alternative — silently discarding the tail — would make the
-/// most common interop mistake vanish without a trace. Both frontends
-/// implement this identically; `partial_line_at_eof_is_served` in the
-/// integration suite holds them to it.
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    options: &ServerOptions,
-) -> io::Result<LineRead> {
-    let max_len = options.max_line_bytes;
-    let started = Instant::now();
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        if let Some(budget) = options.request_deadline {
-            let remaining = budget.saturating_sub(started.elapsed());
-            if remaining.is_zero() {
-                return Ok(LineRead::DeadlineExpired);
-            }
-            let per_recv = options.read_timeout.map_or(remaining, |t| t.min(remaining));
-            reader.get_ref().set_read_timeout(Some(per_recv))?;
-        }
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line(String::from_utf8_lossy(&buf).into_owned())
-            });
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if buf.len() + pos > max_len {
-                    reader.consume(pos + 1);
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(&available[..pos]);
-                reader.consume(pos + 1);
-                return Ok(LineRead::Line(String::from_utf8_lossy(&buf).into_owned()));
-            }
-            None => {
-                let chunk = available.len();
-                if buf.len() + chunk > max_len {
-                    reader.consume(chunk);
-                    return Ok(LineRead::TooLong);
-                }
-                buf.extend_from_slice(available);
-                reader.consume(chunk);
-            }
-        }
-    }
-}
-
-fn handle_connection(
-    service: &OptimizerService,
-    stream: TcpStream,
-    options: &ServerOptions,
-) -> io::Result<()> {
-    // Request/response lines are tiny; without TCP_NODELAY, Nagle plus
-    // the peer's delayed ACK adds ~40 ms to every round trip.
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(options.read_timeout)?;
-    stream.set_write_timeout(options.write_timeout)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request_line(&mut reader, options) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::DeadlineExpired) => {
-                // The client kept the socket warm but never finished a
-                // request; reclaim the thread.
-                let _ = writer.write_all(b"ERR request deadline exceeded\n");
-                break;
-            }
-            Ok(LineRead::TooLong) => {
-                // The rest of the oversized line is still in flight; the
-                // stream cannot be resynchronized, so report and close.
-                let msg =
-                    format!("ERR request line exceeds {} bytes\n", options.max_line_bytes);
-                let _ = writer.write_all(msg.as_bytes());
-                break;
-            }
-            Ok(LineRead::Line(line)) => {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                if line.eq_ignore_ascii_case("QUIT") {
-                    break;
-                }
-                let response = handle_line(service, line);
-                writer.write_all(response.as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-            }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                // Idle or half-open connection: tell the client (best
-                // effort) and reclaim this thread.
-                let _ = writer.write_all(b"ERR connection idle timeout\n");
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Execute one protocol line against `service`, returning the response
-/// line (without trailing newline). Exposed for tests and in-process
-/// frontends.
-pub fn handle_line(service: &OptimizerService, line: &str) -> String {
+/// Run the synchronous front half of one protocol line on the calling
+/// thread: parse it, and answer it or begin its optimization.
+pub(crate) fn start_line(service: &OptimizerService, line: &str) -> Started {
     let (verb, rest) = match line.split_once(char::is_whitespace) {
         Some((v, r)) => (v, r.trim()),
         None => (line, ""),
     };
-    match verb.to_ascii_uppercase().as_str() {
+    let reply = match verb.to_ascii_uppercase().as_str() {
         "PING" => "OK pong".to_string(),
         "METRICS" => format!("OK {}", service.snapshot().to_line()),
-        "OPTIMIZE" => match parse_optimize(rest) {
-            Ok(WireRequest::Small(req)) => match service.try_optimize(&req) {
-                Ok(resp) => format_response(&resp),
-                Err(e) => format!("ERR {e}"),
-            },
-            Ok(WireRequest::Big(req)) => match service.try_optimize_big(&req) {
-                Ok(resp) => format_response(&resp),
-                Err(e) => format!("ERR {e}"),
-            },
-            Err(msg) => format!("ERR {msg}"),
-        },
+        "OPTIMIZE" => {
+            let begun = parse_optimize(rest).and_then(|wire| match wire {
+                WireRequest::Small(req) => {
+                    req.validate().map_err(|e| e.to_string())?;
+                    Ok(service.begin(&req))
+                }
+                WireRequest::Big(req) => {
+                    req.validate().map_err(|e| e.to_string())?;
+                    Ok(service.begin_big(&req))
+                }
+            });
+            match begun {
+                Ok(begun) => return Started::Optimize(begun),
+                Err(msg) => format!("ERR {msg}"),
+            }
+        }
         other => format!("ERR unknown verb {other:?} (expected OPTIMIZE|METRICS|PING|QUIT)"),
+    };
+    Started::Reply(reply)
+}
+
+/// Execute one protocol line against `service`, returning the response
+/// line (without trailing newline). Blocks while an exact DP runs and
+/// runs ladder work inline. Exposed for tests and in-process frontends.
+pub fn handle_line(service: &OptimizerService, line: &str) -> String {
+    match start_line(service, line) {
+        Started::Reply(reply) => reply,
+        Started::Optimize(begun) => format_response(&service.wait(begun)),
     }
 }
 
@@ -762,19 +558,12 @@ mod tests {
         }))
     }
 
-    /// Run a socket-level test against both frontends: the wire
-    /// contract must be indistinguishable between them.
-    fn each_frontend(options: ServerOptions, test: impl Fn(std::net::SocketAddr, Frontend)) {
-        for frontend in Frontend::all() {
-            let server = Server::bind_with(
-                "127.0.0.1:0",
-                service(),
-                ServerOptions { frontend, ..options },
-            )
-            .unwrap();
-            let (addr, _handle) = server.spawn().unwrap();
-            test(addr, frontend);
-        }
+    /// Serve a fresh one-worker service with `options` on a background
+    /// thread and return the bound address.
+    fn serve(options: ServerOptions) -> SocketAddr {
+        let server = Server::bind_with("127.0.0.1:0", service(), options).unwrap();
+        let (addr, _handle) = server.spawn().unwrap();
+        addr
     }
 
     #[test]
@@ -891,23 +680,21 @@ mod tests {
 
     /// Pinned protocol behavior: an unterminated trailing line at EOF is
     /// a complete request. A client that writes `PING` (no newline) and
-    /// half-closes still gets its pong before the server hangs up —
-    /// on both frontends.
+    /// half-closes still gets its pong before the server hangs up.
     #[test]
     fn partial_line_at_eof_is_served() {
-        each_frontend(ServerOptions::default(), |addr, frontend| {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            (&stream).write_all(b"PING").unwrap();
-            stream.shutdown(std::net::Shutdown::Write).unwrap();
-            let mut reader = BufReader::new(stream);
-            let mut resp = String::new();
-            reader.read_line(&mut resp).unwrap();
-            assert_eq!(resp, "OK pong\n", "{frontend:?}: {resp:?}");
-            // And the connection closes after the final response.
-            resp.clear();
-            assert_eq!(reader.read_line(&mut resp).unwrap(), 0, "{frontend:?}: {resp:?}");
-        });
+        let addr = serve(ServerOptions::default());
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        (&stream).write_all(b"PING").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert_eq!(resp, "OK pong\n", "{resp:?}");
+        // And the connection closes after the final response.
+        resp.clear();
+        assert_eq!(reader.read_line(&mut resp).unwrap(), 0, "{resp:?}");
     }
 
     /// A request line longer than the configured maximum draws a
@@ -916,26 +703,25 @@ mod tests {
     #[test]
     fn overlong_line_gets_err_and_close() {
         let options = ServerOptions { max_line_bytes: 64, ..ServerOptions::default() };
-        each_frontend(options, |addr, frontend| {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            stream.write_all(&[b'x'; 500]).unwrap();
-            stream.write_all(b"\n").unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut resp = String::new();
-            reader.read_line(&mut resp).unwrap();
-            assert!(
-                resp.starts_with("ERR request line exceeds 64 bytes"),
-                "{frontend:?}: {resp}"
-            );
-            // Connection must be closed after the ERR.
-            resp.clear();
-            assert_eq!(
-                reader.read_line(&mut resp).unwrap(),
-                0,
-                "{frontend:?}: expected EOF, got {resp:?}"
-            );
-        });
+        let addr = serve(options);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream.write_all(&[b'x'; 500]).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(
+            resp.starts_with("ERR request line exceeds 64 bytes"),
+            "{resp}"
+        );
+        // Connection must be closed after the ERR.
+        resp.clear();
+        assert_eq!(
+            reader.read_line(&mut resp).unwrap(),
+            0,
+            "expected EOF, got {resp:?}"
+        );
     }
 
     /// The acceptance-criteria malicious client: a 10 MB line. The
@@ -943,66 +729,64 @@ mod tests {
     /// buffering the payload, and keep serving other clients.
     #[test]
     fn survives_ten_megabyte_line() {
-        each_frontend(ServerOptions::default(), |addr, _frontend| {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            // The server closes mid-upload, so writes may fail with
-            // EPIPE/ECONNRESET once its ERR is in flight; that's the point.
-            let pump = std::thread::spawn(move || {
-                let chunk = vec![b'y'; 64 * 1024];
-                for _ in 0..160 {
-                    if writer.write_all(&chunk).is_err() {
-                        break;
-                    }
+        let addr = serve(ServerOptions::default());
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        // The server closes mid-upload, so writes may fail with
+        // EPIPE/ECONNRESET once its ERR is in flight; that's the point.
+        let pump = std::thread::spawn(move || {
+            let chunk = vec![b'y'; 64 * 1024];
+            for _ in 0..160 {
+                if writer.write_all(&chunk).is_err() {
+                    break;
                 }
-                let _ = writer.write_all(b"\n");
-            });
-            let mut reader = BufReader::new(stream);
-            let mut resp = String::new();
-            // Either the ERR line arrives, or the reset beats it; both prove
-            // the server cut the connection instead of buffering 10 MB.
-            match reader.read_line(&mut resp) {
-                Ok(0) => {}
-                Ok(_) => assert!(resp.starts_with("ERR request line exceeds"), "{resp}"),
-                Err(_) => {}
             }
-            pump.join().unwrap();
-            // The server is still healthy for a fresh client.
-            let mut client = Client::connect(addr).unwrap();
-            assert!(client.ping().unwrap());
+            let _ = writer.write_all(b"\n");
         });
+        let mut reader = BufReader::new(stream);
+        let mut resp = String::new();
+        // Either the ERR line arrives, or the reset beats it; both prove
+        // the server cut the connection instead of buffering 10 MB.
+        match reader.read_line(&mut resp) {
+            Ok(0) => {}
+            Ok(_) => assert!(resp.starts_with("ERR request line exceeds"), "{resp}"),
+            Err(_) => {}
+        }
+        pump.join().unwrap();
+        // The server is still healthy for a fresh client.
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.ping().unwrap());
     }
 
     /// A client that connects and goes silent must not pin its
-    /// connection thread forever: the read timeout reclaims it.
+    /// connection forever: the read timeout reclaims it.
     #[test]
     fn silent_connection_times_out() {
         let options =
             ServerOptions { read_timeout: Some(Duration::from_millis(100)), ..Default::default() };
-        each_frontend(options, |addr, frontend| {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let start = std::time::Instant::now();
-            let mut reader = BufReader::new(stream);
-            let mut resp = String::new();
-            // Send nothing. Within the deadline the server must either say
-            // why it's hanging up or close outright.
-            let n = reader.read_line(&mut resp).unwrap();
-            assert!(
-                n == 0 || resp.starts_with("ERR connection idle timeout"),
-                "{frontend:?}: unexpected response {resp:?}"
-            );
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "{frontend:?}: server held the connection open"
-            );
-        });
+        let addr = serve(options);
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let start = std::time::Instant::now();
+        let mut reader = BufReader::new(stream);
+        let mut resp = String::new();
+        // Send nothing. Within the deadline the server must either say
+        // why it's hanging up or close outright.
+        let n = reader.read_line(&mut resp).unwrap();
+        assert!(
+            n == 0 || resp.starts_with("ERR connection idle timeout"),
+            "unexpected response {resp:?}"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "server held the connection open"
+        );
     }
 
     /// The slow-loris client: bytes trickle in fast enough to defeat the
-    /// per-`recv` idle timeout, but the request line never completes.
-    /// The overall request deadline must reclaim the thread.
+    /// idle timeout, but the request line never completes. The overall
+    /// request deadline must reclaim the connection and say why.
     #[test]
     fn slow_loris_hits_request_deadline() {
         let options = ServerOptions {
@@ -1010,80 +794,78 @@ mod tests {
             request_deadline: Some(Duration::from_millis(300)),
             ..ServerOptions::default()
         };
-        each_frontend(options, |addr, frontend| {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            let pump = std::thread::spawn(move || {
-                // One byte every 50 ms — each recv is fast, the line never
-                // ends. Stop when the server hangs up.
-                for _ in 0..100 {
-                    if writer.write_all(b"x").is_err() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
+        let addr = serve(options);
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let pump = std::thread::spawn(move || {
+            // One byte every 50 ms — each recv is fast, the line never
+            // ends. Stop when the server hangs up.
+            for _ in 0..100 {
+                if writer.write_all(b"x").is_err() {
+                    break;
                 }
-            });
-            let start = std::time::Instant::now();
-            let mut reader = BufReader::new(stream);
-            let mut resp = String::new();
-            match reader.read_line(&mut resp) {
-                Ok(0) | Err(_) => {}
-                Ok(_) => assert!(
-                    resp.starts_with("ERR request deadline exceeded"),
-                    "{frontend:?}: {resp}"
-                ),
+                std::thread::sleep(Duration::from_millis(50));
             }
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "{frontend:?}: deadline did not reclaim the connection"
-            );
-            pump.join().unwrap();
-            // The server is still healthy for a fresh client.
-            let mut client = Client::connect(addr).unwrap();
-            assert!(client.ping().unwrap());
         });
+        let start = std::time::Instant::now();
+        let mut reader = BufReader::new(stream);
+        let mut resp = String::new();
+        match reader.read_line(&mut resp) {
+            Ok(0) | Err(_) => {}
+            Ok(_) => assert!(
+                resp.starts_with("ERR request deadline exceeded"),
+                "{resp}"
+            ),
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "deadline did not reclaim the connection"
+        );
+        pump.join().unwrap();
+        // The server is still healthy for a fresh client.
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.ping().unwrap());
     }
 
-    /// Beyond `max_connections`, accepts are refused instead of spawning
-    /// connection threads without bound — and slots free on disconnect.
+    /// Beyond `max_connections`, accepts are refused instead of serving
+    /// connections without bound — and slots free on disconnect.
     #[test]
     fn connection_cap_refuses_excess_clients() {
         let options = ServerOptions { max_connections: 1, ..ServerOptions::default() };
-        each_frontend(options, |addr, frontend| {
-            let mut first = Client::connect(addr).unwrap();
-            assert!(first.ping().unwrap()); // connection 1 accepted and serving
-            let stream = TcpStream::connect(addr).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut reader = BufReader::new(stream);
-            let mut resp = String::new();
-            match reader.read_line(&mut resp) {
-                Ok(0) | Err(_) => {}
-                Ok(_) => {
-                    assert!(
-                        resp.starts_with("ERR server at connection capacity"),
-                        "{frontend:?}: {resp}"
-                    )
-                }
-            }
-            // The admitted client is unaffected...
-            assert!(first.ping().unwrap());
-            // ...and closing it eventually frees the slot.
-            drop(first);
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            loop {
-                if let Ok(mut retry) = Client::connect(addr) {
-                    if retry.ping().unwrap_or(false) {
-                        break;
-                    }
-                }
+        let addr = serve(options);
+        let mut first = Client::connect(addr).unwrap();
+        assert!(first.ping().unwrap()); // connection 1 accepted and serving
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut resp = String::new();
+        match reader.read_line(&mut resp) {
+            Ok(0) | Err(_) => {}
+            Ok(_) => {
                 assert!(
-                    std::time::Instant::now() < deadline,
-                    "{frontend:?}: capacity never freed"
-                );
-                std::thread::sleep(Duration::from_millis(20));
+                    resp.starts_with("ERR server at connection capacity"),
+                    "{resp}"
+                )
             }
-        });
+        }
+        // The admitted client is unaffected...
+        assert!(first.ping().unwrap());
+        // ...and closing it eventually frees the slot.
+        drop(first);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Ok(mut retry) = Client::connect(addr) {
+                if retry.ping().unwrap_or(false) {
+                    break;
+                }
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "capacity never freed"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     #[test]
@@ -1143,26 +925,21 @@ mod tests {
 
     #[test]
     fn tcp_round_trip() {
-        each_frontend(ServerOptions::default(), |addr, frontend| {
-            let mut client = Client::connect(addr).unwrap();
-            assert!(client.ping().unwrap());
-            let resp = client
-                .request("OPTIMIZE cards=10,20,30,40 preds=0:1:0.1;1:2:0.2;2:3:0.05")
+        let addr = serve(ServerOptions::default());
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.ping().unwrap());
+        let resp = client
+            .request("OPTIMIZE cards=10,20,30,40 preds=0:1:0.1;1:2:0.2;2:3:0.05")
+            .unwrap();
+        assert!(resp.starts_with("OK "), "{resp}");
+        let spec =
+            JoinSpec::new(&[10.0, 20.0, 30.0, 40.0], &[(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.05)])
                 .unwrap();
-            assert!(resp.starts_with("OK "), "{frontend:?}: {resp}");
-            let spec =
-                JoinSpec::new(&[10.0, 20.0, 30.0, 40.0], &[(0, 1, 0.1), (1, 2, 0.2), (2, 3, 0.05)])
-                    .unwrap();
-            let direct = blitz_core::optimize_join(&spec, &blitz_core::Kappa0).unwrap();
-            assert_eq!(
-                response_field(&resp, "cost"),
-                Some(format!("{:.6e}", direct.cost).as_str()),
-                "{frontend:?}"
-            );
-            let metrics = client.metrics().unwrap();
-            assert!(metrics.contains("requests=1"), "{frontend:?}: {metrics}");
-            assert!(client.request("QUIT").is_err() || client.request("PING").is_err());
-        });
+        let direct = blitz_core::optimize_join(&spec, &blitz_core::Kappa0).unwrap();
+        assert_eq!(response_field(&resp, "cost"), Some(format!("{:.6e}", direct.cost).as_str()));
+        let metrics = client.metrics().unwrap();
+        assert!(metrics.contains("requests=1"), "{metrics}");
+        assert!(client.request("QUIT").is_err() || client.request("PING").is_err());
     }
 
     /// Every plan source survives `format_response` → `response_outcomes`.

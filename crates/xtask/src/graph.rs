@@ -189,9 +189,9 @@ impl<'a> CallGraph<'a> {
         let mut out: BTreeMap<usize, BTreeSet<String>> = seed.clone();
         loop {
             let mut changed = false;
-            for id in 0..self.fns.len() {
+            for (id, called) in callees.iter().enumerate() {
                 let mut add: BTreeSet<String> = BTreeSet::new();
-                for &callee in &callees[id] {
+                for &callee in called {
                     if let Some(vals) = out.get(&callee) {
                         add.extend(vals.iter().cloned());
                     }

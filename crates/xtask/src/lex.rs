@@ -77,12 +77,10 @@ pub fn lex(san: &str) -> Vec<Tok> {
             i += 1;
             while i < chars.len() {
                 let d = chars[i];
-                if is_ident_char(d) {
-                    i += 1;
-                } else if d == '.'
+                let fraction = d == '.'
                     && chars.get(i + 1).is_some_and(|n| n.is_ascii_digit())
-                    && !chars[start..i].contains(&'.')
-                {
+                    && !chars[start..i].contains(&'.');
+                if is_ident_char(d) || fraction {
                     i += 1;
                 } else {
                     break;

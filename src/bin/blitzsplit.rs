@@ -10,7 +10,7 @@
 //! blitzsplit sql "SELECT * FROM sales s, customer c WHERE s.custkey = c.custkey"
 //! blitzsplit workload --topology chain|cycle3|star|clique --n 15 --mu 100 --var 0.5 [--time]
 //! blitzsplit calibrate [--out blitz-profile.txt] [--max-rels N] [--reps R]
-//! blitzsplit serve  [--addr 127.0.0.1:7878] [--frontend poll|threads] [--max-conns N] \
+//! blitzsplit serve  [--addr 127.0.0.1:7878] [--max-conns N] \
 //!                   [--workers N] [--cache N] [--max-rels N] [--threads N] \
 //!                   [--layout aos|soa|hotcold] [--kernel scalar|batched|simd] \
 //!                   [--driver split|conv|auto] [--profile PATH] \
@@ -29,9 +29,8 @@
 //! point and optionally times its optimization; `serve` runs the
 //! concurrent optimizer service (plan cache, worker pool, admission
 //! control, metrics — with `--ladder`, over-limit queries are served by
-//! the ladder instead of degrading to greedy) on a TCP line protocol —
-//! the readiness-loop frontend by default, thread-per-connection with
-//! `--frontend threads` — and `client` talks to it. `calibrate` runs a
+//! the ladder instead of degrading to greedy) on a TCP line protocol
+//! through one readiness loop, and `client` talks to it. `calibrate` runs a
 //! short measured profile of this host (fastest kernel, scalar-wave
 //! floor, per-model conv crossovers) and writes it to a text file that
 //! `serve --profile` (or the `BLITZ_PROFILE` env var, for the library
@@ -45,7 +44,7 @@ use blitzsplit::core::{
 use blitzsplit::ladder::{optimize_ladder, BigSpec, LadderConfig};
 use blitzsplit::service::server::{format_optimize_request_with_driver, response_field};
 use blitzsplit::service::{
-    Client, Frontend, LadderSettings, ModelId, OptimizerService, Server, ServerOptions,
+    Client, LadderSettings, ModelId, OptimizerService, Server, ServerOptions,
     ServiceConfig,
 };
 use blitzsplit::{
@@ -70,8 +69,8 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("  blitzsplit workload --topology chain|cycle3|star|clique \\");
     eprintln!("             --n N [--mu M] [--var V] [--model ...] [--threads N] [--time]");
     eprintln!("  blitzsplit calibrate [--out blitz-profile.txt] [--max-rels N] [--reps R]");
-    eprintln!("  blitzsplit serve [--addr 127.0.0.1:7878] [--frontend poll|threads] \\");
-    eprintln!("             [--max-conns N] [--workers N] [--cache N] \\");
+    eprintln!("  blitzsplit serve [--addr 127.0.0.1:7878] [--max-conns N] \\");
+    eprintln!("             [--workers N] [--cache N] \\");
     eprintln!("             [--max-rels N] [--threads N] [--layout aos|soa|hotcold] \\");
     eprintln!("             [--kernel scalar|batched|simd] [--driver split|conv|auto] \\");
     eprintln!("             [--profile PATH] [--ladder] [--budget-ms N] \\");
@@ -511,12 +510,6 @@ fn main() -> ExitCode {
                 });
             }
             let mut options = ServerOptions::default();
-            if let Some(f) = args.get("frontend") {
-                match Frontend::parse(f) {
-                    Some(f) => options.frontend = f,
-                    None => return fail("--frontend must be poll or threads"),
-                }
-            }
             if let Some(m) = args.get("max-conns") {
                 match m.parse::<usize>() {
                     Ok(m) => options.max_connections = m,
@@ -529,9 +522,7 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&format!("cannot bind {addr}: {e}")),
             };
             match server.local_addr() {
-                Ok(bound) => {
-                    println!("listening on {bound} (frontend: {})", options.frontend.name())
-                }
+                Ok(bound) => println!("listening on {bound}"),
                 Err(e) => return fail(&e.to_string()),
             }
             match server.run() {

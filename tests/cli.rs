@@ -100,7 +100,7 @@ fn serve_and_client_agree_with_one_shot_optimize() {
     BufReader::new(server.stdout.take().expect("piped stdout"))
         .read_line(&mut first_line)
         .expect("server announces its address");
-    // The announcement is `listening on ADDR (frontend: NAME)`.
+    // The announcement is `listening on ADDR`.
     let addr = first_line
         .trim()
         .strip_prefix("listening on ")
