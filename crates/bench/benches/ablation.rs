@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
 //! 1. nested-`if` pruning on/off (the paper's key constant-factor trick);
-//! 2. array-of-structs vs struct-of-arrays table layout;
+//! 2. array-of-structs vs hot/cold split table layout;
 //! 3. subset visit order — natural successor vs odd-stride (footnote 3);
 //! 4. sort-merge log memoization via the table's aux column vs inline
 //!    recomputation in `κ''`.
@@ -12,7 +12,7 @@ use std::hint::black_box;
 use blitz_catalog::{Topology, Workload};
 use blitz_core::bitset::StridedSubsets;
 use blitz_core::{
-    optimize_join_into, AosTable, CostModel, DiskNestedLoops, NoStats, RelSet, SoaTable,
+    optimize_join_into, AosTable, CostModel, DiskNestedLoops, HotColdTable, NoStats, RelSet,
     SortMerge, TableLayout,
 };
 
@@ -88,10 +88,10 @@ fn bench_layout(c: &mut Criterion) {
             black_box(t.cost(spec.all_rels()))
         })
     });
-    g.bench_function("soa", |b| {
+    g.bench_function("hotcold", |b| {
         b.iter(|| {
             let mut stats = NoStats;
-            let t: SoaTable = optimize_join_into::<_, _, _, true>(
+            let t: HotColdTable = optimize_join_into::<_, _, _, true>(
                 &spec,
                 &DiskNestedLoops::default(),
                 f32::INFINITY,

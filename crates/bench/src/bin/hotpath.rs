@@ -1,22 +1,18 @@
-//! Cache-conscious hot-path benchmark: table layouts × wave schedules ×
-//! split kernels.
+//! Hot-path benchmark: the paper's reference configuration against the
+//! service's production path.
 //!
-//! Times the κ0 join optimizer across the four workload topologies with
-//! every combination the hot-path work introduced:
+//! Times the κ0 join optimizer across the four workload topologies in
+//! the serial driver and the rank-wave parallel driver (chunked waves),
+//! each over:
 //!
-//! * **serial** driver × {AoS, SoA, hot/cold} layouts (scalar kernel);
-//! * **serial** driver × hot/cold layout × {batched, SIMD} split kernels
-//!   — the kernel dimension on the layout the kernels gather from;
-//! * **parallel** rank-wave mode × {AoS, SoA, hot/cold} layouts with
-//!   the contiguous **chunked** wave schedule, plus hot/cold × {batched,
-//!   SIMD} kernels on that schedule;
-//! * the **convolution DP driver** (serial and parallel, on the best
-//!   layout/kernel combination) against the subset-split driver, plus a
-//!   `floor0` ablation that disables the per-wave scalar/batched kernel
-//!   selection (`scalar_wave_floor = 0`) to price that heuristic;
-//! * the pre-chunking **AoS × round-robin × scalar** parallel
-//!   configuration, kept as the ablation baseline every other
-//!   configuration's speedup is reported against.
+//! * **AoS × scalar** — the paper's array-of-structs table and split
+//!   loop, the reference every other configuration is verified against
+//!   and the baseline every speed-up is reported against (serial);
+//! * **hot/cold × scalar** — the cache-conscious layout alone;
+//! * **hot/cold × SIMD** — plus the CPU-selected vector kernel;
+//!
+//! plus the **convolution DP driver** on hot/cold × SIMD in both modes —
+//! the configuration the service runs.
 //!
 //! After the κ0 matrix, a **per-model convolution section** times the
 //! conv driver against the subset-split driver (serial, hot/cold ×
@@ -35,6 +31,11 @@
 //! instead. Results are written as JSON to `BENCH_hotpath.json`
 //! (override with `BLITZ_HOTPATH_OUT`) and summarized as an ASCII table
 //! on stdout.
+//!
+//! The artifact stamps the host it was measured on: `cores`, `cpu` (the
+//! model name), `simd_kernel` (what `KernelChoice::Simd` resolves to),
+//! and per row an `oversubscribed` flag when the row's threads exceed
+//! the cores — such rows measure time-slicing, not parallel speed-up.
 //!
 //! Environment knobs: `BLITZ_MIN_N` (default 12), `BLITZ_MAX_N`
 //! (default 16), `BLITZ_THREADS` (worker count for the parallel
@@ -62,7 +63,7 @@ use blitz_catalog::{Topology, Workload};
 use blitz_core::{
     optimize_join_into_with, optimize_join_with, AosTable, CostModel, Counters, DiskNestedLoops,
     DriveOptions, DriverChoice, JoinSpec, Kappa0, KernelChoice, LayoutChoice, Optimized, SmDnl,
-    SortMerge, TableLayout, WaveSchedule,
+    SortMerge, TableLayout,
 };
 use std::time::Duration;
 
@@ -73,49 +74,25 @@ use std::time::Duration;
 struct Config {
     mode: &'static str,
     layout: LayoutChoice,
-    /// `None` for serial mode (no waves, no schedule).
-    schedule: Option<WaveSchedule>,
     threads: usize,
     kernel: KernelChoice,
     driver: DriverChoice,
-    /// `None` keeps the default per-wave scalar/batched selection;
-    /// `Some(f)` pins the floor (0 = batched kernels on every wave).
-    scalar_wave_floor: Option<u8>,
 }
 
 impl Config {
     fn options(&self) -> DriveOptions {
-        let base = match self.schedule {
-            None => DriveOptions::serial(),
-            Some(s) => DriveOptions::parallel(self.threads).with_schedule(s),
-        };
-        let base =
-            base.with_layout(self.layout).with_kernel(self.kernel).with_driver(self.driver);
-        match self.scalar_wave_floor {
-            None => base,
-            Some(f) => base.with_scalar_wave_floor(f),
-        }
+        // `parallel(1)` is the serial driver.
+        DriveOptions::parallel(self.threads)
+            .with_layout(self.layout)
+            .with_kernel(self.kernel)
+            .with_driver(self.driver)
     }
 
     fn label(&self) -> String {
-        let mut label = match self.schedule {
-            None => {
-                format!("{}/{}/{}", self.mode, self.layout.name(), self.kernel.name())
-            }
-            Some(s) => format!(
-                "{}/{}/{}/{}",
-                self.mode,
-                self.layout.name(),
-                s.name(),
-                self.kernel.name()
-            ),
-        };
+        let mut label = format!("{}/{}/{}", self.mode, self.layout.name(), self.kernel.name());
         if self.driver != DriverChoice::Split {
             label.push('/');
             label.push_str(self.driver.name());
-        }
-        if let Some(f) = self.scalar_wave_floor {
-            label.push_str(&format!("/floor{f}"));
         }
         label
     }
@@ -203,16 +180,22 @@ fn counters_json(c: &Counters) -> Json {
 }
 
 fn threads_from_env(cores: usize) -> usize {
-    match std::env::var("BLITZ_THREADS") {
-        // Accept the speedup binary's comma-list form; the hot-path
-        // matrix uses a single worker count, so take the first entry.
-        Ok(v) => v
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .next()
-            .unwrap_or_else(|| cores.clamp(2, 8)),
-        Err(_) => cores.clamp(2, 8),
-    }
+    std::env::var("BLITZ_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| cores.clamp(2, 8))
+}
+
+/// `model name` from `/proc/cpuinfo`, or `unknown` where there is none.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|l| {
+                l.strip_prefix("model name")?.split_once(':').map(|(_, v)| v.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// The fields of one committed `(topology, n)` group that a fresh run
@@ -341,73 +324,40 @@ fn main() {
         std::env::var("BLITZ_HOTPATH_OUT").unwrap_or_else(|_| "BENCH_hotpath.json".to_string());
 
     let configs: Vec<Config> = {
-        let split_serial = Config {
+        let serial = Config {
             mode: "serial",
             layout: LayoutChoice::Aos,
-            schedule: None,
             threads: 1,
             kernel: KernelChoice::Scalar,
             driver: DriverChoice::Split,
-            scalar_wave_floor: None,
         };
-        let split_parallel = Config {
-            mode: "parallel",
-            schedule: Some(WaveSchedule::Chunked),
-            threads,
-            ..split_serial
-        };
+        let parallel = Config { mode: "parallel", threads, ..serial };
         let mut v = Vec::new();
-        for layout in LayoutChoice::ALL {
-            v.push(Config { layout, ..split_serial });
+        for mode in [serial, parallel] {
+            v.push(mode);
+            v.push(Config { layout: LayoutChoice::HotCold, ..mode });
+            v.push(Config { layout: LayoutChoice::HotCold, kernel: KernelChoice::Simd, ..mode });
         }
-        // The kernel dimension on the layout the kernels gather from.
-        for kernel in [KernelChoice::Batched, KernelChoice::Simd] {
-            v.push(Config { layout: LayoutChoice::HotCold, kernel, ..split_serial });
+        for mode in [serial, parallel] {
+            v.push(Config {
+                layout: LayoutChoice::HotCold,
+                kernel: KernelChoice::Simd,
+                driver: DriverChoice::Conv,
+                ..mode
+            });
         }
-        // The baseline first among the parallel rows, so readers see the
-        // pre-chunking configuration before its replacements.
-        v.push(Config {
-            schedule: Some(WaveSchedule::RoundRobin),
-            ..split_parallel
-        });
-        for layout in LayoutChoice::ALL {
-            v.push(Config { layout, ..split_parallel });
-        }
-        for kernel in [KernelChoice::Batched, KernelChoice::Simd] {
-            v.push(Config { layout: LayoutChoice::HotCold, kernel, ..split_parallel });
-        }
-        // The convolution DP driver on the best layout/kernel combination
-        // of each mode, plus a floor0 ablation that forces batched
-        // kernels on every wave (pricing the per-wave scalar/batched
-        // selection heuristic).
-        let conv_serial = Config {
-            layout: LayoutChoice::HotCold,
-            kernel: KernelChoice::Simd,
-            driver: DriverChoice::Conv,
-            ..split_serial
-        };
-        v.push(conv_serial);
-        v.push(Config {
-            layout: LayoutChoice::HotCold,
-            kernel: KernelChoice::Simd,
-            driver: DriverChoice::Conv,
-            ..split_parallel
-        });
-        v.push(Config { scalar_wave_floor: Some(0), ..conv_serial });
         v
     };
-    let baseline = Config {
-        mode: "parallel",
-        layout: LayoutChoice::Aos,
-        schedule: Some(WaveSchedule::RoundRobin),
-        threads,
-        kernel: KernelChoice::Scalar,
-        driver: DriverChoice::Split,
-        scalar_wave_floor: None,
-    };
+    // The paper's configuration, first in the sweep.
+    let baseline = configs[0];
+    let simd_kernel = KernelChoice::Simd.resolved_name();
+    let cpu = cpu_model();
 
-    println!("Hot-path layout/schedule benchmark (kappa_0, mean card 100, var 0.5)");
-    println!("machine reports {cores} core(s); parallel configurations use {threads} worker(s)\n");
+    println!("Hot-path benchmark (kappa_0, mean card 100, var 0.5)");
+    println!(
+        "machine reports {cores} core(s), cpu {cpu:?}, simd kernel {simd_kernel}; \
+         parallel configurations use {threads} worker(s)\n"
+    );
 
     let committed = if check_mode {
         let text = std::fs::read_to_string(&out_path).unwrap_or_else(|e| {
@@ -477,13 +427,9 @@ fn main() {
                     best[i] = best[i].min(time_config(c).as_secs_f64());
                 }
             }
-            let baseline_secs = configs
-                .iter()
-                .position(|c| c.label() == baseline.label())
-                .map(|i| best[i])
-                .expect("baseline config present in the sweep");
+            let baseline_secs = best[0];
 
-            let mut table = Table::new(["config", "time", "ns/subset", "vs aos+rr"]);
+            let mut table = Table::new(["config", "time", "ns/subset", "vs serial aos"]);
             let mut config_json = Vec::new();
             for (c, &secs) in configs.iter().zip(&best) {
                 let ns_total = secs * 1e9;
@@ -497,23 +443,10 @@ fn main() {
                 config_json.push(Json::obj(vec![
                     ("mode", Json::str(c.mode)),
                     ("layout", Json::str(c.layout.name())),
-                    (
-                        "schedule",
-                        match c.schedule {
-                            None => Json::Null,
-                            Some(s) => Json::str(s.name()),
-                        },
-                    ),
                     ("threads", Json::Num(c.threads as f64)),
+                    ("oversubscribed", Json::Bool(c.threads > cores)),
                     ("kernel", Json::str(c.kernel.name())),
                     ("driver", Json::str(c.driver.name())),
-                    (
-                        "scalar_wave_floor",
-                        match c.scalar_wave_floor {
-                            None => Json::Null,
-                            Some(f) => Json::Num(f as f64),
-                        },
-                    ),
                     ("ns_total", Json::Num(ns_total)),
                     ("ns_per_subset", Json::Num(ns_total / subsets)),
                     ("speedup_vs_baseline", Json::Num(speedup)),
@@ -583,6 +516,8 @@ fn main() {
         ("bench", Json::str("hotpath")),
         ("model", Json::str("kappa0")),
         ("cores", Json::Num(cores as f64)),
+        ("cpu", Json::str(cpu)),
+        ("simd_kernel", Json::str(simd_kernel)),
         ("threads", Json::Num(threads as f64)),
         (
             "timing",

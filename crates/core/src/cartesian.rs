@@ -22,7 +22,7 @@ use crate::spec::{JoinSpec, SpecError};
 use crate::split::{drive, drive_parallel, init_singleton, DriveOptions, NEVER_CANCELLED};
 use crate::stats::{NoStats, Stats};
 use crate::table::{
-    AosTable, HotColdTable, LayoutChoice, SoaTable, SyncTableView, TableLayout, WaveTableLayout,
+    AosTable, HotColdTable, LayoutChoice, SyncTableView, TableLayout, WaveTableLayout,
     MAX_TABLE_RELS,
 };
 
@@ -67,47 +67,28 @@ where
     M: CostModel,
     St: Stats,
 {
-    optimize_products_into_kernel::<L, M, St, PRUNE>(
-        cards,
+    let mut table = products_table::<L, M>(cards, model);
+    drive::<L, M, St, _, PRUNE>(
+        &mut table,
         model,
+        cards.len(),
         cap,
-        ResolvedKernel::Scalar,
+        RowEngine::with_kernel(ResolvedKernel::Scalar),
+        &NEVER_CANCELLED,
         stats,
-    )
+        product_properties,
+    );
+    table
 }
 
-/// Serial product optimization with an explicit, already-resolved split
-/// kernel — the common body behind [`optimize_products_into`] (scalar)
-/// and the serial arm of [`optimize_products_into_with`] (whatever
-/// [`DriveOptions::kernel`] resolves to).
-pub(crate) fn optimize_products_into_kernel<L, M, St, const PRUNE: bool>(
-    cards: &[f64],
-    model: &M,
-    cap: f32,
-    kernel: ResolvedKernel,
-    stats: &mut St,
-) -> L
-where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
+/// A table for `cards` with every singleton row initialized.
+fn products_table<L: TableLayout, M: CostModel>(cards: &[f64], model: &M) -> L {
     let n = cards.len();
     assert!((1..=MAX_TABLE_RELS).contains(&n), "unsupported relation count {n}");
     let mut table = L::with_rels(n);
     for (rel, &card) in cards.iter().enumerate() {
         init_singleton(&mut table, model, rel, card);
     }
-    drive::<L, M, St, _, PRUNE>(
-        &mut table,
-        model,
-        n,
-        cap,
-        RowEngine::with_kernel(kernel),
-        &NEVER_CANCELLED,
-        stats,
-        product_properties,
-    );
     table
 }
 
@@ -130,14 +111,9 @@ where
     M: CostModel + Sync,
     St: Stats + Default + Send,
 {
-    let threads = options.effective_parallelism();
-    if threads < 2 {
-        let n = cards.len();
-        assert!((1..=MAX_TABLE_RELS).contains(&n), "unsupported relation count {n}");
-        let mut table = L::with_rels(n);
-        for (rel, &card) in cards.iter().enumerate() {
-            init_singleton(&mut table, model, rel, card);
-        }
+    let n = cards.len();
+    let mut table = products_table::<L, M>(cards, model);
+    if options.effective_parallelism() < 2 {
         drive::<L, M, St, _, PRUNE>(
             &mut table,
             model,
@@ -148,24 +124,18 @@ where
             stats,
             product_properties,
         );
-        return table;
+    } else {
+        drive_parallel::<L, M, St, _, PRUNE>(
+            &mut table,
+            model,
+            n,
+            cap,
+            options,
+            &NEVER_CANCELLED,
+            stats,
+            product_properties::<SyncTableView<L>, M>,
+        );
     }
-    let n = cards.len();
-    assert!((1..=MAX_TABLE_RELS).contains(&n), "unsupported relation count {n}");
-    let mut table = L::with_rels(n);
-    for (rel, &card) in cards.iter().enumerate() {
-        init_singleton(&mut table, model, rel, card);
-    }
-    drive_parallel::<L, M, St, _, PRUNE>(
-        &mut table,
-        model,
-        n,
-        cap,
-        options,
-        &NEVER_CANCELLED,
-        stats,
-        product_properties::<SyncTableView<L>, M>,
-    );
     table
 }
 
@@ -227,7 +197,6 @@ pub fn optimize_products_with<M: CostModel + Sync>(
     }
     Ok(match options.layout {
         LayoutChoice::Aos => run::<AosTable, M>(cards, model, options),
-        LayoutChoice::Soa => run::<SoaTable, M>(cards, model, options),
         LayoutChoice::HotCold => run::<HotColdTable, M>(cards, model, options),
     })
 }
@@ -237,7 +206,6 @@ mod tests {
     use super::*;
     use crate::cost::{DiskNestedLoops, Kappa0, SortMerge};
     use crate::stats::Counters;
-    use crate::table::SoaTable;
 
     /// Exhaustive reference optimizer: recursively try all splits.
     fn brute_force<M: CostModel>(cards: &[f64], model: &M, s: RelSet) -> (f64, f32) {
@@ -379,12 +347,12 @@ mod tests {
         let mut s2 = NoStats;
         let aos: AosTable =
             optimize_products_into::<_, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut s1);
-        let soa: SoaTable =
+        let hot: HotColdTable =
             optimize_products_into::<_, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut s2);
         for bits in 1u32..(1 << cards.len()) {
             let s = RelSet::from_bits(bits);
-            assert_eq!(aos.card(s), soa.card(s));
-            assert_eq!(aos.cost(s), soa.cost(s));
+            assert_eq!(aos.card(s), hot.card(s));
+            assert_eq!(aos.cost(s), hot.cost(s));
         }
     }
 

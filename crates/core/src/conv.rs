@@ -73,21 +73,19 @@
 //! `driver=`): `Split` is the reference enumeration, `Conv` uses this
 //! driver wherever the model supports it (falling back otherwise), and
 //! `Auto` picks Conv only when the model supports it *and* the relation
-//! count is at least the crossover — [`CONV_AUTO_MIN_RELS`] by default,
-//! or a measured-on-this-host value when a calibration profile is in
-//! force ([`crate::calibrate`], [`DriveOptions::conv_min_rels`]) —
-//! below the crossover the split loop's smaller per-row constant wins
-//! (see EXPERIMENTS.md). Resolution happens once per drive in
-//! [`RowEngine::resolve`]; the row path dispatches on a `Copy` token.
+//! count is at least `CONV_AUTO_MIN_RELS` (6) — below the crossover the
+//! split loop's smaller per-row constant wins (see EXPERIMENTS.md).
+//! Resolution happens once per drive in [`RowEngine::resolve`]; the row
+//! path dispatches on a `Copy` token.
 //!
-//! [`RowEngine`] also owns the per-wave scalar-vs-batched kernel
+//! [`RowEngine`] also owns the per-wave scalar-vs-vector kernel
 //! selection: rows of popcount `k` deposit `2^k − 2` (split) or
 //! `2^(k−1) − 1` (conv) candidates, and a wave whose rows cannot fill
 //! even one [`LANES`]-wide batch pays the batch-fill bookkeeping without
-//! amortizing it, so waves below [`DEFAULT_SCALAR_WAVE_FLOOR`] run the
-//! scalar cascade regardless of the requested kernel. Kernels are
+//! amortizing it, so waves below `SCALAR_WAVE_FLOOR` (4) run the scalar
+//! cascade regardless of the requested kernel. Kernels are
 //! bit-identical (tables, plans, counters — see [`crate::kernel`]), so
-//! the floor is pure scheduling; it is ablated in the hotpath bench.
+//! the floor is pure scheduling.
 
 use crate::bitset::RelSet;
 use crate::cost::{ConvSupport, CostModel};
@@ -107,15 +105,13 @@ use crate::table::TableLayout;
 /// host (see EXPERIMENTS.md): conv is at-or-ahead of the best split
 /// configuration from `n = 6` on all four workload topologies, and
 /// within noise at `n = 5`.
-pub const CONV_AUTO_MIN_RELS: usize = 6;
+const CONV_AUTO_MIN_RELS: usize = 6;
 
 /// Popcount below which [`RowEngine::run_row`] forces the scalar
 /// cascade: rows of popcount `k < 4` deposit at most `2^3 − 2 = 6`
 /// split candidates (conv: at most 7) — less than one [`LANES`]-wide
-/// batch — so batching is pure fill overhead there. `0` disables the
-/// floor (every row uses the requested kernel); the hotpath bench
-/// ablates exactly that.
-pub const DEFAULT_SCALAR_WAVE_FLOOR: u8 = 4;
+/// batch — so batching is pure fill overhead there.
+const SCALAR_WAVE_FLOOR: usize = 4;
 
 /// Runtime name for the DP driver used to fill each table row,
 /// selectable per [`crate::DriveOptions`] (env `BLITZ_TEST_DRIVER`, CLI
@@ -134,7 +130,7 @@ pub enum DriverChoice {
     /// `κ''` makes the halving inexact.
     Conv,
     /// `Conv` when the model supports it and `n ≥` the measured
-    /// crossover ([`CONV_AUTO_MIN_RELS`]); `Split` otherwise.
+    /// crossover (`CONV_AUTO_MIN_RELS` = 6); `Split` otherwise.
     Auto,
 }
 
@@ -162,14 +158,12 @@ impl DriverChoice {
         }
     }
 
-    /// Resolve the user-facing choice against a model's capability, the
-    /// problem size and the effective `Auto` crossover
-    /// ([`DriveOptions::conv_min_rels`] — [`CONV_AUTO_MIN_RELS`] unless
-    /// a calibration profile retuned it), once per drive. Never returns
-    /// `Auto`; `Conv` on a [`ConvSupport::Fallback`] model degrades to
-    /// `Split` (the documented transparent fallback), so requesting
-    /// `Conv` is always safe.
-    pub fn resolve(self, support: ConvSupport, n: usize, min_rels: usize) -> DriverChoice {
+    /// Resolve the user-facing choice against a model's capability and
+    /// the problem size, once per drive. Never returns `Auto`; `Conv` on
+    /// a [`ConvSupport::Fallback`] model degrades to `Split` (the
+    /// documented transparent fallback), so requesting `Conv` is always
+    /// safe.
+    pub fn resolve(self, support: ConvSupport, n: usize) -> DriverChoice {
         match self {
             DriverChoice::Split => DriverChoice::Split,
             DriverChoice::Conv => {
@@ -180,7 +174,7 @@ impl DriverChoice {
                 }
             }
             DriverChoice::Auto => {
-                if support.allows_conv() && n >= min_rels {
+                if support.allows_conv() && n >= CONV_AUTO_MIN_RELS {
                     DriverChoice::Conv
                 } else {
                     DriverChoice::Split
@@ -197,18 +191,16 @@ impl std::fmt::Display for DriverChoice {
 }
 
 /// The per-row execution policy, resolved once per drive: which DP
-/// driver fills a row, with which kernel, and below which popcount the
-/// scalar cascade stands in. A `Copy` token handed to every worker so
-/// neither feature detection nor capability probing sits on the row
-/// path.
+/// driver fills a row and with which kernel (the scalar cascade stands
+/// in below [`SCALAR_WAVE_FLOOR`]). A `Copy` token handed to every
+/// worker so neither feature detection nor capability probing sits on
+/// the row path.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct RowEngine {
     /// Resolved split kernel for rows at or above the floor.
     kernel: ResolvedKernel,
     /// Resolved driver — `Split` or `Conv`, never `Auto`.
     driver: DriverChoice,
-    /// Popcount below which rows run the scalar cascade.
-    scalar_wave_floor: u8,
 }
 
 impl RowEngine {
@@ -217,18 +209,15 @@ impl RowEngine {
     pub(crate) fn resolve<M: CostModel>(options: DriveOptions, _model: &M, n: usize) -> RowEngine {
         RowEngine {
             kernel: options.kernel.resolve(),
-            driver: options.driver.resolve(M::CONV_SUPPORT, n, options.conv_min_rels),
-            scalar_wave_floor: options.scalar_wave_floor,
+            driver: options.driver.resolve(M::CONV_SUPPORT, n),
         }
     }
 
-    /// An engine pinned to an explicit, already-resolved kernel: split
-    /// driver, no scalar floor. The legacy serial entry points
-    /// ([`crate::join::optimize_join_into_kernel`] and friends) route
-    /// here so their enumeration — and therefore their `Counters` — is
-    /// exactly the reference split walk under the requested kernel.
+    /// The split driver pinned to an explicit, already-resolved kernel.
+    /// The generic serial entry points ([`crate::join::optimize_join_into`]
+    /// and friends) route here with the scalar reference kernel.
     pub(crate) fn with_kernel(kernel: ResolvedKernel) -> RowEngine {
-        RowEngine { kernel, driver: DriverChoice::Split, scalar_wave_floor: 0 }
+        RowEngine { kernel, driver: DriverChoice::Split }
     }
 
     /// Fill the row for `s` with this policy. Same contract as
@@ -251,7 +240,7 @@ impl RowEngine {
         // this one popcount test (s.len() is a single popcnt) applies
         // the wave floor identically under the serial integer-order
         // driver and the rank-wave parallel driver.
-        let kernel = if s.len() < usize::from(self.scalar_wave_floor) {
+        let kernel = if s.len() < SCALAR_WAVE_FLOOR {
             ResolvedKernel::Scalar
         } else {
             self.kernel
@@ -269,7 +258,7 @@ impl RowEngine {
 
 /// Kernel-dispatching form of [`find_best_split_conv`], mirroring
 /// [`find_best_split_with`]: scalar reference for the `Scalar` kernel
-/// and the unpruned ablation, batched/SIMD otherwise.
+/// and the unpruned ablation, the vector kernel otherwise.
 #[inline]
 pub(crate) fn find_best_split_conv_with<L, M, St, const PRUNE: bool>(
     table: &mut L,
@@ -422,7 +411,7 @@ pub(crate) fn find_best_split_conv<L, M, St, const PRUNE: bool>(
     }
 }
 
-/// Batched/SIMD form of [`find_best_split_conv`], mirroring
+/// Vector-kernel form of [`find_best_split_conv`], mirroring
 /// [`crate::kernel::find_best_split_batched`] stage for stage: the
 /// anchored walk runs ahead and deposits up to [`LANES`] candidate
 /// `lhs` sets, the batch is judged branchlessly against best₀ through
@@ -430,7 +419,7 @@ pub(crate) fn find_best_split_conv<L, M, St, const PRUNE: bool>(
 /// anchored candidate is exactly `rest − sub`), and surviving lanes are
 /// re-judged in walk order against the running best — so the batched
 /// conv kernel is bit-identical (rows, `best_lhs`, counters) to the
-/// scalar conv cascade by the same argument that makes the batched
+/// scalar conv cascade by the same argument that makes the vector
 /// split kernel bit-identical to its scalar cascade.
 fn find_best_split_conv_batched<L, M, St, const PRUNE: bool>(
     table: &mut L,
@@ -586,7 +575,7 @@ mod tests {
     use crate::cost::{DiskNestedLoops, Kappa0, SmDnl, SortMerge};
     use crate::spec::JoinSpec;
     use crate::stats::Counters;
-    use crate::table::{AosTable, HotColdTable, SoaTable};
+    use crate::table::{AosTable, HotColdTable};
 
     #[test]
     fn driver_choice_names_roundtrip() {
@@ -606,21 +595,17 @@ mod tests {
         // model's support tier allows the halving at all.
         for n in [2, d, 20] {
             for support in [Native, Canonical] {
-                assert_eq!(DriverChoice::Split.resolve(support, n, d), DriverChoice::Split);
-                assert_eq!(DriverChoice::Conv.resolve(support, n, d), DriverChoice::Conv);
+                assert_eq!(DriverChoice::Split.resolve(support, n), DriverChoice::Split);
+                assert_eq!(DriverChoice::Conv.resolve(support, n), DriverChoice::Conv);
             }
-            assert_eq!(DriverChoice::Split.resolve(Fallback, n, d), DriverChoice::Split);
-            assert_eq!(DriverChoice::Conv.resolve(Fallback, n, d), DriverChoice::Split);
+            assert_eq!(DriverChoice::Split.resolve(Fallback, n), DriverChoice::Split);
+            assert_eq!(DriverChoice::Conv.resolve(Fallback, n), DriverChoice::Split);
         }
         // Auto: conv only at/above the crossover, and only when allowed.
-        assert_eq!(DriverChoice::Auto.resolve(Native, d - 1, d), DriverChoice::Split);
-        assert_eq!(DriverChoice::Auto.resolve(Native, d, d), DriverChoice::Conv);
-        assert_eq!(DriverChoice::Auto.resolve(Canonical, d, d), DriverChoice::Conv);
-        assert_eq!(DriverChoice::Auto.resolve(Fallback, d + 4, d), DriverChoice::Split);
-        // A calibrated crossover moves the Auto boundary, nothing else.
-        assert_eq!(DriverChoice::Auto.resolve(Canonical, 3, 2), DriverChoice::Conv);
-        assert_eq!(DriverChoice::Auto.resolve(Canonical, 3, 9), DriverChoice::Split);
-        assert_eq!(DriverChoice::Conv.resolve(Canonical, 3, 9), DriverChoice::Conv);
+        assert_eq!(DriverChoice::Auto.resolve(Native, d - 1), DriverChoice::Split);
+        assert_eq!(DriverChoice::Auto.resolve(Native, d), DriverChoice::Conv);
+        assert_eq!(DriverChoice::Auto.resolve(Canonical, d), DriverChoice::Conv);
+        assert_eq!(DriverChoice::Auto.resolve(Fallback, d + 4), DriverChoice::Split);
     }
 
     #[test]
@@ -719,14 +704,12 @@ mod tests {
             );
             let mut c_conv = Counters::default();
             let conv: AosTable = optimize_conv_into::<AosTable, Kappa0, true>(spec, &Kappa0, &mut c_conv);
-            let conv_soa: SoaTable = optimize_conv_into::<SoaTable, Kappa0, true>(spec, &Kappa0, &mut Counters::default());
             let conv_hc: HotColdTable =
                 optimize_conv_into::<HotColdTable, Kappa0, true>(spec, &Kappa0, &mut Counters::default());
             for bits in 1u32..(1 << spec.n()) {
                 let s = RelSet::from_bits(bits);
                 assert_eq!(split.cost(s).to_bits(), conv.cost(s).to_bits(), "cost({s:?})");
                 assert_eq!(split.card(s).to_bits(), conv.card(s).to_bits(), "card({s:?})");
-                assert_eq!(conv.cost(s).to_bits(), conv_soa.cost(s).to_bits());
                 assert_eq!(conv.cost(s).to_bits(), conv_hc.cost(s).to_bits());
                 // Same unordered partition: conv's pointer is either
                 // split's choice or its complement.
@@ -746,9 +729,9 @@ mod tests {
         }
     }
 
-    /// Batched and SIMD conv kernels must reproduce the scalar conv
-    /// cascade bit-for-bit — rows, `best_lhs`, and counters — across
-    /// layouts, including on a tie-heavy uniform catalog.
+    /// Every vector conv kernel the host can run must reproduce the
+    /// scalar conv cascade bit-for-bit — rows, `best_lhs`, and counters —
+    /// on both layouts, including on a tie-heavy uniform catalog.
     #[test]
     fn conv_kernels_are_bit_identical_to_scalar_conv() {
         let specs = [
@@ -762,11 +745,10 @@ mod tests {
         ];
         for spec in &specs {
             let reference = conv_snapshot::<AosTable>(spec, ResolvedKernel::Scalar);
-            for kernel in [ResolvedKernel::Batched, crate::kernel::KernelChoice::Simd.resolve()] {
-                let a = conv_snapshot::<AosTable>(spec, kernel);
-                let b = conv_snapshot::<SoaTable>(spec, kernel);
-                let c = conv_snapshot::<HotColdTable>(spec, kernel);
-                for got in [&a, &b, &c] {
+            for kernel in crate::kernel::host_vector_kernels() {
+                let aos = conv_snapshot::<AosTable>(spec, kernel);
+                let hot = conv_snapshot::<HotColdTable>(spec, kernel);
+                for got in [&aos, &hot] {
                     assert_eq!(got.0, reference.0, "rows via {kernel:?}");
                     assert_eq!(got.1, reference.1, "counters via {kernel:?}");
                 }
@@ -829,7 +811,7 @@ mod check_tests {
     /// Conv engine with the scalar cascade pinned, so the seeded rows
     /// exercise `find_best_split_conv` itself.
     fn conv_engine() -> RowEngine {
-        RowEngine { kernel: ResolvedKernel::Scalar, driver: DriverChoice::Conv, scalar_wave_floor: 0 }
+        RowEngine { kernel: ResolvedKernel::Scalar, driver: DriverChoice::Conv }
     }
 
     /// Conv fill of a popcount-3 row while wave 4 is in progress: the

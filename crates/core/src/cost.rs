@@ -145,9 +145,7 @@ pub trait CostModel {
         Self::CONV_SUPPORT
     }
 
-    /// Human-readable model name, used by the benchmark harness and as
-    /// the per-model key in calibration profiles
-    /// ([`crate::calibrate::CalibrationProfile`]).
+    /// Human-readable model name, used by the benchmark harness.
     fn name(&self) -> &'static str;
 
     /// Full cost `κ = κ' + κ''` of a single join, convenient for plan

@@ -31,7 +31,7 @@ use crate::spec::{JoinSpec, SpecError};
 use crate::split::{drive, drive_parallel, init_singleton, DriveOptions, NEVER_CANCELLED};
 use crate::stats::{NoStats, Stats};
 use crate::table::{
-    AosTable, HotColdTable, LayoutChoice, SoaTable, SyncTableView, TableLayout, WaveTableLayout,
+    AosTable, HotColdTable, LayoutChoice, SyncTableView, TableLayout, WaveTableLayout,
     MAX_TABLE_RELS,
 };
 use std::sync::atomic::AtomicBool;
@@ -88,9 +88,8 @@ where
 }
 
 /// Serial join optimization with an explicit, already-resolved split
-/// kernel — the common body behind [`optimize_join_into`] (scalar) and
-/// the serial arm of [`optimize_join_into_with`] (whatever
-/// [`DriveOptions::kernel`] resolves to).
+/// kernel — the body of [`optimize_join_into`] (scalar), and how the
+/// kernel unit tests force each vector kernel the host can run.
 pub(crate) fn optimize_join_into_kernel<L, M, St, const PRUNE: bool>(
     spec: &JoinSpec,
     model: &M,
@@ -281,7 +280,6 @@ pub fn optimize_join_with<M: CostModel + Sync>(
     }
     Ok(match options.layout {
         LayoutChoice::Aos => run::<AosTable, M>(spec, model, options),
-        LayoutChoice::Soa => run::<SoaTable, M>(spec, model, options),
         LayoutChoice::HotCold => run::<HotColdTable, M>(spec, model, options),
     })
 }
@@ -305,7 +303,6 @@ mod tests {
         assert_eq!(opt.plan.rel_set(), spec.all_rels(), "plan must still cover every relation");
     }
     use crate::stats::Counters;
-    use crate::table::SoaTable;
 
     /// Figure 3's join graph: A,B,C,D with predicates AB, AC, BC, AD.
     fn fig3_spec() -> JoinSpec {
@@ -470,13 +467,13 @@ mod tests {
         let mut s2 = NoStats;
         let aos: AosTable =
             optimize_join_into::<_, _, _, true>(&spec, &SortMerge, f32::INFINITY, &mut s1);
-        let soa: SoaTable =
+        let hot: HotColdTable =
             optimize_join_into::<_, _, _, true>(&spec, &SortMerge, f32::INFINITY, &mut s2);
         for bits in 1u32..(1 << spec.n()) {
             let s = RelSet::from_bits(bits);
-            assert_eq!(aos.cost(s), soa.cost(s));
-            assert_eq!(aos.card(s), soa.card(s));
-            assert_eq!(aos.pi_fan(s), soa.pi_fan(s));
+            assert_eq!(aos.cost(s), hot.cost(s));
+            assert_eq!(aos.card(s), hot.card(s));
+            assert_eq!(aos.pi_fan(s), hot.pi_fan(s));
         }
     }
 

@@ -1,4 +1,4 @@
-//! Batched and SIMD split kernels for the `O(3^n)` inner loop.
+//! SIMD split kernels for the `O(3^n)` inner loop.
 //!
 //! [`crate::split::find_best_split`] consumes the hot cost array one
 //! 4-byte probe at a time: the pruning cascade is a long chain of scalar
@@ -60,8 +60,8 @@
 //! [`crate::DriveOptions`]; it resolves once per drive (never per row)
 //! to a [`ResolvedKernel`]: `Simd` picks AVX-512 when
 //! `is_x86_feature_detected!("avx512f")` says so, else AVX2, NEON on
-//! aarch64, and degrades to the portable batched kernel elsewhere — so
-//! `Simd` is always safe to request. The unpruned (`PRUNE = false`)
+//! aarch64, and degrades to the scalar cascade elsewhere — so `Simd` is
+//! always safe to request. The unpruned (`PRUNE = false`)
 //! ablation variant has no cascade to vectorize — `κ''` runs on every
 //! lane by definition — so all kernels delegate it to the scalar
 //! reference. Batch buffers are sized to the widest kernel
@@ -75,8 +75,7 @@ use crate::stats::Stats;
 use crate::table::TableLayout;
 
 /// Batch width of the 256-bit kernels: AVX2's eight `f32` lanes. The
-/// NEON path consumes the same batch as two four-lane halves, and the
-/// portable batch kernel as a plain loop the compiler can unroll.
+/// NEON path consumes the same batch as two four-lane halves.
 pub(crate) const LANES: usize = 8;
 
 /// Batch width of the widest kernel (AVX-512's sixteen `f32` lanes) and
@@ -94,25 +93,20 @@ pub enum KernelChoice {
     /// nested-`if` loop, one probe at a time. The default.
     #[default]
     Scalar,
-    /// Portable batched kernel: successor walk buffered [`LANES`] ahead,
-    /// cascade evaluated per batch, no explicit vector intrinsics.
-    Batched,
     /// Runtime-dispatched SIMD kernel: AVX-512 mask-register batches on
-    /// x86-64 when `avx512f` is detected, else AVX2 gather + vector
-    /// compare, NEON on aarch64, otherwise the portable batched kernel.
+    /// x86-64 when `avx512f` is detected, else AVX2 lane loads + vector
+    /// compare, NEON on aarch64, otherwise the scalar cascade.
     Simd,
 }
 
 impl KernelChoice {
-    /// All selectable kernels, for ablation sweeps.
-    pub const ALL: [KernelChoice; 3] =
-        [KernelChoice::Scalar, KernelChoice::Batched, KernelChoice::Simd];
+    /// All selectable kernels, for equivalence sweeps.
+    pub const ALL: [KernelChoice; 2] = [KernelChoice::Scalar, KernelChoice::Simd];
 
-    /// Stable lower-case name (`scalar` / `batched` / `simd`).
+    /// Stable lower-case name (`scalar` / `simd`).
     pub fn name(self) -> &'static str {
         match self {
             KernelChoice::Scalar => "scalar",
-            KernelChoice::Batched => "batched",
             KernelChoice::Simd => "simd",
         }
     }
@@ -121,20 +115,25 @@ impl KernelChoice {
     pub fn parse(s: &str) -> Option<KernelChoice> {
         match s {
             "scalar" => Some(KernelChoice::Scalar),
-            "batched" => Some(KernelChoice::Batched),
             "simd" => Some(KernelChoice::Simd),
             _ => None,
         }
     }
 
+    /// The kernel this choice runs on the current host: `scalar`,
+    /// `avx2`, `avx512` or `neon` — the fact benchmark artifacts stamp
+    /// beside their numbers.
+    pub fn resolved_name(self) -> &'static str {
+        self.resolve().name()
+    }
+
     /// Resolve the user-facing choice against the running hardware, once
-    /// per drive. `Simd` degrades gracefully: the batched kernel stands
+    /// per drive. `Simd` degrades gracefully: the scalar cascade stands
     /// in wherever no vector path shipped (or the CPU lacks AVX2), so
     /// requesting `Simd` is always portable.
     pub(crate) fn resolve(self) -> ResolvedKernel {
         match self {
             KernelChoice::Scalar => ResolvedKernel::Scalar,
-            KernelChoice::Batched => ResolvedKernel::Batched,
             KernelChoice::Simd => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -144,7 +143,7 @@ impl KernelChoice {
                     if std::arch::is_x86_feature_detected!("avx2") {
                         return ResolvedKernel::Avx2;
                     }
-                    ResolvedKernel::Batched
+                    ResolvedKernel::Scalar
                 }
                 #[cfg(target_arch = "aarch64")]
                 {
@@ -152,7 +151,7 @@ impl KernelChoice {
                 }
                 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
                 {
-                    ResolvedKernel::Batched
+                    ResolvedKernel::Scalar
                 }
             }
         }
@@ -170,11 +169,9 @@ impl std::fmt::Display for KernelChoice {
 /// feature detection never sits on the row path.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum ResolvedKernel {
-    /// Scalar reference cascade.
+    /// Scalar reference cascade (also the `Simd` fallback).
     Scalar,
-    /// Portable batched kernel (also the `Simd` fallback).
-    Batched,
-    /// AVX2 gather + vector-compare batches.
+    /// AVX2 lane loads + vector-compare batches.
     #[cfg(target_arch = "x86_64")]
     Avx2,
     /// AVX-512 mask-register batches ([`LANES_WIDE`] lanes).
@@ -186,6 +183,19 @@ pub(crate) enum ResolvedKernel {
 }
 
 impl ResolvedKernel {
+    /// Stable lower-case name (`scalar` / `avx2` / `avx512` / `neon`).
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            ResolvedKernel::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            ResolvedKernel::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            ResolvedKernel::Avx512 => "avx512",
+            #[cfg(target_arch = "aarch64")]
+            ResolvedKernel::Neon => "neon",
+        }
+    }
+
     /// Candidates per batch for this kernel — how far the successor walk
     /// runs ahead before the cascade judges the batch. Batch width is
     /// invisible in the output: the in-order re-judge replays the exact
@@ -226,7 +236,7 @@ pub(crate) fn find_best_split_with<L, M, St, const PRUNE: bool>(
     find_best_split_batched::<L, M, St, PRUNE>(table, model, s, cap, stats, kernel);
 }
 
-/// The batched/SIMD split kernel. Mirrors [`find_best_split`] stage for
+/// The vector split kernel. Mirrors [`find_best_split`] stage for
 /// stage (κ' hoist and loop skip, split walk, cascade, finish) with the
 /// loop body batched as described in the module docs.
 fn find_best_split_batched<L, M, St, const PRUNE: bool>(
@@ -372,8 +382,8 @@ fn find_best_split_batched<L, M, St, const PRUNE: bool>(
     }
 }
 
-/// Portable batch evaluation through the layout's safe accessors: also
-/// the tail path (fewer candidates than the kernel's lane count), the
+/// Portable batch evaluation through the layout's safe accessors: the
+/// tail path (fewer candidates than the kernel's lane count), the
 /// no-dense-column path (e.g. [`crate::table::AosTable`]), and the
 /// shadow-checked path (under `--cfg blitz_check`,
 /// [`crate::table::SyncTableView::cost_base`] returns `None` so every
@@ -634,13 +644,34 @@ pub(crate) unsafe fn gather_mask_neon(
     mask
 }
 
+/// Every vector kernel the running host can execute, narrowest first:
+/// AVX2 and AVX-512 where detected on x86-64, NEON on aarch64. The unit
+/// tests sweep all of them, so an AVX-512 host still runs the AVX2 path.
+#[cfg(test)]
+pub(crate) fn host_vector_kernels() -> Vec<ResolvedKernel> {
+    #[allow(unused_mut)]
+    let mut kernels = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            kernels.push(ResolvedKernel::Avx2);
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            kernels.push(ResolvedKernel::Avx512);
+        }
+    }
+    #[cfg(target_arch = "aarch64")]
+    kernels.push(ResolvedKernel::Neon);
+    kernels
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{DiskNestedLoops, Kappa0, SmDnl, SortMerge};
     use crate::spec::JoinSpec;
     use crate::stats::Counters;
-    use crate::table::{AosTable, HotColdTable, SoaTable};
+    use crate::table::{AosTable, HotColdTable};
 
     #[test]
     fn kernel_choice_names_roundtrip() {
@@ -652,16 +683,17 @@ mod tests {
         assert_eq!(KernelChoice::default(), KernelChoice::Scalar);
     }
 
+    /// `Simd` resolves to the widest vector kernel the host runs, and to
+    /// the scalar cascade where there is none.
     #[test]
-    fn simd_resolves_without_panicking_anywhere() {
-        // Whatever the host, `Simd` must resolve to *something* runnable.
-        let r = KernelChoice::Simd.resolve();
-        assert_ne!(r, ResolvedKernel::Scalar, "Simd should at least batch");
+    fn simd_resolves_to_the_widest_host_kernel() {
+        let widest = host_vector_kernels().last().copied().unwrap_or(ResolvedKernel::Scalar);
+        assert_eq!(KernelChoice::Simd.resolve(), widest);
+        assert_eq!(KernelChoice::Simd.resolved_name(), widest.name());
         assert_eq!(KernelChoice::Scalar.resolve(), ResolvedKernel::Scalar);
-        assert_eq!(KernelChoice::Batched.resolve(), ResolvedKernel::Batched);
     }
 
-    /// Every kernel × every layout must reproduce the scalar AoS rows,
+    /// Every vector kernel × both layouts must reproduce the scalar AoS rows,
     /// `best_lhs`, *and* counters bit-for-bit — including under a model
     /// with κ'' (the cascade's third stage) and one with aux memos.
     #[test]
@@ -722,11 +754,10 @@ mod tests {
         }
         fn check_model<M: CostModel>(spec: &JoinSpec, model: &M) {
             let reference = snapshot::<AosTable, M>(spec, model, ResolvedKernel::Scalar);
-            for kernel in [ResolvedKernel::Batched, KernelChoice::Simd.resolve()] {
-                let a = snapshot::<AosTable, M>(spec, model, kernel);
-                let b = snapshot::<SoaTable, M>(spec, model, kernel);
-                let c = snapshot::<HotColdTable, M>(spec, model, kernel);
-                for got in [&a, &b, &c] {
+            for kernel in host_vector_kernels() {
+                let aos = snapshot::<AosTable, M>(spec, model, kernel);
+                let hot = snapshot::<HotColdTable, M>(spec, model, kernel);
+                for got in [&aos, &hot] {
                     assert_eq!(got.0, reference.0, "{} rows via {kernel:?}", model.name());
                     assert_eq!(got.1, reference.1, "{} counters via {kernel:?}", model.name());
                 }

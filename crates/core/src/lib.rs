@@ -41,7 +41,6 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bitset;
-pub mod calibrate;
 pub mod cartesian;
 #[cfg(any(blitz_check, debug_assertions))]
 mod check;
@@ -63,8 +62,7 @@ pub use cartesian::{
     optimize_products, optimize_products_into, optimize_products_into_with,
     optimize_products_with, Optimized,
 };
-pub use calibrate::{calibrate, host_profile, CalibrateOptions, CalibrationProfile, PROFILE_ENV};
-pub use conv::{DriverChoice, CONV_AUTO_MIN_RELS, DEFAULT_SCALAR_WAVE_FLOOR};
+pub use conv::DriverChoice;
 pub use cost::{ConvSupport, CostModel, DiskNestedLoops, JoinAlgorithm, Kappa0, SmDnl, SortMerge};
 pub use hyper::{optimize_hyper, optimize_hyper_into, HyperSpec};
 pub use join::{optimize_join, optimize_join_into, optimize_join_into_with, optimize_join_with};
@@ -72,10 +70,10 @@ pub use kernel::KernelChoice;
 pub use ordered::{optimize_ordered, optimize_ordered_naive, OrderedOptimized, OrderedPlan, OrderedSpec};
 pub use plan::{AnnotatedPlan, Plan, PlanArena, PlanNodeId};
 pub use spec::{JoinSpec, SpecError};
-pub use split::{DriveOptions, WaveSchedule};
+pub use split::DriveOptions;
 pub use stats::{Counters, NoStats, Stats};
 pub use table::{
-    AosTable, CompactProductTable, HotColdTable, LayoutChoice, SoaTable, SyncTable, SyncTableView,
+    AosTable, CompactProductTable, HotColdTable, LayoutChoice, SyncTable, SyncTableView,
     TableLayout, WaveTableLayout, MAX_TABLE_RELS,
 };
 pub use threshold::{

@@ -19,7 +19,7 @@
 //! and the `PRUNE` switch (the ablation benches compile both variants).
 
 use crate::bitset::RelSet;
-use crate::conv::{RowEngine, DriverChoice, CONV_AUTO_MIN_RELS, DEFAULT_SCALAR_WAVE_FLOOR};
+use crate::conv::{DriverChoice, RowEngine};
 use crate::cost::{ConvSupport, CostModel};
 use crate::kernel::KernelChoice;
 use crate::stats::Stats;
@@ -35,53 +35,17 @@ pub(crate) static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
 /// predictable branch per row, one relaxed load per 4096 rows.
 const CANCEL_CHECK_ROWS: u32 = 1 << 12;
 
-/// How the rank-wave parallel driver deals a wave's rows to workers.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum WaveSchedule {
-    /// Contiguous per-worker chunks of each wave, cache-line-aligned in
-    /// wave-rank space (16 rows — one line of dense hot costs — per
-    /// alignment unit). Adjacent workers write disjoint, monotone runs
-    /// of table indices, so no cache line is ever ping-ponged between
-    /// writers. The default.
-    #[default]
-    Chunked,
-    /// Historical round-robin dealing (`row % threads == worker`): every
-    /// worker walks the whole wave and neighbouring rows land on
-    /// different cores, interleaving their writes on shared cache
-    /// lines. Kept as the ablation baseline for the hotpath bench.
-    RoundRobin,
-}
-
-impl WaveSchedule {
-    /// Stable lower-case name (`chunked` / `roundrobin`).
-    pub fn name(self) -> &'static str {
-        match self {
-            WaveSchedule::Chunked => "chunked",
-            WaveSchedule::RoundRobin => "roundrobin",
-        }
-    }
-
-    /// Inverse of [`name`](WaveSchedule::name); `None` for unknown names.
-    pub fn parse(s: &str) -> Option<WaveSchedule> {
-        match s {
-            "chunked" => Some(WaveSchedule::Chunked),
-            "roundrobin" => Some(WaveSchedule::RoundRobin),
-            _ => None,
-        }
-    }
-}
-
 /// Execution options for the DP drivers — how much hardware to throw at
 /// one optimization, and how the DP table is laid out in memory.
 ///
 /// The default is read once per process from the environment —
 /// `BLITZ_TEST_THREADS` (unset or `1` ⇒ the serial driver),
-/// `BLITZ_TEST_LAYOUT` (`aos`/`soa`/`hotcold`), `BLITZ_TEST_KERNEL`
-/// (`scalar`/`batched`/`simd`) and `BLITZ_TEST_DRIVER`
-/// (`split`/`conv`/`auto`) — which lets a CI job force every
-/// default-configured optimization in the workspace through the parallel
-/// rank-wave driver, an alternate table layout, an alternate split
-/// kernel and/or the convolution driver without touching call sites.
+/// `BLITZ_TEST_LAYOUT` (`aos`/`hotcold`), `BLITZ_TEST_KERNEL`
+/// (`scalar`/`simd`) and `BLITZ_TEST_DRIVER` (`split`/`conv`/`auto`) —
+/// which lets a CI job force every default-configured optimization in
+/// the workspace through the parallel rank-wave driver, the hot/cold
+/// table, the SIMD split kernel and/or the convolution driver without
+/// touching call sites.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DriveOptions {
     /// Worker threads for the rank-wave parallel driver. `1` is the
@@ -93,13 +57,10 @@ pub struct DriveOptions {
     /// to the matching monomorphization. The generic `*_into*` functions
     /// take the layout as a type parameter and ignore this field.
     pub layout: LayoutChoice,
-    /// Wave scheduling policy for the parallel driver (ignored by the
-    /// serial driver).
-    pub schedule: WaveSchedule,
-    /// Split kernel for the `find_best_split` inner loop — scalar
-    /// reference, portable batched, or runtime-dispatched SIMD. Resolved
-    /// against the hardware once per drive; all kernels produce
-    /// bit-identical tables, plans and counters (see [`crate::kernel`]).
+    /// Split kernel for the `find_best_split` inner loop — the scalar
+    /// reference or the runtime-dispatched SIMD kernel. Resolved against
+    /// the hardware once per drive; all kernels produce bit-identical
+    /// tables, plans and counters (see [`crate::kernel`]).
     pub kernel: KernelChoice,
     /// DP driver filling each row: the reference split enumeration, the
     /// anchored layered-convolution driver, or an automatic pick.
@@ -107,33 +68,12 @@ pub struct DriveOptions {
     /// capability once per drive; on `Native`/`Canonical` models the
     /// drivers are cost-bit-identical (see [`crate::conv`]).
     pub driver: DriverChoice,
-    /// Relation count at which [`DriverChoice::Auto`] switches from the
-    /// split driver to the convolution driver (on models whose
-    /// [`CostModel::CONV_SUPPORT`] allows it). Compiled default is
-    /// [`CONV_AUTO_MIN_RELS`]; [`DriveOptions::default`] replaces it
-    /// with the measured crossover from the host calibration profile
-    /// when one is loaded (see [`crate::calibrate`]).
-    pub conv_min_rels: usize,
-    /// Popcount below which rows run the scalar cascade regardless of
-    /// [`DriveOptions::kernel`]: small waves cannot fill a batch, so
-    /// batching them is pure overhead. Kernels are bit-identical, so
-    /// this is pure scheduling. `0` disables the floor.
-    pub scalar_wave_floor: u8,
 }
 
 impl DriveOptions {
-    /// Explicit serial execution, ignoring any environment override and
-    /// any loaded calibration profile (compiled constants throughout).
+    /// Explicit serial execution, ignoring any environment override.
     pub fn serial() -> DriveOptions {
-        DriveOptions {
-            parallelism: 1,
-            layout: LayoutChoice::default(),
-            schedule: WaveSchedule::default(),
-            kernel: KernelChoice::default(),
-            driver: DriverChoice::default(),
-            conv_min_rels: CONV_AUTO_MIN_RELS,
-            scalar_wave_floor: DEFAULT_SCALAR_WAVE_FLOOR,
-        }
+        DriveOptions::parallel(1)
     }
 
     /// Rank-wave parallel execution on `threads` workers (`0` = auto).
@@ -141,22 +81,14 @@ impl DriveOptions {
         DriveOptions {
             parallelism: threads,
             layout: LayoutChoice::default(),
-            schedule: WaveSchedule::default(),
             kernel: KernelChoice::default(),
             driver: DriverChoice::default(),
-            conv_min_rels: CONV_AUTO_MIN_RELS,
-            scalar_wave_floor: DEFAULT_SCALAR_WAVE_FLOOR,
         }
     }
 
     /// This policy with a different table layout.
     pub fn with_layout(self, layout: LayoutChoice) -> DriveOptions {
         DriveOptions { layout, ..self }
-    }
-
-    /// This policy with a different wave schedule.
-    pub fn with_schedule(self, schedule: WaveSchedule) -> DriveOptions {
-        DriveOptions { schedule, ..self }
     }
 
     /// This policy with a different split kernel.
@@ -167,16 +99,6 @@ impl DriveOptions {
     /// This policy with a different DP driver.
     pub fn with_driver(self, driver: DriverChoice) -> DriveOptions {
         DriveOptions { driver, ..self }
-    }
-
-    /// This policy with a different `Auto` driver crossover.
-    pub fn with_conv_min_rels(self, conv_min_rels: usize) -> DriveOptions {
-        DriveOptions { conv_min_rels, ..self }
-    }
-
-    /// This policy with a different scalar wave floor (`0` disables).
-    pub fn with_scalar_wave_floor(self, scalar_wave_floor: u8) -> DriveOptions {
-        DriveOptions { scalar_wave_floor, ..self }
     }
 
     /// The concrete worker count: resolves `0` to the machine's available
@@ -191,47 +113,18 @@ impl DriveOptions {
 
 impl Default for DriveOptions {
     fn default() -> DriveOptions {
-        // Resolved once per process. Precedence per knob: explicit
-        // `BLITZ_TEST_*` environment override > measured host profile
-        // (`BLITZ_PROFILE`, see [`crate::calibrate`]) > compiled
-        // constant. The profile carries only the knobs the calibrator
-        // measures (kernel, scalar wave floor, `Auto` crossover);
-        // layout, schedule, driver and thread count keep their compiled
-        // defaults unless the environment says otherwise.
+        // Resolved once per process: each `BLITZ_TEST_*` variable that is
+        // set and parses overrides the compiled default of its knob.
         static ENV: std::sync::OnceLock<DriveOptions> = std::sync::OnceLock::new();
         *ENV.get_or_init(|| {
-            let profile = crate::calibrate::host_profile();
-            let parallelism = std::env::var("BLITZ_TEST_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1);
-            let layout = std::env::var("BLITZ_TEST_LAYOUT")
-                .ok()
-                .and_then(|v| LayoutChoice::parse(&v))
-                .unwrap_or_default();
-            let kernel = std::env::var("BLITZ_TEST_KERNEL")
-                .ok()
-                .and_then(|v| KernelChoice::parse(&v))
-                .or_else(|| profile.and_then(|p| p.kernel))
-                .unwrap_or_default();
-            let driver = std::env::var("BLITZ_TEST_DRIVER")
-                .ok()
-                .and_then(|v| DriverChoice::parse(&v))
-                .unwrap_or_default();
-            let conv_min_rels = profile
-                .and_then(|p| p.conv_min_rels)
-                .unwrap_or(CONV_AUTO_MIN_RELS);
-            let scalar_wave_floor = profile
-                .and_then(|p| p.scalar_wave_floor)
-                .unwrap_or(DEFAULT_SCALAR_WAVE_FLOOR);
+            fn env<T>(key: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+                std::env::var(key).ok().and_then(|v| parse(&v))
+            }
             DriveOptions {
-                parallelism,
-                layout,
-                schedule: WaveSchedule::default(),
-                kernel,
-                driver,
-                conv_min_rels,
-                scalar_wave_floor,
+                parallelism: env("BLITZ_TEST_THREADS", |v| v.parse().ok()).unwrap_or(1),
+                layout: env("BLITZ_TEST_LAYOUT", LayoutChoice::parse).unwrap_or_default(),
+                kernel: env("BLITZ_TEST_KERNEL", KernelChoice::parse).unwrap_or_default(),
+                driver: env("BLITZ_TEST_DRIVER", DriverChoice::parse).unwrap_or_default(),
             }
         })
     }
@@ -542,8 +435,7 @@ pub(crate) fn rank_same_popcount(bits: u64) -> u64 {
 /// Chunk-boundary alignment within a wave, in rows: 16 dense `f32`
 /// costs = one 64-byte cache line of [`crate::table::HotColdTable`]'s
 /// hot array, so two workers' hot-cost writes can only meet on a line
-/// at most once per wave (at a rounding-truncated final chunk), not on
-/// every line as with round-robin dealing.
+/// at most once per wave (at a rounding-truncated final chunk).
 const CHUNK_ALIGN_ROWS: u64 = 16;
 
 /// Drive `compute_properties` + `find_best_split` over every non-singleton
@@ -554,19 +446,19 @@ const CHUNK_ALIGN_ROWS: u64 = 16;
 /// This is valid because every table access for a set `S` either writes
 /// `S`'s own row or reads rows of strict subsets of `S` — which all have
 /// smaller popcount and were completed in earlier waves. Within a wave,
-/// each row is assigned to exactly one worker — by default a contiguous,
+/// each row is assigned to exactly one worker — a contiguous,
 /// alignment-rounded chunk of the wave's Gosper enumeration per worker
-/// ([`WaveSchedule::Chunked`]; workers jump to their chunk with
-/// [`nth_same_popcount`]) — so writes are disjoint; a barrier separates
-/// waves. See [`SyncTable`] for the full safety argument.
+/// (workers jump to their chunk with [`nth_same_popcount`]) — so writes
+/// are disjoint; a barrier separates waves. See [`SyncTable`] for the
+/// full safety argument.
 ///
 /// The worker count is clamped to the widest wave's row count: surplus
 /// workers could never be handed a row and would only ever wait at
 /// barriers, so small-`n` tables on many-core hosts (`n = 4`,
 /// `threads = 16`) don't spawn 10 threads of pure synchronization.
 ///
-/// Produces a table bit-identical to [`drive`]'s under *every* schedule
-/// and worker count: each row's computation is self-contained and
+/// Produces a table bit-identical to [`drive`]'s under every worker
+/// count: each row's computation is self-contained and
 /// deterministic (see the tie-break note in [`find_best_split`]), and
 /// all drivers respect the same subset-before-superset dependency order
 /// — which rows run on which worker, and in what order within a wave,
@@ -597,8 +489,7 @@ where
     F: Fn(&mut SyncTableView<L>, &M, RelSet) + Sync,
 {
     let threads = options.effective_parallelism();
-    let schedule = options.schedule;
-    // Resolve the kernel, driver and wave floor once, before any worker
+    // Resolve the kernel and driver once, before any worker
     // spawns: feature detection and the model capability probe stay off
     // the row path and every worker dispatches on the same `Copy` token.
     let engine = RowEngine::resolve(options, model, n);
@@ -635,10 +526,10 @@ where
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 // SAFETY: within each wave every row is handled by
-                // exactly one worker (disjoint chunk ranges, or the
-                // round-robin deal), reads are confined to
-                // strictly-smaller-popcount rows from earlier waves, and
-                // a barrier separates waves — the SyncTable discipline.
+                // exactly one worker (disjoint chunk ranges), reads are
+                // confined to strictly-smaller-popcount rows from earlier
+                // waves, and a barrier separates waves — the SyncTable
+                // discipline.
                 let mut view = unsafe { shared.view() };
                 scope.spawn(move || {
                     let mut local = St::default();
@@ -649,47 +540,24 @@ where
                             barrier.wait();
                             continue;
                         }
-                        match schedule {
-                            WaveSchedule::Chunked => {
-                                let rows = binomial(n, k);
-                                // Even deal, rounded up to whole cache
-                                // lines of hot costs; trailing workers
-                                // may come up empty on narrow waves.
-                                let per = rows.div_ceil(threads as u64);
-                                let chunk = per.div_ceil(CHUNK_ALIGN_ROWS) * CHUNK_ALIGN_ROWS;
-                                let start = t as u64 * chunk;
-                                let stop = (start + chunk).min(rows).max(start);
-                                view.begin_wave(k, Some((start, stop)));
-                                if start < rows {
-                                    let mut bits = nth_same_popcount(k, start);
-                                    for _ in start..stop {
-                                        let s = RelSet::from_wave_bits(bits);
-                                        compute_properties(&mut view, model, s);
-                                        engine.run_row::<SyncTableView<L>, M, St, PRUNE>(
-                                            &mut view, model, s, cap, &mut local,
-                                        );
-                                        bits = same_popcount_successor(bits);
-                                    }
-                                }
-                            }
-                            WaveSchedule::RoundRobin => {
-                                // No contiguous rank range to pin down:
-                                // round-robin ownership is checked only
-                                // by the shadow words' per-row owners.
-                                view.begin_wave(k, None);
-                                let mut row = 0usize;
-                                let mut bits = (1u64 << k) - 1;
-                                while bits < end {
-                                    if row % threads == t {
-                                        let s = RelSet::from_wave_bits(bits);
-                                        compute_properties(&mut view, model, s);
-                                        engine.run_row::<SyncTableView<L>, M, St, PRUNE>(
-                                            &mut view, model, s, cap, &mut local,
-                                        );
-                                    }
-                                    row += 1;
-                                    bits = same_popcount_successor(bits);
-                                }
+                        let rows = binomial(n, k);
+                        // Even deal, rounded up to whole cache lines of
+                        // hot costs; trailing workers may come up empty
+                        // on narrow waves.
+                        let per = rows.div_ceil(threads as u64);
+                        let chunk = per.div_ceil(CHUNK_ALIGN_ROWS) * CHUNK_ALIGN_ROWS;
+                        let start = t as u64 * chunk;
+                        let stop = (start + chunk).min(rows).max(start);
+                        view.begin_wave(k, Some((start, stop)));
+                        if start < rows {
+                            let mut bits = nth_same_popcount(k, start);
+                            for _ in start..stop {
+                                let s = RelSet::from_wave_bits(bits);
+                                compute_properties(&mut view, model, s);
+                                engine.run_row::<SyncTableView<L>, M, St, PRUNE>(
+                                    &mut view, model, s, cap, &mut local,
+                                );
+                                bits = same_popcount_successor(bits);
                             }
                         }
                         barrier.wait();
@@ -824,26 +692,14 @@ mod tests {
     fn drive_options_builders_compose() {
         let o = DriveOptions::parallel(4)
             .with_layout(LayoutChoice::HotCold)
-            .with_schedule(WaveSchedule::RoundRobin)
             .with_kernel(KernelChoice::Simd)
-            .with_driver(DriverChoice::Conv)
-            .with_conv_min_rels(9)
-            .with_scalar_wave_floor(0);
+            .with_driver(DriverChoice::Conv);
         assert_eq!(o.parallelism, 4);
         assert_eq!(o.layout, LayoutChoice::HotCold);
-        assert_eq!(o.schedule, WaveSchedule::RoundRobin);
         assert_eq!(o.kernel, KernelChoice::Simd);
         assert_eq!(o.driver, DriverChoice::Conv);
-        assert_eq!(o.conv_min_rels, 9);
-        assert_eq!(o.scalar_wave_floor, 0);
         assert_eq!(DriveOptions::serial().effective_parallelism(), 1);
         assert_eq!(DriveOptions::serial().kernel, KernelChoice::Scalar);
         assert_eq!(DriveOptions::serial().driver, DriverChoice::Split);
-        assert_eq!(DriveOptions::serial().conv_min_rels, CONV_AUTO_MIN_RELS);
-        assert_eq!(DriveOptions::serial().scalar_wave_floor, DEFAULT_SCALAR_WAVE_FLOOR);
-        for s in [WaveSchedule::Chunked, WaveSchedule::RoundRobin] {
-            assert_eq!(WaveSchedule::parse(s.name()), Some(s));
-        }
-        assert_eq!(WaveSchedule::parse("diagonal"), None);
     }
 }

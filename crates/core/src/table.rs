@@ -13,15 +13,17 @@
 //!   join optimization only);
 //! * `aux` — an optional cost-model memo (e.g. the sort-merge log term).
 //!
-//! Several layouts are provided behind the [`TableLayout`] trait so that
-//! the benchmark harness can ablate the choice: [`AosTable`] (array of
-//! structs, the paper's layout), [`SoaTable`] (struct of arrays),
-//! [`CompactProductTable`] (the paper's exact 16-byte product row) and
-//! [`HotColdTable`] (hot/cold split: a dense, 64-byte-aligned `cost`
-//! array feeds the pruning cascade at 4 bytes per probe, with every
-//! other column banished to cold arrays). The optimizer is generic over
-//! the layout and monomorphizes each; [`LayoutChoice`] names them for
-//! runtime dispatch at the non-generic entry points.
+//! Three layouts are provided behind the [`TableLayout`] trait:
+//! [`AosTable`] (array of structs, the paper's layout and the reference
+//! every other configuration is checked against), [`HotColdTable`]
+//! (hot/cold split: a dense, 64-byte-aligned `cost` array feeds the
+//! pruning cascade at 4 bytes per probe, with every other column
+//! banished to cold arrays — the service's layout) and
+//! [`CompactProductTable`] (the paper's exact 16-byte product row, kept
+//! serial-only for the §4.1 ablation). The optimizer is generic over the
+//! layout and monomorphizes each; [`LayoutChoice`] names the two
+//! parallel-capable ones for runtime dispatch at the non-generic entry
+//! points.
 
 use crate::bitset::{RelSet, MAX_RELS};
 use std::marker::PhantomData;
@@ -36,21 +38,18 @@ pub enum LayoutChoice {
     /// [`AosTable`] — the paper's array-of-structs layout.
     #[default]
     Aos,
-    /// [`SoaTable`] — one dense array per column.
-    Soa,
     /// [`HotColdTable`] — dense aligned `cost` hot array, cold rest.
     HotCold,
 }
 
 impl LayoutChoice {
-    /// All selectable layouts, for ablation sweeps.
-    pub const ALL: [LayoutChoice; 3] = [LayoutChoice::Aos, LayoutChoice::Soa, LayoutChoice::HotCold];
+    /// All selectable layouts, for equivalence sweeps.
+    pub const ALL: [LayoutChoice; 2] = [LayoutChoice::Aos, LayoutChoice::HotCold];
 
-    /// Stable lower-case name (`aos` / `soa` / `hotcold`).
+    /// Stable lower-case name (`aos` / `hotcold`).
     pub fn name(self) -> &'static str {
         match self {
             LayoutChoice::Aos => "aos",
-            LayoutChoice::Soa => "soa",
             LayoutChoice::HotCold => "hotcold",
         }
     }
@@ -59,7 +58,6 @@ impl LayoutChoice {
     pub fn parse(s: &str) -> Option<LayoutChoice> {
         match s {
             "aos" => Some(LayoutChoice::Aos),
-            "soa" => Some(LayoutChoice::Soa),
             "hotcold" => Some(LayoutChoice::HotCold),
             _ => None,
         }
@@ -286,108 +284,6 @@ impl TableLayout for AosTable {
     }
 }
 
-/// Struct-of-arrays table layout — one dense array per column. The split
-/// loop touches only `cost` (always) and `card`/`aux` (conditionally), so
-/// separating the columns can improve cache residency for large `n`; the
-/// ablation bench quantifies this.
-pub struct SoaTable {
-    n: usize,
-    cards: Vec<f64>,
-    pi_fans: Vec<f64>,
-    costs: Vec<f32>,
-    best_lhss: Vec<u32>,
-    auxs: Vec<f32>,
-}
-
-impl TableLayout for SoaTable {
-    // See `AosTable`: hints are real only on prefetch-capable targets.
-    const PREFETCHES: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
-
-    fn with_rels(n: usize) -> Self {
-        check_rels(n);
-        let cap = 1usize << n;
-        SoaTable {
-            n,
-            cards: vec![0.0; cap],
-            pi_fans: vec![1.0; cap],
-            costs: vec![f32::INFINITY; cap],
-            best_lhss: vec![0; cap],
-            auxs: vec![0.0; cap],
-        }
-    }
-
-    #[inline]
-    fn rels(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn card(&self, s: RelSet) -> f64 {
-        self.cards[s.index()]
-    }
-
-    #[inline]
-    fn set_card(&mut self, s: RelSet, v: f64) {
-        self.cards[s.index()] = v;
-    }
-
-    #[inline]
-    fn cost(&self, s: RelSet) -> f32 {
-        self.costs[s.index()]
-    }
-
-    #[inline]
-    fn set_cost(&mut self, s: RelSet, v: f32) {
-        self.costs[s.index()] = v;
-    }
-
-    #[inline]
-    fn best_lhs(&self, s: RelSet) -> RelSet {
-        RelSet::from_bits(self.best_lhss[s.index()])
-    }
-
-    #[inline]
-    fn set_best_lhs(&mut self, s: RelSet, v: RelSet) {
-        self.best_lhss[s.index()] = v.bits();
-    }
-
-    #[inline]
-    fn pi_fan(&self, s: RelSet) -> f64 {
-        self.pi_fans[s.index()]
-    }
-
-    #[inline]
-    fn set_pi_fan(&mut self, s: RelSet, v: f64) {
-        self.pi_fans[s.index()] = v;
-    }
-
-    #[inline]
-    fn aux(&self, s: RelSet) -> f32 {
-        self.auxs[s.index()]
-    }
-
-    #[inline]
-    fn set_aux(&mut self, s: RelSet, v: f32) {
-        self.auxs[s.index()] = v;
-    }
-
-    #[inline]
-    fn prefetch_cost(&self, s: RelSet) {
-        if let Some(c) = self.costs.get(s.index()) {
-            prefetch_read(c);
-        }
-    }
-
-    // SAFETY: (implementor-side guarantee) `costs` is a `Vec<f32>` of
-    // exactly `1 << n` elements, fully initialized at allocation and
-    // never reallocated, so its base pointer is valid for the whole
-    // column while `self` is borrowed.
-    #[inline]
-    unsafe fn cost_base(&self) -> Option<*const f32> {
-        Some(self.costs.as_ptr())
-    }
-}
-
 /// One row of the paper-exact 16-byte layout (Section 4.1):
 ///
 /// > each row of our dynamic programming table need occupy only 16
@@ -410,8 +306,10 @@ impl Default for CompactRow {
 /// The paper's exact 16-byte-per-row table for **Cartesian product**
 /// optimization: no `Π_fan` column, no cost-model memo.
 ///
-/// Only usable where those columns are never needed — i.e. with
-/// [`crate::cartesian`] under cost models with `HAS_AUX == false`.
+/// Only usable where those columns are never needed — i.e. with the
+/// serial [`crate::cartesian::optimize_products_into`] under cost models
+/// with `HAS_AUX == false`. It has no raw parallel view: it exists for
+/// the §4.1 row-size ablation, which runs serially.
 /// `pi_fan` reads return the neutral 1.0 and writes of the neutral value
 /// are accepted (singleton initialization writes 1.0); any other use
 /// panics rather than silently corrupting an optimization.
@@ -575,13 +473,12 @@ unsafe impl Sync for AlignedCosts {}
 /// `lhs_cost < best`, then `lhs_cost + rhs_cost < best` — which need
 /// only the 4-byte `cost` field of each operand row. Under [`AosTable`]
 /// every such probe drags a full 32-byte row through the cache (half a
-/// line); under [`SoaTable`] the cost lane is dense but shares the
-/// allocator's whims with four sibling columns. `HotColdTable` gives the
+/// line). `HotColdTable` gives the
 /// `cost` column its own dense, 64-byte-aligned buffer — 16 probes per
 /// cache line — and exiles `card`/`Π_fan`/`aux`/`best_lhs` to cold
 /// arrays touched only on the rare `κ''` evaluation and the per-row
-/// write path. Field semantics are identical to the other layouts, so
-/// tables are cost-bit-identical across all of them.
+/// write path. Field semantics are identical to [`AosTable`]'s, so the
+/// two produce bit-identical tables.
 pub struct HotColdTable {
     n: usize,
     /// Hot: the pruning cascade reads only this.
@@ -686,7 +583,7 @@ impl TableLayout for HotColdTable {
 }
 
 /// Raw per-row access to a layout's buffers, for the rank-wave parallel
-/// driver. Implemented by each concrete layout.
+/// driver. Implemented by [`AosTable`] and [`HotColdTable`].
 ///
 /// Worker threads must all access the shared table, but materializing a
 /// `&mut L` (or even `&L`) to the *whole* table while another thread
@@ -898,225 +795,6 @@ unsafe impl WaveTableLayout for AosTable {
 
     #[inline]
     unsafe fn raw_prefetch_cost(raw: AosRaw, s: RelSet) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: in-bounds pointer arithmetic per the `raw_prefetch_cost`
-        // contract; the address is only used as a prefetch hint.
-        unsafe { prefetch_read(std::ptr::addr_of!((*raw.rows.add(s.index())).cost)) }
-    }
-}
-
-/// Raw parts of a [`SoaTable`]: one base pointer per column.
-#[derive(Copy, Clone)]
-pub struct SoaRaw {
-    n: usize,
-    cards: *mut f64,
-    pi_fans: *mut f64,
-    costs: *mut f32,
-    best_lhss: *mut u32,
-    auxs: *mut f32,
-}
-
-// SAFETY: as for `AosRaw` — dereferenced only under the accessor
-// contract; all columns are plain `Copy` data.
-unsafe impl Send for SoaRaw {}
-
-// SAFETY: as for `AosTable` — pointer snapshots under `&mut self`,
-// per-element access only, no references formed.
-unsafe impl WaveTableLayout for SoaTable {
-    type Raw = SoaRaw;
-
-    fn raw_parts(&mut self) -> SoaRaw {
-        SoaRaw {
-            n: self.n,
-            cards: self.cards.as_mut_ptr(),
-            pi_fans: self.pi_fans.as_mut_ptr(),
-            costs: self.costs.as_mut_ptr(),
-            best_lhss: self.best_lhss.as_mut_ptr(),
-            auxs: self.auxs.as_mut_ptr(),
-        }
-    }
-
-    #[inline]
-    fn raw_rels(raw: SoaRaw) -> usize {
-        raw.n
-    }
-
-    #[inline]
-    unsafe fn raw_card(raw: SoaRaw, s: RelSet) -> f64 {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_card` caller contract.
-        unsafe { *raw.cards.add(s.index()) }
-    }
-
-    #[inline]
-    unsafe fn raw_set_card(raw: SoaRaw, s: RelSet, v: f64) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_card` caller contract.
-        unsafe { *raw.cards.add(s.index()) = v }
-    }
-
-    #[inline]
-    unsafe fn raw_cost(raw: SoaRaw, s: RelSet) -> f32 {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_cost` caller contract.
-        unsafe { *raw.costs.add(s.index()) }
-    }
-
-    #[inline]
-    unsafe fn raw_set_cost(raw: SoaRaw, s: RelSet, v: f32) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_cost` caller contract.
-        unsafe { *raw.costs.add(s.index()) = v }
-    }
-
-    #[inline]
-    unsafe fn raw_best_lhs(raw: SoaRaw, s: RelSet) -> RelSet {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_best_lhs` caller contract.
-        RelSet::from_bits(unsafe { *raw.best_lhss.add(s.index()) })
-    }
-
-    #[inline]
-    unsafe fn raw_set_best_lhs(raw: SoaRaw, s: RelSet, v: RelSet) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_best_lhs` caller contract.
-        unsafe { *raw.best_lhss.add(s.index()) = v.bits() }
-    }
-
-    #[inline]
-    unsafe fn raw_pi_fan(raw: SoaRaw, s: RelSet) -> f64 {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_pi_fan` caller contract.
-        unsafe { *raw.pi_fans.add(s.index()) }
-    }
-
-    #[inline]
-    unsafe fn raw_set_pi_fan(raw: SoaRaw, s: RelSet, v: f64) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_pi_fan` caller contract.
-        unsafe { *raw.pi_fans.add(s.index()) = v }
-    }
-
-    #[inline]
-    unsafe fn raw_aux(raw: SoaRaw, s: RelSet) -> f32 {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_aux` caller contract.
-        unsafe { *raw.auxs.add(s.index()) }
-    }
-
-    #[inline]
-    unsafe fn raw_set_aux(raw: SoaRaw, s: RelSet, v: f32) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_aux` caller contract.
-        unsafe { *raw.auxs.add(s.index()) = v }
-    }
-
-    #[inline]
-    unsafe fn raw_prefetch_cost(raw: SoaRaw, s: RelSet) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: in-bounds pointer arithmetic per the `raw_prefetch_cost`
-        // contract; the address is only used as a prefetch hint.
-        unsafe { prefetch_read(raw.costs.add(s.index())) }
-    }
-
-    #[inline]
-    fn raw_cost_base(raw: SoaRaw) -> Option<*const f32> {
-        // The dense cost column's base; the `raw_cost_base` implementor
-        // contract (extent, lifetime, wave discipline) is met because
-        // `raw.costs` is the same pointer `raw_cost` reads through.
-        Some(raw.costs as *const f32)
-    }
-}
-
-/// Raw parts of a [`CompactProductTable`]: the 16-byte-row base pointer.
-#[derive(Copy, Clone)]
-pub struct CompactRaw {
-    n: usize,
-    rows: *mut CompactRow,
-}
-
-// SAFETY: as for `AosRaw`.
-unsafe impl Send for CompactRaw {}
-
-// SAFETY: as for `AosTable`; the missing `Π_fan`/`aux` columns keep the
-// `TableLayout` impl's exact semantics (neutral reads, panic on
-// non-neutral writes).
-unsafe impl WaveTableLayout for CompactProductTable {
-    type Raw = CompactRaw;
-
-    fn raw_parts(&mut self) -> CompactRaw {
-        CompactRaw { n: self.n, rows: self.rows.as_mut_ptr() }
-    }
-
-    #[inline]
-    fn raw_rels(raw: CompactRaw) -> usize {
-        raw.n
-    }
-
-    #[inline]
-    unsafe fn raw_card(raw: CompactRaw, s: RelSet) -> f64 {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_card` caller contract.
-        unsafe { (*raw.rows.add(s.index())).card }
-    }
-
-    #[inline]
-    unsafe fn raw_set_card(raw: CompactRaw, s: RelSet, v: f64) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_card` caller contract.
-        unsafe { (*raw.rows.add(s.index())).card = v }
-    }
-
-    #[inline]
-    unsafe fn raw_cost(raw: CompactRaw, s: RelSet) -> f32 {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_cost` caller contract.
-        unsafe { (*raw.rows.add(s.index())).cost }
-    }
-
-    #[inline]
-    unsafe fn raw_set_cost(raw: CompactRaw, s: RelSet, v: f32) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_cost` caller contract.
-        unsafe { (*raw.rows.add(s.index())).cost = v }
-    }
-
-    #[inline]
-    unsafe fn raw_best_lhs(raw: CompactRaw, s: RelSet) -> RelSet {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_best_lhs` caller contract.
-        RelSet::from_bits(unsafe { (*raw.rows.add(s.index())).best_lhs })
-    }
-
-    #[inline]
-    unsafe fn raw_set_best_lhs(raw: CompactRaw, s: RelSet, v: RelSet) {
-        debug_assert!(s.index() < (1usize << raw.n));
-        // SAFETY: the `raw_set_best_lhs` caller contract.
-        unsafe { (*raw.rows.add(s.index())).best_lhs = v.bits() }
-    }
-
-    #[inline]
-    unsafe fn raw_pi_fan(_raw: CompactRaw, _s: RelSet) -> f64 {
-        1.0
-    }
-
-    #[inline]
-    unsafe fn raw_set_pi_fan(_raw: CompactRaw, _s: RelSet, v: f64) {
-        assert!(v == 1.0, "CompactProductTable has no Π_fan column (products only)");
-    }
-
-    #[inline]
-    unsafe fn raw_aux(_raw: CompactRaw, _s: RelSet) -> f32 {
-        0.0
-    }
-
-    #[inline]
-    unsafe fn raw_set_aux(_raw: CompactRaw, _s: RelSet, v: f32) {
-        assert!(v == 0.0, "CompactProductTable has no aux column");
-    }
-
-    #[inline]
-    unsafe fn raw_prefetch_cost(raw: CompactRaw, s: RelSet) {
         debug_assert!(s.index() < (1usize << raw.n));
         // SAFETY: in-bounds pointer arithmetic per the `raw_prefetch_cost`
         // contract; the address is only used as a prefetch hint.
@@ -1362,12 +1040,12 @@ pub struct SyncTableView<L: WaveTableLayout> {
 }
 
 impl<L: WaveTableLayout> SyncTableView<L> {
-    /// Tell the view which wave it is about to process, and (for the
-    /// chunked schedule) which colex rank range `[lo, hi)` of that wave
-    /// this worker owns. The wave drivers call this at the top of every
-    /// wave; in ordinary release builds it compiles to nothing, while
-    /// checked builds use it to validate every subsequent access against
-    /// the rank-wave discipline.
+    /// Tell the view which wave it is about to process, and which colex
+    /// rank range `[lo, hi)` of that wave this worker owns (`None` when a
+    /// single view fills the whole wave). The wave drivers call this at
+    /// the top of every wave; in ordinary release builds it compiles to
+    /// nothing, while checked builds use it to validate every subsequent
+    /// access against the rank-wave discipline.
     #[inline]
     pub fn begin_wave(&mut self, k: usize, chunk: Option<(u64, u64)>) {
         #[cfg(any(blitz_check, debug_assertions))]
@@ -1501,7 +1179,7 @@ impl<L: WaveTableLayout> TableLayout for SyncTableView<L> {
     #[inline]
     unsafe fn cost_base(&self) -> Option<*const f32> {
         // Under the shadow checker, decline the dense column on purpose:
-        // the batched kernels then read every cost through the
+        // the vector kernels then read every cost through the
         // guard-checked `cost()` accessor above, so the wave discipline
         // stays machine-enforced for the batched access pattern too.
         #[cfg(blitz_check)]
@@ -1543,11 +1221,6 @@ mod tests {
     #[test]
     fn aos_roundtrip() {
         roundtrip::<AosTable>();
-    }
-
-    #[test]
-    fn soa_roundtrip() {
-        roundtrip::<SoaTable>();
     }
 
     #[test]
@@ -1710,37 +1383,6 @@ mod tests {
         for bits in 1u32..64 {
             assert_eq!(t.cost(RelSet::from_bits(bits)), bits as f32);
         }
-    }
-
-    #[test]
-    fn soa_and_compact_views_forward() {
-        let mut t = SoaTable::with_rels(4);
-        {
-            let shared = SyncTable::from_mut(&mut t);
-            // SAFETY: single-threaded use trivially satisfies the wave
-            // discipline.
-            let mut view = unsafe { shared.view() };
-            let s = RelSet::from_bits(0b0110);
-            view.set_card(s, 12.0);
-            view.set_pi_fan(s, 0.25);
-            view.set_aux(s, 2.0);
-            assert_eq!(view.pi_fan(s), 0.25);
-        }
-        let s = RelSet::from_bits(0b0110);
-        assert_eq!(t.card(s), 12.0);
-        assert_eq!(t.aux(s), 2.0);
-
-        let mut c = CompactProductTable::with_rels(4);
-        {
-            let shared = SyncTable::from_mut(&mut c);
-            // SAFETY: single-threaded use.
-            let mut view = unsafe { shared.view() };
-            let s = RelSet::from_bits(0b0011);
-            view.set_cost(s, 5.0);
-            view.set_pi_fan(s, 1.0); // neutral write accepted
-            assert_eq!(view.pi_fan(s), 1.0);
-        }
-        assert_eq!(c.cost(RelSet::from_bits(0b0011)), 5.0);
     }
 
     /// The wave pattern proper: both threads *read* rows of an earlier,

@@ -24,7 +24,7 @@ use crate::spec::{JoinSpec, SpecError};
 use crate::split::{DriveOptions, NEVER_CANCELLED};
 use crate::stats::{NoStats, Stats};
 use crate::table::{
-    AosTable, HotColdTable, LayoutChoice, SoaTable, TableLayout, WaveTableLayout, MAX_TABLE_RELS,
+    AosTable, HotColdTable, LayoutChoice, TableLayout, WaveTableLayout, MAX_TABLE_RELS,
 };
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
@@ -354,12 +354,6 @@ pub fn optimize_join_threshold_with<M: CostModel + Sync>(
     let outcome = match options.layout {
         LayoutChoice::Aos => {
             optimize_join_threshold_into_with::<AosTable, M, NoStats, true>(
-                spec, model, schedule, options, &mut stats,
-            )
-            .1
-        }
-        LayoutChoice::Soa => {
-            optimize_join_threshold_into_with::<SoaTable, M, NoStats, true>(
                 spec, model, schedule, options, &mut stats,
             )
             .1

@@ -51,10 +51,9 @@ pub use tables::{AnyTable, PoolSlot, TablePool};
 use blitz_baselines::goo;
 use blitz_catalog::CanonicalQuery;
 use blitz_core::{
-    optimize_join_threshold_arena_cancellable, AosTable, CalibrationProfile, ConvSupport, CostModel,
-    Counters, DiskNestedLoops, DriveOptions, DriverChoice, HotColdTable, JoinSpec, Kappa0,
-    KernelChoice, LayoutChoice, Plan, SmDnl, SoaTable, SortMerge, ThresholdSchedule,
-    MAX_TABLE_RELS,
+    optimize_join_threshold_arena_cancellable, AosTable, ConvSupport, CostModel, Counters,
+    DiskNestedLoops, DriveOptions, DriverChoice, HotColdTable, JoinSpec, Kappa0, KernelChoice,
+    LayoutChoice, Plan, SmDnl, SortMerge, ThresholdSchedule, MAX_TABLE_RELS,
 };
 use blitz_ladder::{goo_big, optimize_ladder};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -124,16 +123,6 @@ impl ModelId {
             "smdnl" => Some(ModelId::SmDnl),
             _ => None,
         }
-    }
-
-    /// The [`CostModel::name`] of the model this id dispatches to — the
-    /// key under which a [`CalibrationProfile`] stores its per-model
-    /// `Auto` crossover. Distinct from the short wire id ([`name`]
-    /// says `sm`, the cost model says `kappa_sm`).
-    ///
-    /// [`name`]: ModelId::name
-    pub fn cost_model_name(&self) -> &'static str {
-        with_model!(self, |m| m.name())
     }
 
     /// The conv capability of the model this id dispatches to — the
@@ -309,8 +298,8 @@ impl DriverDisposition {
     /// Resolve against the options the optimization will run under.
     /// `options.driver` must already include any per-request override;
     /// the resolution mirrors the core's `RowEngine::resolve` (same
-    /// support, size, and crossover inputs), which `run_exact` asserts
-    /// in debug builds.
+    /// support and size inputs), which `run_exact` asserts in debug
+    /// builds.
     pub fn new(
         model: ModelId,
         overridden: bool,
@@ -322,7 +311,7 @@ impl DriverDisposition {
             model,
             requested: options.driver,
             overridden,
-            resolved: options.driver.resolve(support, n, options.conv_min_rels),
+            resolved: options.driver.resolve(support, n),
             support,
         }
     }
@@ -566,14 +555,14 @@ pub struct ServiceConfig {
     pub parallel_min_rels: usize,
     /// DP-table layout for the exact path. Defaults to
     /// [`LayoutChoice::HotCold`] — the cache-conscious hot/cold split —
-    /// which is bit-identical to the other layouts (the layout-
+    /// which is bit-identical to the AoS layout (the layout-
     /// equivalence suite enforces this), so it is purely a perf knob.
     pub layout: LayoutChoice,
     /// Split kernel for the exact path. Defaults to
     /// [`KernelChoice::Simd`], which resolves to the best kernel the
-    /// host supports (falling back to the portable batched kernel, and
-    /// always bit-identical to scalar — the kernel-equivalence suite
-    /// enforces this), so it too is purely a perf knob.
+    /// host supports (falling back to the scalar cascade, and always
+    /// bit-identical to it — the kernel-equivalence suite enforces
+    /// this), so it too is purely a perf knob.
     pub kernel: KernelChoice,
     /// DP driver for the exact path. Defaults to [`DriverChoice::Auto`],
     /// which picks the layered-convolution driver when the cost model
@@ -583,15 +572,6 @@ pub struct ServiceConfig {
     /// this), so this is purely a perf knob; requests can still override
     /// it per query via [`Request::driver`].
     pub driver: DriverChoice,
-    /// A measured host calibration profile (from `blitzsplit
-    /// calibrate`, loaded at startup via `serve --profile`). When set,
-    /// its measured kernel, scalar-wave floor, and per-model `Auto`
-    /// crossovers replace the compiled-constant defaults on the exact
-    /// path; [`layout`](ServiceConfig::layout) and
-    /// [`driver`](ServiceConfig::driver) stay config-driven, and
-    /// per-request [`Request::driver`] overrides still win. `None`
-    /// keeps the compiled constants.
-    pub profile: Option<CalibrationProfile>,
     /// Anytime-ladder settings for queries over
     /// [`max_exact_rels`](ServiceConfig::max_exact_rels). `None` (the
     /// default, preserving prior behavior) degrades such queries to the
@@ -653,7 +633,6 @@ impl Default for ServiceConfig {
             layout: LayoutChoice::HotCold,
             kernel: KernelChoice::Simd,
             driver: DriverChoice::Auto,
-            profile: None,
             ladder: None,
         }
     }
@@ -718,23 +697,17 @@ impl OptimizerService {
     /// serial (`parallelism == 1`) — and every query below
     /// `parallel_min_rels` — must stay serial even when the process-wide
     /// `BLITZ_TEST_THREADS` override (honored by
-    /// [`DriveOptions::default`]) is set. A loaded
-    /// [`profile`](ServiceConfig::profile) overlays its measured
-    /// kernel, wave floor, and the *model's own* `Auto` crossover last.
-    fn drive_options(&self, n: usize, model: ModelId) -> DriveOptions {
+    /// [`DriveOptions::default`]) is set.
+    fn drive_options(&self, n: usize) -> DriveOptions {
         let options = if n >= self.config.parallel_min_rels && self.config.parallelism != 1 {
             DriveOptions::parallel(self.config.parallelism)
         } else {
             DriveOptions::serial()
         };
-        let options = options
+        options
             .with_layout(self.config.layout)
             .with_kernel(self.config.kernel)
-            .with_driver(self.config.driver);
-        match &self.config.profile {
-            Some(profile) => profile.apply(options, model.cost_model_name()),
-            None => options,
-        }
+            .with_driver(self.config.driver)
     }
 
     /// The drive options an exact optimization of `req` runs under
@@ -744,7 +717,7 @@ impl OptimizerService {
     /// them from separate sites is how the two once could drift.
     fn exact_options(&self, req: &Request) -> (DriveOptions, DriverDisposition) {
         let n = req.spec.n();
-        let mut options = self.drive_options(n, req.model);
+        let mut options = self.drive_options(n);
         if let Some(d) = req.driver {
             options = options.with_driver(d);
         }
@@ -1316,7 +1289,6 @@ impl ExactJob<'_> {
     fn run(&self, model: ModelId) -> Option<ExactRun> {
         with_model!(model, |m| match self.options.layout {
             LayoutChoice::Aos => self.go::<AosTable, _>(m),
-            LayoutChoice::Soa => self.go::<SoaTable, _>(m),
             LayoutChoice::HotCold => self.go::<HotColdTable, _>(m),
         })
     }
@@ -1328,7 +1300,7 @@ impl ExactJob<'_> {
         // hand — assert it matches what the core itself will resolve
         // from the same inputs before trusting it for metrics.
         debug_assert_eq!(
-            options.driver.resolve(model.conv_support(), spec.n(), options.conv_min_rels)
+            options.driver.resolve(model.conv_support(), spec.n())
                 == DriverChoice::Conv,
             self.driver.is_conv(),
             "service disposition disagrees with core driver resolution"
@@ -1392,10 +1364,6 @@ mod tests {
             DiskNestedLoops::default().conv_support()
         );
         assert_eq!(ModelId::SmDnl.conv_support(), SmDnl::default().conv_support());
-        assert_eq!(ModelId::Kappa0.cost_model_name(), "kappa0");
-        assert_eq!(ModelId::SortMerge.cost_model_name(), "kappa_sm");
-        assert_eq!(ModelId::DiskNestedLoops.cost_model_name(), "kappa_dnl");
-        assert_eq!(ModelId::SmDnl.cost_model_name(), "min(kappa_sm,kappa_dnl)");
     }
 
     /// One disposition value yields both the cache tag and the wire
@@ -1438,49 +1406,6 @@ mod tests {
         assert_eq!(split.exact_driver(), ExactDriver::Split);
         assert_eq!(split.exact_driver().detail(), "exact");
         assert_eq!(split.fingerprint_tag(), "sm+driver=split");
-    }
-
-    /// A loaded calibration profile rewires the exact path's measured
-    /// knobs per model: the profiled crossover decides whether `Auto`
-    /// picks conv for that model, without touching other models.
-    #[test]
-    fn service_profile_overrides_auto_crossover_per_model() {
-        let profile = CalibrationProfile {
-            kernel: None,
-            scalar_wave_floor: Some(2),
-            conv_min_rels: Some(4),
-            per_model: vec![("kappa_sm".to_string(), 30)],
-        };
-        let service = OptimizerService::new(ServiceConfig {
-            workers: 1,
-            profile: Some(profile),
-            ..Default::default()
-        });
-        // kappa_sm's measured crossover (30) keeps Auto on split at
-        // n=8; the profile default (4) pushes every other model to
-        // conv at the same size.
-        let sm = service.drive_options(8, ModelId::SortMerge);
-        assert_eq!(sm.conv_min_rels, 30);
-        assert_eq!(sm.scalar_wave_floor, 2);
-        assert_eq!(
-            DriverDisposition::new(ModelId::SortMerge, false, &sm, 8).exact_driver(),
-            ExactDriver::Split
-        );
-        let k0 = service.drive_options(8, ModelId::Kappa0);
-        assert_eq!(k0.conv_min_rels, 4);
-        assert_eq!(
-            DriverDisposition::new(ModelId::Kappa0, false, &k0, 8).exact_driver(),
-            ExactDriver::Conv
-        );
-        // End to end: the sm request must actually answer exactly (and
-        // report split provenance) under the profiled crossover.
-        let cards: Vec<f64> = (0..8).map(|i| 10.0 + i as f64).collect();
-        let edges: Vec<(usize, usize, f64)> = (0..7).map(|i| (i, i + 1, 0.01)).collect();
-        let spec = JoinSpec::new(&cards, &edges).unwrap();
-        let resp = service
-            .optimize(&Request { model: ModelId::SortMerge, ..Request::new(spec) });
-        assert_eq!(resp.source, PlanSource::Exact);
-        assert_eq!(resp.driver, Some(ExactDriver::Split));
     }
 
     /// With the canonical-orientation reduction every shipped model
@@ -1561,7 +1486,7 @@ mod tests {
             parallelism: 2,
             ..Default::default()
         });
-        assert!(service.drive_options(n, ModelId::Kappa0).effective_parallelism() >= 2);
+        assert!(service.drive_options(n).effective_parallelism() >= 2);
         let resp = service.optimize(&Request::new(spec.clone()));
         assert_eq!(resp.source, PlanSource::Exact);
         assert_eq!(resp.driver, Some(ExactDriver::Conv), "Auto must pick conv at n=16 on κ₀");

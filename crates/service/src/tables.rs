@@ -19,7 +19,7 @@
 //! *concurrency* of each query shape rather than its history.
 
 use crate::sync::lock;
-use blitz_core::{AosTable, HotColdTable, LayoutChoice, PlanArena, SoaTable, WaveTableLayout};
+use blitz_core::{AosTable, HotColdTable, LayoutChoice, PlanArena, WaveTableLayout};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
@@ -40,8 +40,6 @@ const SHARD_COUNT: usize = 8;
 pub enum AnyTable {
     /// An array-of-structs table.
     Aos(AosTable),
-    /// A struct-of-arrays table.
-    Soa(SoaTable),
     /// A hot/cold split table.
     HotCold(HotColdTable),
 }
@@ -68,19 +66,6 @@ impl PoolSlot for AosTable {
     fn reclaim(table: AnyTable) -> Option<AosTable> {
         match table {
             AnyTable::Aos(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
-impl PoolSlot for SoaTable {
-    const LAYOUT: LayoutChoice = LayoutChoice::Soa;
-    fn wrap(self) -> AnyTable {
-        AnyTable::Soa(self)
-    }
-    fn reclaim(table: AnyTable) -> Option<SoaTable> {
-        match table {
-            AnyTable::Soa(t) => Some(t),
             _ => None,
         }
     }

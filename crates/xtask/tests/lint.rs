@@ -233,31 +233,6 @@ fn float_fixture_is_rejected_and_deterministic_twin_accepted() {
     assert!(elsewhere.is_empty(), "float rule fired outside its crates/core+ladder scope");
 }
 
-/// The calibration subsystem sits inside the guarded perimeter: a
-/// narrowing cast or a hash-iteration float accumulation in
-/// `crates/core/src/calibrate.rs` is a finding, exactly as in the DP
-/// hot path. The measured profile feeds `DriveOptions::default`, so a
-/// truncated or nondeterministic calibration would silently skew every
-/// optimization on the host — it gets no laxer rules than the code it
-/// tunes.
-#[test]
-fn calibrate_module_is_inside_both_lint_scopes() {
-    let cast = "fn f(y: u64) -> u32 { y as u32 }\n";
-    let findings = xtask::lint_source("crates/core/src/calibrate.rs", cast);
-    assert_eq!(
-        findings.iter().map(|f| f.rule).collect::<Vec<_>>(),
-        ["numeric-truncation"],
-        "numeric-truncation must cover calibrate.rs"
-    );
-
-    let floaty = analyze_fixture("crates/core/src/calibrate.rs", "float_hash.rs");
-    assert_eq!(
-        floaty.iter().map(|f| f.rule).collect::<Vec<_>>(),
-        vec!["float-determinism"; 3],
-        "float-determinism must cover calibrate.rs"
-    );
-}
-
 /// The semantic pass over the real workspace is clean and its summary
 /// is sane: the call graph really got built.
 #[test]

@@ -3,17 +3,16 @@
 //! ```text
 //! blitzsplit optimize --cards 10,20,30,40 --pred 0:1:0.1 --pred 0:2:0.2 \
 //!                     [--model k0|sm|dnl|smdnl] [--threshold 1e9] [--threads N] \
-//!                     [--layout aos|soa|hotcold] [--kernel scalar|batched|simd] \
+//!                     [--layout aos|hotcold] [--kernel scalar|simd] \
 //!                     [--driver split|conv|auto] [--dot]
 //! blitzsplit optimize --ladder --cards ... [--pred i:j:sel]... [--budget-ms N] \
 //!                     [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S]
 //! blitzsplit sql "SELECT * FROM sales s, customer c WHERE s.custkey = c.custkey"
 //! blitzsplit workload --topology chain|cycle3|star|clique --n 15 --mu 100 --var 0.5 [--time]
-//! blitzsplit calibrate [--out blitz-profile.txt] [--max-rels N] [--reps R]
 //! blitzsplit serve  [--addr 127.0.0.1:7878] [--max-conns N] \
 //!                   [--workers N] [--cache N] [--max-rels N] [--threads N] \
-//!                   [--layout aos|soa|hotcold] [--kernel scalar|batched|simd] \
-//!                   [--driver split|conv|auto] [--profile PATH] \
+//!                   [--layout aos|hotcold] [--kernel scalar|simd] \
+//!                   [--driver split|conv|auto] \
 //!                   [--ladder] [--budget-ms N] [--refine-steps N] [--dp-window K] \
 //!                   [--dp-rounds R] [--seed S]
 //! blitzsplit client --addr HOST:PORT --cards 10,20,30 [--pred i:j:sel]... [--model ...] \
@@ -30,17 +29,10 @@
 //! concurrent optimizer service (plan cache, worker pool, admission
 //! control, metrics — with `--ladder`, over-limit queries are served by
 //! the ladder instead of degrading to greedy) on a TCP line protocol
-//! through one readiness loop, and `client` talks to it. `calibrate` runs a
-//! short measured profile of this host (fastest kernel, scalar-wave
-//! floor, per-model conv crossovers) and writes it to a text file that
-//! `serve --profile` (or the `BLITZ_PROFILE` env var, for the library
-//! defaults) consumes, replacing the compiled-constant tuning knobs
-//! with measured ones.
+//! through one readiness loop, and `client` talks to it.
 
 use blitzsplit::catalog::{demo_retail_catalog, parse_query, Topology, Workload};
-use blitzsplit::core::{
-    calibrate, CalibrateOptions, CalibrationProfile, CostModel, MAX_RELS, PROFILE_ENV,
-};
+use blitzsplit::core::{CostModel, MAX_RELS};
 use blitzsplit::ladder::{optimize_ladder, BigSpec, LadderConfig};
 use blitzsplit::service::server::{format_optimize_request_with_driver, response_field};
 use blitzsplit::service::{
@@ -60,7 +52,7 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("usage:");
     eprintln!("  blitzsplit optimize --cards C1,C2,... [--pred i:j:sel]... \\");
     eprintln!("             [--model k0|sm|dnl|smdnl] [--threshold T] [--threads N] \\");
-    eprintln!("             [--layout aos|soa|hotcold] [--kernel scalar|batched|simd] \\");
+    eprintln!("             [--layout aos|hotcold] [--kernel scalar|simd] \\");
     eprintln!("             [--driver split|conv|auto] [--dot]");
     eprintln!("  blitzsplit optimize --ladder --cards C1,C2,... [--pred i:j:sel]... \\");
     eprintln!("             [--model ...] [--budget-ms N] [--refine-steps N] \\");
@@ -68,12 +60,11 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("  blitzsplit sql \"SELECT ...\" [--model ...] [--dot]");
     eprintln!("  blitzsplit workload --topology chain|cycle3|star|clique \\");
     eprintln!("             --n N [--mu M] [--var V] [--model ...] [--threads N] [--time]");
-    eprintln!("  blitzsplit calibrate [--out blitz-profile.txt] [--max-rels N] [--reps R]");
     eprintln!("  blitzsplit serve [--addr 127.0.0.1:7878] [--max-conns N] \\");
     eprintln!("             [--workers N] [--cache N] \\");
-    eprintln!("             [--max-rels N] [--threads N] [--layout aos|soa|hotcold] \\");
-    eprintln!("             [--kernel scalar|batched|simd] [--driver split|conv|auto] \\");
-    eprintln!("             [--profile PATH] [--ladder] [--budget-ms N] \\");
+    eprintln!("             [--max-rels N] [--threads N] [--layout aos|hotcold] \\");
+    eprintln!("             [--kernel scalar|simd] [--driver split|conv|auto] \\");
+    eprintln!("             [--ladder] [--budget-ms N] \\");
     eprintln!("             [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S]");
     eprintln!("  blitzsplit client --addr HOST:PORT (--metrics | --cards C1,C2,... \\");
     eprintln!("             [--pred i:j:sel]... [--model ...] [--deadline-ms N] \\");
@@ -322,7 +313,7 @@ fn main() -> ExitCode {
     let layout = match args.get("layout").map(LayoutChoice::parse) {
         None => None,
         Some(Some(l)) => Some(l),
-        Some(None) => return fail("--layout must be one of aos|soa|hotcold"),
+        Some(None) => return fail("--layout must be one of aos|hotcold"),
     };
     let drive_options = match layout {
         Some(l) => drive_options.with_layout(l),
@@ -331,7 +322,7 @@ fn main() -> ExitCode {
     let kernel = match args.get("kernel").map(KernelChoice::parse) {
         None => None,
         Some(Some(k)) => Some(k),
-        Some(None) => return fail("--kernel must be one of scalar|batched|simd"),
+        Some(None) => return fail("--kernel must be one of scalar|simd"),
     };
     let drive_options = match kernel {
         Some(k) => drive_options.with_kernel(k),
@@ -422,38 +413,6 @@ fn main() -> ExitCode {
             }
             with_model(&model, &spec, threshold, drive_options, dot).unwrap_or_else(|e| fail(&e))
         }
-        "calibrate" => {
-            let mut opts = CalibrateOptions::default();
-            if let Some(m) = args.get("max-rels") {
-                match m.parse::<usize>() {
-                    Ok(m) if m >= 4 => opts.max_rels = m,
-                    _ => return fail("--max-rels must be an integer ≥ 4"),
-                }
-            }
-            if let Some(r) = args.get("reps") {
-                match r.parse::<usize>() {
-                    Ok(r) if r >= 1 => opts.reps = r,
-                    _ => return fail("--reps must be a positive integer"),
-                }
-            }
-            let out = args.get("out").unwrap_or("blitz-profile.txt").to_string();
-            eprintln!(
-                "calibrating (timing synthetic cliques up to n={}, {} rep{})...",
-                opts.max_rels.clamp(8, 18),
-                opts.reps,
-                if opts.reps == 1 { "" } else { "s" }
-            );
-            let profile = calibrate(&opts);
-            print!("{}", profile.render());
-            if let Err(e) = profile.save(std::path::Path::new(&out)) {
-                return fail(&e);
-            }
-            eprintln!();
-            eprintln!("wrote {out}");
-            eprintln!("use it with `blitzsplit serve --profile {out}`");
-            eprintln!("or export {PROFILE_ENV}={out} for the library defaults");
-            ExitCode::SUCCESS
-        }
         "serve" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
             let mut config = ServiceConfig::default();
@@ -489,12 +448,6 @@ fn main() -> ExitCode {
             }
             if let Some(d) = driver {
                 config.driver = d;
-            }
-            if let Some(p) = args.get("profile") {
-                match CalibrationProfile::load(std::path::Path::new(p)) {
-                    Ok(profile) => config.profile = Some(profile),
-                    Err(e) => return fail(&format!("--profile: {e}")),
-                }
             }
             if args.has("ladder") {
                 let lc = match parse_ladder_flags(&args) {

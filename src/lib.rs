@@ -58,5 +58,5 @@ pub use blitz_core::{
     optimize_join, optimize_join_threshold, optimize_join_threshold_with, optimize_join_with,
     optimize_products, optimize_products_with, CostModel, DiskNestedLoops, DriveOptions,
     DriverChoice, JoinSpec, Kappa0, KernelChoice, LayoutChoice, Optimized, Plan, RelSet, SmDnl,
-    SortMerge, ThresholdSchedule, WaveSchedule,
+    SortMerge, ThresholdSchedule,
 };

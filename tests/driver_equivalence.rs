@@ -4,9 +4,9 @@
 //! The contract, layered by strength:
 //!
 //! * **Cost and cardinality columns are bit-identical** between the
-//!   split and conv drivers on every subset, under every layout, serial
-//!   and rank-wave parallel, through every threshold schedule — for
-//!   *every shipped model*. κ₀ is `Native` (κ″ ≡ 0, the candidate cost
+//!   split and conv drivers on every subset, under every layout and
+//!   kernel, serial and rank-wave parallel, through every threshold
+//!   schedule — for *every shipped model*. κ₀ is `Native` (κ″ ≡ 0, the candidate cost
 //!   is a commutative `f32` addition); the three κ″ models are
 //!   `Canonical`: both drivers evaluate κ″ on the lowest-relation-first
 //!   operand orientation, so the halved enumeration sees the exact same
@@ -16,7 +16,8 @@
 //!   legitimately keep the complement or a different cost-equal split.
 //!   What it must still be: a *deterministic* choice (same spec, same
 //!   driver → same table, run after run, thread count after thread
-//!   count) whose extracted plan re-costs to the optimal cost bits.
+//!   count, kernel after kernel) whose extracted plan re-costs to the
+//!   optimal cost bits.
 //! * **Conv requests on `Fallback` models run split** and are then
 //!   bit-identical to an explicit split request in *every* column. No
 //!   shipped model falls back any more, so the guard is pinned with a
@@ -31,11 +32,11 @@ use blitzsplit::baselines::best_bushy;
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
     optimize_join_threshold_into_with, AosTable, ConvSupport, Counters, HotColdTable, RelSet,
-    SoaTable, TableLayout, WaveTableLayout,
+    TableLayout, WaveTableLayout,
 };
 use blitzsplit::{
     optimize_join_with, CostModel, DiskNestedLoops, DriveOptions, DriverChoice, JoinSpec, Kappa0,
-    Plan, SmDnl, SortMerge, ThresholdSchedule,
+    KernelChoice, Plan, SmDnl, SortMerge, ThresholdSchedule,
 };
 use proptest::prelude::*;
 
@@ -91,7 +92,8 @@ fn snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
 /// The conv driver against the split reference under one model:
 /// cost/card columns, pass count and final cap bit-equal everywhere;
 /// plans cost-equal and each optimal under a direct re-cost; conv's
-/// table deterministic across executions, layouts, and thread counts.
+/// table deterministic across executions, layouts, kernels and thread
+/// counts. The `hotcold+simd` rows are the service's production path.
 fn check_drivers<M: CostModel + Sync>(spec: &JoinSpec, model: &M, schedule: ThresholdSchedule) {
     let split = snapshot::<AosTable, M>(
         spec,
@@ -104,10 +106,11 @@ fn check_drivers<M: CostModel + Sync>(spec: &JoinSpec, model: &M, schedule: Thre
         [("serial", DriveOptions::serial()), ("threads=4", DriveOptions::parallel(4))]
     {
         let options = base.with_driver(DriverChoice::Conv);
+        let simd = options.with_kernel(KernelChoice::Simd);
         let variants = [
             ("aos", snapshot::<AosTable, M>(spec, model, schedule, options)),
-            ("soa", snapshot::<SoaTable, M>(spec, model, schedule, options)),
             ("hotcold", snapshot::<HotColdTable, M>(spec, model, schedule, options)),
+            ("hotcold+simd", snapshot::<HotColdTable, M>(spec, model, schedule, simd)),
         ];
         for (name, conv) in variants {
             let ctx = format!("{} conv {label} {name} n={}", model.name(), spec.n());
@@ -305,32 +308,12 @@ fn conv_fallback_is_bit_identical_to_split() {
 /// Uniform cardinalities make every split of every subset tie on cost.
 /// Split keeps the first split its subset-successor walk visits; conv
 /// keeps the first candidate of its anchored half-enumeration. Both
-/// policies must be *stable* — and the scalar/batched kernel boundary
-/// (exercised by sweeping the scalar wave floor) must not change what
-/// conv picks.
+/// policies must be *stable* — and [`check_drivers`]' SIMD rows pin that
+/// the vector kernel does not change what conv picks.
 #[test]
 fn tie_break_policy_is_stable_per_driver() {
     let spec = JoinSpec::cartesian(&[10.0; 9]).unwrap();
     check_drivers(&spec, &Kappa0, ThresholdSchedule::default());
-    let reference = snapshot::<AosTable, Kappa0>(
-        &spec,
-        &Kappa0,
-        ThresholdSchedule::default(),
-        DriveOptions::serial().with_driver(DriverChoice::Conv),
-    );
-    for floor in [0u8, 4, 6, 255] {
-        let got = snapshot::<AosTable, Kappa0>(
-            &spec,
-            &Kappa0,
-            ThresholdSchedule::default(),
-            DriveOptions::serial().with_driver(DriverChoice::Conv).with_scalar_wave_floor(floor),
-        );
-        assert_eq!(
-            got.full_rows, reference.full_rows,
-            "scalar_wave_floor={floor}: conv tie-breaks must not depend on the kernel"
-        );
-        assert_eq!(got.plan.canonical(), reference.plan.canonical());
-    }
 }
 
 /// The canonical-orientation analogue of the tie spec: on a uniform
@@ -338,7 +321,7 @@ fn tie_break_policy_is_stable_per_driver() {
 /// partition cost the same, so the κ″ orientation normalization decides
 /// nothing on values — it must also not perturb tie-breaks or columns.
 /// Every Canonical model goes through the full driver contract on it,
-/// and the kernel boundary sweep must leave conv's choices alone.
+/// SIMD rows included.
 #[test]
 fn cross_orientation_ties_are_stable_on_canonical_models() {
     let spec = JoinSpec::cartesian(&[10.0; 9]).unwrap();
@@ -346,25 +329,6 @@ fn cross_orientation_ties_are_stable_on_canonical_models() {
     check_drivers(&spec, &SortMerge, schedule);
     check_drivers(&spec, &DiskNestedLoops::default(), schedule);
     check_drivers(&spec, &SmDnl::default(), schedule);
-    let reference = snapshot::<AosTable, SortMerge>(
-        &spec,
-        &SortMerge,
-        schedule,
-        DriveOptions::serial().with_driver(DriverChoice::Conv),
-    );
-    for floor in [0u8, 4, 6, 255] {
-        let got = snapshot::<AosTable, SortMerge>(
-            &spec,
-            &SortMerge,
-            schedule,
-            DriveOptions::serial().with_driver(DriverChoice::Conv).with_scalar_wave_floor(floor),
-        );
-        assert_eq!(
-            got.full_rows, reference.full_rows,
-            "scalar_wave_floor={floor}: canonical-κ″ tie-breaks must not depend on the kernel"
-        );
-        assert_eq!(got.plan.canonical(), reference.plan.canonical());
-    }
 }
 
 /// Costs that overflow the early caps (some overflow `f32` outright):

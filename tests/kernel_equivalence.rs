@@ -1,15 +1,19 @@
 //! Kernel equivalence: the split kernel is a pure execution-strategy
 //! choice.
 //!
-//! The optimizer's contract is that the scalar reference kernel, the
-//! portable batched kernel, and the SIMD kernel (whatever `Simd`
-//! resolves to on this host — AVX2, NEON, or the batched fallback) are
-//! interchangeable down to the last bit: every row's cost bits,
+//! The optimizer's contract is that the scalar reference kernel and the
+//! SIMD kernel (whatever `Simd` resolves to on this host — AVX-512,
+//! AVX2, NEON, or the scalar fallback) are interchangeable down to the
+//! last bit: every row's cost bits,
 //! cardinality bits and `best_lhs`, the §3.3 instrumentation counters,
 //! the threshold pass count, and the extracted canonical plan are
 //! identical across kernels, drivers (serial and rank-wave parallel),
 //! and table layouts. Anything less and a "perf knob" would silently
 //! change query plans.
+//!
+//! On `AosTable`, which has no dense cost column, the SIMD kernel judges
+//! every batch through the portable per-lane path; on `HotColdTable` it
+//! gathers from the hot array. Both rows run in every check.
 //!
 //! Random catalogs drive the bulk of the coverage; tie-heavy
 //! (uniform-cost Cartesian) and overflow-cap specs pin the two edge
@@ -18,8 +22,8 @@
 
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
-    optimize_join_threshold_into_with, AosTable, Counters, HotColdTable, RelSet, SoaTable,
-    TableLayout, WaveTableLayout,
+    optimize_join_threshold_into_with, AosTable, Counters, HotColdTable, RelSet, TableLayout,
+    WaveTableLayout,
 };
 use blitzsplit::{DriveOptions, JoinSpec, Kappa0, KernelChoice, ThresholdSchedule};
 use proptest::prelude::*;
@@ -75,7 +79,6 @@ fn check_kernels(spec: &JoinSpec, schedule: ThresholdSchedule) {
             let options = base.with_kernel(kernel);
             let variants = [
                 ("aos", snapshot::<AosTable>(spec, schedule, options)),
-                ("soa", snapshot::<SoaTable>(spec, schedule, options)),
                 ("hotcold", snapshot::<HotColdTable>(spec, schedule, options)),
             ];
             for (name, got) in variants {

@@ -1,27 +1,26 @@
 //! Layout equivalence: the DP-table layout is a pure memory-layout choice.
 //!
-//! The optimizer's contract is that `AosTable`, `SoaTable`,
-//! `HotColdTable` — and, for Cartesian-product-only problems,
-//! `CompactProductTable` — are interchangeable down to the last bit:
-//! every row's cost bits, cardinality bits and `best_lhs`, the extracted
-//! plan, and even the §3.3 instrumentation counters are identical across
-//! layouts, drivers (serial and rank-wave parallel at any worker count),
-//! and wave schedules (chunked and round-robin). Anything less and a
-//! "perf knob" would silently change query plans.
+//! The optimizer's contract is that `AosTable` and `HotColdTable` — and,
+//! for Cartesian-product-only problems, the serial `CompactProductTable`
+//! — are interchangeable down to the last bit: every row's cost bits,
+//! cardinality bits and `best_lhs`, the extracted plan, and even the
+//! §3.3 instrumentation counters are identical across layouts and
+//! drivers (serial and rank-wave parallel at any worker count). Anything
+//! less and a "perf knob" would silently change query plans.
 //!
 //! These tests pin that contract across the four paper topologies ×
-//! three cost models × {serial, 2, 5 threads} × both schedules, and
-//! through a multi-pass threshold schedule.
+//! three cost models × {serial, 2, 5 threads}, and through a multi-pass
+//! threshold schedule.
 
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
-    optimize_join_into_with, optimize_join_threshold_into_with, optimize_products_into_with,
-    AosTable, CompactProductTable, Counters, HotColdTable, RelSet, SoaTable, TableLayout,
-    WaveTableLayout,
+    optimize_join_into_with, optimize_join_threshold_into_with, optimize_products_into,
+    optimize_products_into_with, AosTable, CompactProductTable, Counters, HotColdTable, RelSet,
+    TableLayout, WaveTableLayout,
 };
 use blitzsplit::{
     CostModel, DiskNestedLoops, DriveOptions, JoinSpec, Kappa0, SmDnl, SortMerge,
-    ThresholdSchedule, WaveSchedule,
+    ThresholdSchedule,
 };
 
 const TOPOLOGIES: [Topology; 4] =
@@ -31,12 +30,7 @@ const TOPOLOGIES: [Topology; 4] =
 fn drive_variants() -> Vec<(String, DriveOptions)> {
     let mut v = vec![("serial".to_string(), DriveOptions::serial())];
     for threads in [2usize, 5] {
-        for schedule in [WaveSchedule::Chunked, WaveSchedule::RoundRobin] {
-            v.push((
-                format!("threads={threads}/{}", schedule.name()),
-                DriveOptions::parallel(threads).with_schedule(schedule),
-            ));
-        }
+        v.push((format!("threads={threads}"), DriveOptions::parallel(threads)));
     }
     v
 }
@@ -93,7 +87,6 @@ fn check_join_layouts<M: CostModel + Sync>(spec: &JoinSpec, model: &M) {
     for (label, options) in drive_variants() {
         let variants = [
             ("aos", join_snapshot::<AosTable, M>(spec, model, options)),
-            ("soa", join_snapshot::<SoaTable, M>(spec, model, options)),
             ("hotcold", join_snapshot::<HotColdTable, M>(spec, model, options)),
         ];
         for (name, (got_rows, got_counters)) in variants {
@@ -154,16 +147,31 @@ fn product_snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
     (product_rows(cards.len(), &table), counters)
 }
 
+/// The paper's 16-byte rows through the serial generic entry point —
+/// the only one [`CompactProductTable`] supports.
+fn compact_snapshot<M: CostModel>(cards: &[f64], model: &M) -> (Vec<(u32, u64, RelSet)>, Counters) {
+    let mut counters = Counters::default();
+    let table: CompactProductTable =
+        optimize_products_into::<_, M, Counters, true>(cards, model, f32::INFINITY, &mut counters);
+    (product_rows(cards.len(), &table), counters)
+}
+
 fn check_product_layouts<M: CostModel + Sync>(cards: &[f64], model: &M) {
     assert!(!M::HAS_AUX, "CompactProductTable is only valid without aux state");
     let (reference, reference_counters) =
         product_snapshot::<AosTable, M>(cards, model, DriveOptions::serial());
+    let compact = compact_snapshot(cards, model);
+    assert_eq!(compact.0, reference, "{} products compact: rows diverged from aos", model.name());
+    assert_eq!(
+        compact.1,
+        reference_counters,
+        "{} products compact: counters diverged from aos",
+        model.name()
+    );
     for (label, options) in drive_variants() {
         let variants = [
             ("aos", product_snapshot::<AosTable, M>(cards, model, options)),
-            ("soa", product_snapshot::<SoaTable, M>(cards, model, options)),
             ("hotcold", product_snapshot::<HotColdTable, M>(cards, model, options)),
-            ("compact", product_snapshot::<CompactProductTable, M>(cards, model, options)),
         ];
         for (name, (got_rows, got_counters)) in variants {
             assert_eq!(
@@ -220,7 +228,6 @@ fn threshold_schedule_is_layout_and_schedule_invariant() {
     for (label, options) in drive_variants() {
         let variants = [
             ("aos", threshold_snapshot::<AosTable>(&spec, schedule, options)),
-            ("soa", threshold_snapshot::<SoaTable>(&spec, schedule, options)),
             ("hotcold", threshold_snapshot::<HotColdTable>(&spec, schedule, options)),
         ];
         for (name, got) in variants {
