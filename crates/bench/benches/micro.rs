@@ -9,8 +9,8 @@ use blitz_baselines::{optimize_dpsize, optimize_dpsub, optimize_left_deep};
 use blitz_baselines::{Connectivity, CrossProducts, ProductPolicy};
 use blitz_catalog::{Topology, Workload};
 use blitz_core::{
-    optimize_join_into, optimize_join_threshold_into, optimize_products_into, AosTable,
-    DiskNestedLoops, Kappa0, NoStats, RelSet, TableLayout, ThresholdSchedule,
+    optimize_join_into, optimize_join_threshold_with, optimize_products_into, AosTable,
+    DiskNestedLoops, DriveOptions, Kappa0, NoStats, RelSet, TableLayout, ThresholdSchedule,
 };
 
 fn bench_subset_enumeration(c: &mut Criterion) {
@@ -42,6 +42,7 @@ fn bench_cartesian(c: &mut Criterion) {
                     cards,
                     &Kappa0,
                     f32::INFINITY,
+                    DriveOptions::serial(),
                     &mut stats,
                 );
                 black_box(t.cost(RelSet::full(cards.len())))
@@ -59,8 +60,13 @@ fn bench_join_topologies(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("kappa0", topo.name()), &spec, |b, spec| {
             b.iter(|| {
                 let mut stats = NoStats;
-                let t: AosTable =
-                    optimize_join_into::<_, _, _, true>(spec, &Kappa0, f32::INFINITY, &mut stats);
+                let t: AosTable = optimize_join_into::<_, _, _, true>(
+                    spec,
+                    &Kappa0,
+                    f32::INFINITY,
+                    DriveOptions::serial(),
+                    &mut stats,
+                );
                 black_box(t.cost(spec.all_rels()))
             })
         });
@@ -71,6 +77,7 @@ fn bench_join_topologies(c: &mut Criterion) {
                     spec,
                     &DiskNestedLoops::default(),
                     f32::INFINITY,
+                    DriveOptions::serial(),
                     &mut stats,
                 );
                 black_box(t.cost(spec.all_rels()))
@@ -87,20 +94,21 @@ fn bench_threshold(c: &mut Criterion) {
     g.bench_function("unthresholded", |b| {
         b.iter(|| {
             let mut stats = NoStats;
-            let t: AosTable =
-                optimize_join_into::<_, _, _, true>(&spec, &Kappa0, f32::INFINITY, &mut stats);
+            let t: AosTable = optimize_join_into::<_, _, _, true>(
+                &spec,
+                &Kappa0,
+                f32::INFINITY,
+                DriveOptions::serial(),
+                &mut stats,
+            );
             black_box(t.cost(spec.all_rels()))
         })
     });
     g.bench_function("threshold_1e9", |b| {
         b.iter(|| {
-            let mut stats = NoStats;
-            let (_, out) = optimize_join_threshold_into::<AosTable, _, _, true>(
-                &spec,
-                &Kappa0,
-                ThresholdSchedule::new(1e9, 1e5, 6),
-                &mut stats,
-            );
+            let schedule = ThresholdSchedule::new(1e9, 1e5, 6);
+            let out = optimize_join_threshold_with(&spec, &Kappa0, schedule, DriveOptions::serial())
+                .unwrap();
             black_box(out.optimized.cost)
         })
     });
@@ -114,8 +122,13 @@ fn bench_enumerator_shootout(c: &mut Criterion) {
     g.bench_function("blitzsplit", |b| {
         b.iter(|| {
             let mut stats = NoStats;
-            let t: AosTable =
-                optimize_join_into::<_, _, _, true>(&spec, &Kappa0, f32::INFINITY, &mut stats);
+            let t: AosTable = optimize_join_into::<_, _, _, true>(
+                &spec,
+                &Kappa0,
+                f32::INFINITY,
+                DriveOptions::serial(),
+                &mut stats,
+            );
             black_box(t.cost(spec.all_rels()))
         })
     });

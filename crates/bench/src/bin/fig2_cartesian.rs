@@ -14,7 +14,7 @@
 use blitz_bench::render::fmt_secs;
 use blitz_bench::timing::env_usize;
 use blitz_bench::{fit_formula3, time_avg, Table, TimingConfig};
-use blitz_core::{optimize_products_into, AosTable, Kappa0, NoStats, TableLayout};
+use blitz_core::{optimize_products_into, AosTable, DriveOptions, Kappa0, NoStats, TableLayout};
 
 fn main() {
     let min_n = env_usize("BLITZ_MIN_N", 4);
@@ -35,6 +35,7 @@ fn main() {
                     &cards,
                     &Kappa0,
                     f32::INFINITY,
+                    DriveOptions::serial(),
                     &mut stats,
                 );
                 std::hint::black_box(t.rels());

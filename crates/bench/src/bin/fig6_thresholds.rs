@@ -24,7 +24,8 @@ use blitz_bench::timing::env_usize;
 use blitz_bench::{Table, TimingConfig};
 use blitz_catalog::{mean_cardinality_axis, Topology, Workload};
 use blitz_core::{
-    optimize_join_threshold_into, AosTable, Counters, DiskNestedLoops, ThresholdSchedule,
+    optimize_join_threshold_arena_with, AosTable, Counters, DiskNestedLoops, DriveOptions,
+    PlanArena, TableLayout, ThresholdSchedule,
 };
 
 fn panel(
@@ -79,10 +80,13 @@ fn chain_poly_counts(n: usize) {
     for &mu in &mean_cardinality_axis(env_usize("BLITZ_MU_POINTS", 10)) {
         let spec = Workload::new(n, Topology::Chain, mu, 0.5).spec();
         let mut c = Counters::default();
-        let (_, _out) = optimize_join_threshold_into::<AosTable, _, _, true>(
+        optimize_join_threshold_arena_with::<AosTable, _, _, true>(
+            &mut AosTable::with_rels(n),
+            &mut PlanArena::new(),
             &spec,
             &DiskNestedLoops::default(),
             ThresholdSchedule::new(1e5, 1e9, 6),
+            DriveOptions::serial(),
             &mut c,
         );
         table.row([

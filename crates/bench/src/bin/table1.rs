@@ -9,7 +9,7 @@
 use blitz_bench::render::fmt_num;
 use blitz_bench::Table;
 use blitz_core::{
-    optimize_products_into, AosTable, Kappa0, NoStats, Plan, RelSet, TableLayout,
+    optimize_products_into, AosTable, DriveOptions, Kappa0, NoStats, Plan, RelSet, TableLayout,
 };
 
 fn set_name(s: RelSet) -> String {
@@ -21,8 +21,13 @@ fn set_name(s: RelSet) -> String {
 fn main() {
     let cards = [10.0, 20.0, 30.0, 40.0];
     let mut stats = NoStats;
-    let table: AosTable =
-        optimize_products_into::<AosTable, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut stats);
+    let table: AosTable = optimize_products_into::<AosTable, _, _, true>(
+        &cards,
+        &Kappa0,
+        f32::INFINITY,
+        DriveOptions::serial(),
+        &mut stats,
+    );
 
     println!("Table 1: Dynamic programming table for A x B x C x D");
     println!("(cards 10/20/30/40, naive cost model k0 = |R_out|)\n");

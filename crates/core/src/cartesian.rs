@@ -14,17 +14,13 @@
 //! intermediate-result cardinalities are computed.
 
 use crate::bitset::RelSet;
-use crate::conv::RowEngine;
 use crate::cost::CostModel;
-use crate::kernel::ResolvedKernel;
 use crate::plan::Plan;
 use crate::spec::{JoinSpec, SpecError};
-use crate::split::{drive, drive_parallel, init_singleton, DriveOptions, NEVER_CANCELLED};
-use crate::stats::{NoStats, Stats};
-use crate::table::{
-    AosTable, HotColdTable, LayoutChoice, SyncTableView, TableLayout, WaveTableLayout,
-    MAX_TABLE_RELS,
-};
+use crate::split::{fill_fresh, DriveOptions, Problem};
+use crate::stats::Stats;
+use crate::table::{TableLayout, MAX_TABLE_RELS};
+use crate::threshold::{optimize_fresh, ThresholdSchedule};
 
 /// Result of a successful optimization.
 #[derive(Clone, Debug)]
@@ -37,22 +33,42 @@ pub struct Optimized {
     pub card: f64,
 }
 
+/// A pure product problem: base cardinalities only.
+struct Products<'a>(&'a [f64]);
+
 /// `compute_properties` for pure products (paper Figure 1): split `S`
 /// arbitrarily and multiply the sub-cardinalities.
-#[inline]
-fn product_properties<L: TableLayout, M: CostModel>(table: &mut L, model: &M, s: RelSet) {
-    let u = s.lowest_singleton();
-    let v = s - u;
-    let card = table.card(u) * table.card(v);
-    table.set_card(s, card);
-    if M::HAS_AUX {
-        table.set_aux(s, model.aux(card));
+impl Problem for Products<'_> {
+    fn rels(&self) -> usize {
+        self.0.len()
+    }
+
+    fn base_card(&self, rel: usize) -> f64 {
+        self.0[rel]
+    }
+
+    #[inline]
+    fn properties<T: TableLayout, M: CostModel>(&self, table: &mut T, model: &M, s: RelSet) {
+        let u = s.lowest_singleton();
+        let v = s - u;
+        let card = table.card(u) * table.card(v);
+        table.set_card(s, card);
+        if M::HAS_AUX {
+            table.set_aux(s, model.aux(card));
+        }
     }
 }
 
 /// Run blitzsplit over `cards` with full control of the table layout,
-/// statistics sink, cost cap and pruning switch, returning the filled
-/// table. Most callers want [`optimize_products`] instead.
+/// statistics sink, cost cap, pruning switch and execution policy,
+/// returning the filled table. Most callers want [`optimize_products`]
+/// instead.
+///
+/// When `options` resolves to two or more workers and `L` runs waves
+/// (only [`crate::HotColdTable`] does), the rank-wave parallel driver
+/// fills the table; otherwise the serial integer-order driver does.
+/// Both produce bit-identical tables (see [`crate::split`]);
+/// [`DriveOptions::serial`] is the paper's reference.
 ///
 /// # Panics
 /// Panics if `cards` is empty or longer than [`MAX_TABLE_RELS`].
@@ -60,91 +76,24 @@ pub fn optimize_products_into<L, M, St, const PRUNE: bool>(
     cards: &[f64],
     model: &M,
     cap: f32,
-    stats: &mut St,
-) -> L
-where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
-    let mut table = products_table::<L, M>(cards, model);
-    drive::<L, M, St, _, PRUNE>(
-        &mut table,
-        model,
-        cards.len(),
-        cap,
-        RowEngine::with_kernel(ResolvedKernel::Scalar),
-        &NEVER_CANCELLED,
-        stats,
-        product_properties,
-    );
-    table
-}
-
-/// A table for `cards` with every singleton row initialized.
-fn products_table<L: TableLayout, M: CostModel>(cards: &[f64], model: &M) -> L {
-    let n = cards.len();
-    assert!((1..=MAX_TABLE_RELS).contains(&n), "unsupported relation count {n}");
-    let mut table = L::with_rels(n);
-    for (rel, &card) in cards.iter().enumerate() {
-        init_singleton(&mut table, model, rel, card);
-    }
-    table
-}
-
-/// [`optimize_products_into`] with an explicit execution policy: when
-/// `options` resolves to two or more workers, the rank-wave parallel
-/// driver fills the table; otherwise this is exactly the serial path.
-/// Both produce bit-identical tables (see [`crate::split`]).
-///
-/// # Panics
-/// Panics if `cards` is empty or longer than [`MAX_TABLE_RELS`].
-pub fn optimize_products_into_with<L, M, St, const PRUNE: bool>(
-    cards: &[f64],
-    model: &M,
-    cap: f32,
     options: DriveOptions,
     stats: &mut St,
 ) -> L
 where
-    L: WaveTableLayout + Send,
+    L: TableLayout,
     M: CostModel + Sync,
     St: Stats + Default + Send,
 {
-    let n = cards.len();
-    let mut table = products_table::<L, M>(cards, model);
-    if options.effective_parallelism() < 2 {
-        drive::<L, M, St, _, PRUNE>(
-            &mut table,
-            model,
-            n,
-            cap,
-            RowEngine::resolve(options, model, n),
-            &NEVER_CANCELLED,
-            stats,
-            product_properties,
-        );
-    } else {
-        drive_parallel::<L, M, St, _, PRUNE>(
-            &mut table,
-            model,
-            n,
-            cap,
-            options,
-            &NEVER_CANCELLED,
-            stats,
-            product_properties::<SyncTableView<L>, M>,
-        );
-    }
-    table
+    fill_fresh::<L, M, St, _, PRUNE>(&Products(cards), model, cap, options, stats)
 }
 
 /// Optimize the Cartesian product of the given relations under `model`,
 /// returning the optimal bushy plan.
 ///
-/// Uses the paper's defaults: array-of-structs table, nested-`if` pruning
-/// on, no plan-cost threshold (costs only reject on `f32` overflow), and
-/// the default [`DriveOptions`] execution policy.
+/// Uses the paper's defaults: nested-`if` pruning on, no plan-cost
+/// threshold (costs only reject on `f32` overflow), and the default
+/// [`DriveOptions`] execution policy. When every plan overflows `f32`
+/// the result is the input-order left-deep plan at cost `+∞`.
 ///
 /// # Errors
 /// Returns [`SpecError`] if `cards` is empty, oversized, or contains a
@@ -154,58 +103,22 @@ pub fn optimize_products<M: CostModel + Sync>(
     cards: &[f64],
     model: &M,
 ) -> Result<Optimized, SpecError> {
-    optimize_products_with(cards, model, DriveOptions::default())
-}
-
-/// [`optimize_products`] with an explicit execution policy (worker-thread
-/// count for the rank-wave parallel driver; `1` = serial) and table
-/// layout ([`DriveOptions::layout`] picks the monomorphization).
-///
-/// # Errors
-/// Returns [`SpecError`] if `cards` is empty, oversized, or contains a
-/// nonpositive/non-finite cardinality.
-pub fn optimize_products_with<M: CostModel + Sync>(
-    cards: &[f64],
-    model: &M,
-    options: DriveOptions,
-) -> Result<Optimized, SpecError> {
     // Validate through JoinSpec for uniform error reporting.
-    let spec = JoinSpec::cartesian(cards)?;
-    let n = spec.n();
+    let n = JoinSpec::cartesian(cards)?.n();
     if n > MAX_TABLE_RELS {
         return Err(SpecError::TooManyRels(n));
     }
-    fn run<L, M>(cards: &[f64], model: &M, options: DriveOptions) -> Optimized
-    where
-        L: WaveTableLayout + Send,
-        M: CostModel + Sync,
-    {
-        let mut stats = NoStats;
-        let table: L = optimize_products_into_with::<L, M, NoStats, true>(
-            cards,
-            model,
-            f32::INFINITY,
-            options,
-            &mut stats,
-        );
-        let full = RelSet::full(cards.len());
-        Optimized {
-            plan: Plan::extract(&table, full),
-            cost: table.cost(full),
-            card: table.card(full),
-        }
-    }
-    Ok(match options.layout {
-        LayoutChoice::Aos => run::<AosTable, M>(cards, model, options),
-        LayoutChoice::HotCold => run::<HotColdTable, M>(cards, model, options),
-    })
+    let problem = Products(cards);
+    Ok(optimize_fresh(&problem, model, ThresholdSchedule::UNCAPPED, DriveOptions::default())
+        .optimized)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{DiskNestedLoops, Kappa0, SortMerge};
-    use crate::stats::Counters;
+    use crate::stats::{Counters, NoStats};
+    use crate::table::{AosTable, HotColdTable};
 
     /// Exhaustive reference optimizer: recursively try all splits.
     fn brute_force<M: CostModel>(cards: &[f64], model: &M, s: RelSet) -> (f64, f32) {
@@ -251,6 +164,7 @@ mod tests {
             &cards,
             &Kappa0,
             f32::INFINITY,
+            DriveOptions::serial(),
             &mut stats,
         );
         // (set bits, card, cost) triples straight from Table 1.
@@ -345,10 +259,11 @@ mod tests {
         let cards = [12.0, 7.0, 130.0, 2.0, 55.0, 9.0];
         let mut s1 = NoStats;
         let mut s2 = NoStats;
+        let (inf, serial) = (f32::INFINITY, DriveOptions::serial());
         let aos: AosTable =
-            optimize_products_into::<_, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut s1);
+            optimize_products_into::<_, _, _, true>(&cards, &Kappa0, inf, serial, &mut s1);
         let hot: HotColdTable =
-            optimize_products_into::<_, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut s2);
+            optimize_products_into::<_, _, _, true>(&cards, &Kappa0, inf, serial, &mut s2);
         for bits in 1u32..(1 << cards.len()) {
             let s = RelSet::from_bits(bits);
             assert_eq!(aos.card(s), hot.card(s));
@@ -365,12 +280,14 @@ mod tests {
             &cards,
             &DiskNestedLoops::default(),
             f32::INFINITY,
+            DriveOptions::serial(),
             &mut s1,
         );
         let b: AosTable = optimize_products_into::<_, _, _, false>(
             &cards,
             &DiskNestedLoops::default(),
             f32::INFINITY,
+            DriveOptions::serial(),
             &mut s2,
         );
         for bits in 1u32..(1 << cards.len()) {
@@ -394,6 +311,7 @@ mod tests {
                 &cards,
                 &Kappa0,
                 f32::INFINITY,
+                DriveOptions::serial(),
                 &mut c,
             );
             let expect_loops: u64 =
@@ -418,6 +336,7 @@ mod tests {
             &cards,
             &DiskNestedLoops::default(),
             f32::INFINITY,
+            DriveOptions::serial(),
             &mut c,
         );
         assert!(c.kappa_dep_evals < c.loop_iters);
@@ -431,8 +350,13 @@ mod tests {
     fn overflow_yields_infinite_cost() {
         let cards = [1e30, 1e30, 1e30];
         let mut stats = NoStats;
-        let t: AosTable =
-            optimize_products_into::<_, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut stats);
+        let t: AosTable = optimize_products_into::<_, _, _, true>(
+            &cards,
+            &Kappa0,
+            f32::INFINITY,
+            DriveOptions::serial(),
+            &mut stats,
+        );
         assert!(t.cost(RelSet::full(3)).is_infinite());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The wave discipline — each table row written by exactly one worker of
 //! its own wave, reads confined to strictly-smaller-popcount rows of
-//! earlier waves — is what makes the ~95 `unsafe` raw-pointer accesses in
-//! [`crate::table`] sound. This module turns that prose contract into a
+//! earlier waves — is what makes the `unsafe` raw-pointer accesses of
+//! [`crate::table::SyncTableView`] sound. This module turns that prose contract into a
 //! machine check:
 //!
 //! * Under `--cfg blitz_check`, every [`crate::table::SyncTableView`]
@@ -203,7 +203,7 @@ unsafe impl Send for WaveGuard {}
 #[cfg(all(test, blitz_check))]
 mod tests {
     use crate::bitset::RelSet;
-    use crate::table::{AosTable, SyncTable, TableLayout};
+    use crate::table::{HotColdTable, SyncTable, TableLayout};
 
     /// Seeded cross-wave write: a worker in wave 2 writes a popcount-3
     /// row. The shadow checker must fire — this is the self-test proving
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wave-discipline violation")]
     fn cross_wave_write_is_detected() {
-        let mut t = AosTable::with_rels(5);
+        let mut t = HotColdTable::with_rels(5);
         let shared = SyncTable::from_mut(&mut t);
         // SAFETY: single view on one thread; the seeded violation is the
         // checker's to catch, not a real race.
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "same wave")]
     fn double_write_same_wave_is_detected() {
-        let mut t = AosTable::with_rels(5);
+        let mut t = HotColdTable::with_rels(5);
         let shared = SyncTable::from_mut(&mut t);
         // SAFETY: two views on one thread; accesses are sequential, so
         // there is no real race — only the seeded ownership violation.
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "later waves")]
     fn future_wave_read_is_detected() {
-        let mut t = AosTable::with_rels(5);
+        let mut t = HotColdTable::with_rels(5);
         let shared = SyncTable::from_mut(&mut t);
         // SAFETY: single view on one thread.
         let mut view = unsafe { shared.view() };
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "own row")]
     fn same_wave_foreign_read_is_detected() {
-        let mut t = AosTable::with_rels(5);
+        let mut t = HotColdTable::with_rels(5);
         let shared = SyncTable::from_mut(&mut t);
         // SAFETY: two views on one thread, sequential accesses.
         let mut a = unsafe { shared.view() };
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "before any worker wrote it")]
     fn unwritten_own_wave_read_is_detected() {
-        let mut t = AosTable::with_rels(5);
+        let mut t = HotColdTable::with_rels(5);
         let shared = SyncTable::from_mut(&mut t);
         // SAFETY: single view on one thread.
         let mut view = unsafe { shared.view() };
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside this worker's chunk")]
     fn out_of_chunk_write_is_detected() {
-        let mut t = AosTable::with_rels(6);
+        let mut t = HotColdTable::with_rels(6);
         let shared = SyncTable::from_mut(&mut t);
         // SAFETY: single view on one thread.
         let mut view = unsafe { shared.view() };
@@ -288,7 +288,7 @@ mod tests {
     /// own-row data — passes through the checker untouched.
     #[test]
     fn wave_discipline_is_accepted() {
-        let mut t = AosTable::with_rels(4);
+        let mut t = HotColdTable::with_rels(4);
         for rel in 0..4 {
             t.set_cost(RelSet::singleton(rel), 0.0);
             t.set_card(RelSet::singleton(rel), 2.0);

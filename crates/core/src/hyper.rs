@@ -28,11 +28,11 @@
 use crate::bitset::RelSet;
 use crate::cartesian::Optimized;
 use crate::cost::CostModel;
-use crate::plan::Plan;
 use crate::spec::SpecError;
-use crate::split::{drive, init_singleton};
-use crate::stats::{NoStats, Stats};
-use crate::table::{AosTable, TableLayout, MAX_TABLE_RELS};
+use crate::split::{fill_fresh, DriveOptions, Problem};
+use crate::stats::Stats;
+use crate::table::{TableLayout, MAX_TABLE_RELS};
+use crate::threshold::{optimize_fresh, ThresholdSchedule};
 
 /// A join problem whose predicates may reference any number of relations.
 #[derive(Clone, Debug, PartialEq)]
@@ -148,24 +148,30 @@ impl HyperSpec {
 }
 
 /// `compute_properties` for hypergraphs: the min-relation recurrence.
-#[inline]
-fn hyper_properties<L: TableLayout, M: CostModel>(
-    table: &mut L,
-    model: &M,
-    spec: &HyperSpec,
-    s: RelSet,
-) {
-    let u = s.lowest_singleton();
-    let v = s - u;
-    let card = table.card(u) * table.card(v) * spec.min_factor(s);
-    table.set_card(s, card);
-    if M::HAS_AUX {
-        table.set_aux(s, model.aux(card));
+impl Problem for HyperSpec {
+    fn rels(&self) -> usize {
+        self.n()
+    }
+
+    fn base_card(&self, rel: usize) -> f64 {
+        self.card(rel)
+    }
+
+    #[inline]
+    fn properties<T: TableLayout, M: CostModel>(&self, table: &mut T, model: &M, s: RelSet) {
+        let u = s.lowest_singleton();
+        let v = s - u;
+        let card = table.card(u) * table.card(v) * self.min_factor(s);
+        table.set_card(s, card);
+        if M::HAS_AUX {
+            table.set_aux(s, model.aux(card));
+        }
     }
 }
 
 /// Run the hypergraph optimizer with full control; see
-/// [`optimize_hyper`] for the convenient form.
+/// [`optimize_hyper`] for the convenient form. Runs the serial
+/// integer-order driver.
 ///
 /// # Panics
 /// Panics if the problem exceeds [`MAX_TABLE_RELS`].
@@ -177,48 +183,35 @@ pub fn optimize_hyper_into<L, M, St, const PRUNE: bool>(
 ) -> L
 where
     L: TableLayout,
-    M: CostModel,
-    St: Stats,
+    M: CostModel + Sync,
+    St: Stats + Default + Send,
 {
-    let n = spec.n();
-    assert!(n <= MAX_TABLE_RELS);
-    let mut table = L::with_rels(n);
-    for rel in 0..n {
-        init_singleton(&mut table, model, rel, spec.card(rel));
-    }
-    drive::<L, M, St, _, PRUNE>(
-        &mut table,
-        model,
-        n,
-        cap,
-        crate::conv::RowEngine::with_kernel(crate::kernel::ResolvedKernel::Scalar),
-        &crate::split::NEVER_CANCELLED,
-        stats,
-        |t, m, s| hyper_properties(t, m, spec, s),
-    );
-    table
+    fill_fresh::<L, M, St, _, PRUNE>(spec, model, cap, DriveOptions::serial(), stats)
 }
 
 /// Optimize a hypergraph join problem over the complete bushy space,
 /// Cartesian products included — `find_best_split` is reused verbatim;
-/// only the cardinality computation differs.
-pub fn optimize_hyper<M: CostModel>(spec: &HyperSpec, model: &M) -> Result<Optimized, SpecError> {
-    let mut stats = NoStats;
-    let table: AosTable =
-        optimize_hyper_into::<AosTable, M, NoStats, true>(spec, model, f32::INFINITY, &mut stats);
-    let full = spec.all_rels();
-    Ok(Optimized {
-        plan: Plan::extract(&table, full),
-        cost: table.cost(full),
-        card: table.card(full),
-    })
+/// only the cardinality computation differs. Runs the paper's serial
+/// reference configuration; when every plan overflows `f32` the result
+/// is the input-order left-deep plan at cost `+∞`.
+///
+/// # Errors
+/// Never fails on a [`HyperSpec`], which is validated on construction.
+pub fn optimize_hyper<M: CostModel + Sync>(
+    spec: &HyperSpec,
+    model: &M,
+) -> Result<Optimized, SpecError> {
+    Ok(optimize_fresh(spec, model, ThresholdSchedule::UNCAPPED, DriveOptions::serial()).optimized)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{Kappa0, SortMerge};
+    use crate::plan::Plan;
     use crate::spec::JoinSpec;
+    use crate::stats::NoStats;
+    use crate::table::AosTable;
 
     /// 4 relations, one 3-way predicate over {0,1,2} and one binary {2,3}.
     fn mixed_spec() -> HyperSpec {

@@ -4,9 +4,9 @@
 //! > optimization, except that intermediate-result cardinalities are
 //! > computed differently.
 //!
-//! The enumeration machinery (`find_best_split`, the integer-order driver)
-//! is shared verbatim with [`crate::cartesian`]; only `compute_properties`
-//! changes, implementing the two recurrences of Sections 5.2–5.3:
+//! The enumeration machinery (`find_best_split`, the drivers) is shared
+//! verbatim with [`crate::cartesian`]; only `compute_properties` changes,
+//! implementing the two recurrences of Sections 5.2–5.3:
 //!
 //! * **cardinality**: `card(S) = card(U)·card(V)·Π_fan(S)` with
 //!   `U = {min S}`, `V = S − U`  (equation (11));
@@ -23,53 +23,59 @@
 
 use crate::bitset::RelSet;
 use crate::cartesian::Optimized;
-use crate::conv::RowEngine;
 use crate::cost::CostModel;
-use crate::kernel::ResolvedKernel;
-use crate::plan::Plan;
 use crate::spec::{JoinSpec, SpecError};
-use crate::split::{drive, drive_parallel, init_singleton, DriveOptions, NEVER_CANCELLED};
-use crate::stats::{NoStats, Stats};
-use crate::table::{
-    AosTable, HotColdTable, LayoutChoice, SyncTableView, TableLayout, WaveTableLayout,
-    MAX_TABLE_RELS,
-};
-use std::sync::atomic::AtomicBool;
+use crate::split::{fill_fresh, DriveOptions, Problem};
+use crate::stats::Stats;
+use crate::table::{TableLayout, MAX_TABLE_RELS};
+use crate::threshold::{optimize_fresh, ThresholdSchedule};
 
 /// `compute_properties` for joins: fan recurrence + cardinality recurrence
 /// (paper Section 5.4). Exactly three floating-point multiplications.
-#[inline]
-pub(crate) fn join_properties<L: TableLayout, M: CostModel>(
-    table: &mut L,
-    model: &M,
-    spec: &JoinSpec,
-    s: RelSet,
-) {
-    // U = {min S} = δ_S(1) = S & −S (Section 5.4).
-    let u = s.lowest_singleton();
-    let v = s - u;
-    let pi_fan = if v.is_singleton() {
-        // Doubleton: seed from the predicate connecting the two relations
-        // (or 1 if there is none).
-        spec.selectivity(u.min_rel().unwrap(), v.min_rel().unwrap())
-    } else {
-        // Π_fan(S) = Π_fan(U∪W) · Π_fan(U∪Z); both arguments are smaller
-        // sets whose rows are already filled (integer processing order).
-        let w = v.lowest_singleton();
-        let z = v - w;
-        table.pi_fan(u | w) * table.pi_fan(u | z)
-    };
-    table.set_pi_fan(s, pi_fan);
-    let card = table.card(u) * table.card(v) * pi_fan;
-    table.set_card(s, card);
-    if M::HAS_AUX {
-        table.set_aux(s, model.aux(card));
+impl Problem for JoinSpec {
+    fn rels(&self) -> usize {
+        self.n()
+    }
+
+    fn base_card(&self, rel: usize) -> f64 {
+        self.card(rel)
+    }
+
+    #[inline]
+    fn properties<T: TableLayout, M: CostModel>(&self, table: &mut T, model: &M, s: RelSet) {
+        // U = {min S} = δ_S(1) = S & −S (Section 5.4).
+        let u = s.lowest_singleton();
+        let v = s - u;
+        let pi_fan = if v.is_singleton() {
+            // Doubleton: seed from the predicate connecting the two
+            // relations (or 1 if there is none).
+            self.selectivity(u.min_rel().unwrap(), v.min_rel().unwrap())
+        } else {
+            // Π_fan(S) = Π_fan(U∪W) · Π_fan(U∪Z); both arguments are
+            // smaller sets whose rows are already filled (integer
+            // processing order).
+            let w = v.lowest_singleton();
+            let z = v - w;
+            table.pi_fan(u | w) * table.pi_fan(u | z)
+        };
+        table.set_pi_fan(s, pi_fan);
+        let card = table.card(u) * table.card(v) * pi_fan;
+        table.set_card(s, card);
+        if M::HAS_AUX {
+            table.set_aux(s, model.aux(card));
+        }
     }
 }
 
 /// Run the join optimizer with full control of table layout, statistics,
-/// cost cap and pruning, returning the filled table. Most callers want
-/// [`optimize_join`].
+/// cost cap, pruning and execution policy, returning the filled table.
+/// Most callers want [`optimize_join`].
+///
+/// When `options` resolves to two or more workers and `L` runs waves
+/// (only [`crate::HotColdTable`] does), the rank-wave parallel driver
+/// fills the table; otherwise the serial integer-order driver does.
+/// Both produce bit-identical tables (see [`crate::split`]);
+/// [`DriveOptions::serial`] is the paper's reference.
 ///
 /// # Panics
 /// Panics if `spec.n() > MAX_TABLE_RELS`.
@@ -77,154 +83,23 @@ pub fn optimize_join_into<L, M, St, const PRUNE: bool>(
     spec: &JoinSpec,
     model: &M,
     cap: f32,
-    stats: &mut St,
-) -> L
-where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
-    optimize_join_into_kernel::<L, M, St, PRUNE>(spec, model, cap, ResolvedKernel::Scalar, stats)
-}
-
-/// Serial join optimization with an explicit, already-resolved split
-/// kernel — the body of [`optimize_join_into`] (scalar), and how the
-/// kernel unit tests force each vector kernel the host can run.
-pub(crate) fn optimize_join_into_kernel<L, M, St, const PRUNE: bool>(
-    spec: &JoinSpec,
-    model: &M,
-    cap: f32,
-    kernel: ResolvedKernel,
-    stats: &mut St,
-) -> L
-where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
-    let n = spec.n();
-    assert!(n <= MAX_TABLE_RELS, "unsupported relation count {n}");
-    let mut table = L::with_rels(n);
-    for rel in 0..n {
-        init_singleton(&mut table, model, rel, spec.card(rel));
-    }
-    drive::<L, M, St, _, PRUNE>(
-        &mut table,
-        model,
-        n,
-        cap,
-        RowEngine::with_kernel(kernel),
-        &NEVER_CANCELLED,
-        stats,
-        |t, m, s| join_properties(t, m, spec, s),
-    );
-    table
-}
-
-/// Fill an **existing** table for `spec` in place — the allocation-free
-/// core of both [`optimize_join_into_with`] and the table-reusing
-/// service path ([`crate::threshold::optimize_join_threshold_reusing_with`]).
-///
-/// The table is *not* cleared first, and doesn't need to be: singleton
-/// rows are re-initialized here, and every non-singleton row is fully
-/// written (`compute_properties` + the split finish) before any superset
-/// reads it — the same subset-before-superset dependency order that
-/// makes the wave driver sound. Row 0 (the empty set) is never read.
-/// Stale `f32`/`f64` bit patterns from a previous optimization are
-/// ordinary values, so a recycled table produces bit-identical results
-/// to a freshly allocated one (pinned by a dirty-table regression test
-/// in [`crate::threshold`]). The same argument covers a table a
-/// cancelled fill left half-written.
-///
-/// Returns `false` when `cancel` stopped the fill before every row was
-/// written (see [`crate::split`]'s drivers for where they poll it).
-///
-/// # Panics
-/// Panics if `table.rels() != spec.n()`.
-pub(crate) fn fill_join_table_with<L, M, St, const PRUNE: bool>(
-    table: &mut L,
-    spec: &JoinSpec,
-    model: &M,
-    cap: f32,
-    options: DriveOptions,
-    cancel: &AtomicBool,
-    stats: &mut St,
-) -> bool
-where
-    L: WaveTableLayout + Send,
-    M: CostModel + Sync,
-    St: Stats + Default + Send,
-{
-    let n = spec.n();
-    assert_eq!(table.rels(), n, "table allocated for a different relation count");
-    for rel in 0..n {
-        init_singleton(table, model, rel, spec.card(rel));
-    }
-    if options.effective_parallelism() < 2 {
-        drive::<L, M, St, _, PRUNE>(
-            table,
-            model,
-            n,
-            cap,
-            RowEngine::resolve(options, model, n),
-            cancel,
-            stats,
-            |t, m, s| join_properties(t, m, spec, s),
-        )
-    } else {
-        drive_parallel::<L, M, St, _, PRUNE>(
-            table,
-            model,
-            n,
-            cap,
-            options,
-            cancel,
-            stats,
-            |t: &mut SyncTableView<L>, m, s| join_properties(t, m, spec, s),
-        )
-    }
-}
-
-/// [`optimize_join_into`] with an explicit execution policy: when
-/// `options` resolves to two or more workers, the rank-wave parallel
-/// driver fills the table; otherwise this is exactly the serial path.
-/// Both produce bit-identical tables (see [`crate::split`]).
-///
-/// # Panics
-/// Panics if `spec.n() > MAX_TABLE_RELS`.
-pub fn optimize_join_into_with<L, M, St, const PRUNE: bool>(
-    spec: &JoinSpec,
-    model: &M,
-    cap: f32,
     options: DriveOptions,
     stats: &mut St,
 ) -> L
 where
-    L: WaveTableLayout + Send,
+    L: TableLayout,
     M: CostModel + Sync,
     St: Stats + Default + Send,
 {
-    let n = spec.n();
-    assert!(n <= MAX_TABLE_RELS, "unsupported relation count {n}");
-    let mut table = L::with_rels(n);
-    fill_join_table_with::<L, M, St, PRUNE>(
-        &mut table,
-        spec,
-        model,
-        cap,
-        options,
-        &NEVER_CANCELLED,
-        stats,
-    );
-    table
+    fill_fresh::<L, M, St, _, PRUNE>(spec, model, cap, options, stats)
 }
 
 /// Optimize the join order for `spec` under `model`, searching the complete
 /// space of bushy plans including Cartesian products.
 ///
-/// Uses the paper's defaults: array-of-structs table, nested-`if` pruning
-/// on, no plan-cost threshold, and the default [`DriveOptions`] execution
-/// policy. For thresholded optimization see [`crate::threshold`].
+/// Uses the paper's defaults: nested-`if` pruning on, no plan-cost
+/// threshold, and the default [`DriveOptions`] execution policy. For
+/// thresholded optimization see [`crate::threshold`].
 ///
 /// # Errors
 /// Returns [`SpecError::TooManyRels`] when the DP table would be too large.
@@ -240,6 +115,10 @@ pub fn optimize_join<M: CostModel + Sync>(
 /// layout ([`DriveOptions::layout`] picks the monomorphization). Every
 /// layout/driver combination produces bit-identical results.
 ///
+/// A spec whose every join order overflows the `f32` cost scale gets
+/// the input-order left-deep plan at cost `+∞` (see
+/// [`crate::threshold::ArenaThresholdOutcome`]).
+///
 /// # Errors
 /// Returns [`SpecError::TooManyRels`] when the DP table would be too large.
 pub fn optimize_join_with<M: CostModel + Sync>(
@@ -251,56 +130,42 @@ pub fn optimize_join_with<M: CostModel + Sync>(
     if n > MAX_TABLE_RELS {
         return Err(SpecError::TooManyRels(n));
     }
-    fn run<L, M>(spec: &JoinSpec, model: &M, options: DriveOptions) -> Optimized
-    where
-        L: WaveTableLayout + Send,
-        M: CostModel + Sync,
-    {
-        let mut stats = NoStats;
-        let table: L = optimize_join_into_with::<L, M, NoStats, true>(
-            spec,
-            model,
-            f32::INFINITY,
-            options,
-            &mut stats,
-        );
-        let full = spec.all_rels();
-        let cost = table.cost(full);
-        // A spec whose every join order overflows the f32 cost scale
-        // leaves the table without a ranked split: `inf < inf` never
-        // updates a row, so `best_lhs` stays empty and extraction would
-        // panic. All plans cost the same infinity then, so degrade to
-        // the canonical left-deep order instead of crashing the caller.
-        let plan = if cost.is_finite() || full.is_singleton() {
-            Plan::extract(&table, full)
-        } else {
-            (1..spec.n()).fold(Plan::scan(0), |acc, r| Plan::join(acc, Plan::scan(r)))
-        };
-        Optimized { plan, cost, card: table.card(full) }
-    }
-    Ok(match options.layout {
-        LayoutChoice::Aos => run::<AosTable, M>(spec, model, options),
-        LayoutChoice::HotCold => run::<HotColdTable, M>(spec, model, options),
-    })
+    Ok(optimize_fresh(spec, model, ThresholdSchedule::UNCAPPED, options).optimized)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{DiskNestedLoops, Kappa0, SmDnl, SortMerge};
+    use crate::plan::Plan;
+    use crate::stats::NoStats;
+    use crate::table::{AosTable, HotColdTable};
 
     /// Regression: cardinalities big enough that every plan costs
     /// `f32::INFINITY` used to panic in plan extraction (no row ever
-    /// beat the `inf` initializer, so no split was recorded). The
-    /// optimizer must return a complete (left-deep) plan instead.
+    /// beat the `inf` initializer, so no split was recorded). Every
+    /// optimizer that returns a plan — joins, products and hypergraphs —
+    /// must return the input-order left-deep plan instead.
     #[test]
     fn all_overflowing_costs_yield_a_plan_instead_of_panicking() {
+        let vine = |n: usize| (1..n).fold(Plan::scan(0), |acc, r| Plan::join(acc, Plan::scan(r)));
         let spec =
             JoinSpec::new(&[1e30, 1e30, 1e30, 1e30], &[(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5)])
                 .unwrap();
         let opt = optimize_join(&spec, &Kappa0).unwrap();
         assert!(opt.cost.is_infinite(), "{}", opt.cost);
         assert_eq!(opt.plan.rel_set(), spec.all_rels(), "plan must still cover every relation");
+        assert_eq!(opt.plan, vine(4));
+
+        let cards = [1e30, 1e30, 1e30];
+        let products = crate::cartesian::optimize_products(&cards, &Kappa0).unwrap();
+        assert!(products.cost.is_infinite(), "{}", products.cost);
+        assert_eq!(products.plan, vine(3));
+
+        let hyper = crate::hyper::HyperSpec::new(&cards, &[]).unwrap();
+        let hyper = crate::hyper::optimize_hyper(&hyper, &Kappa0).unwrap();
+        assert!(hyper.cost.is_infinite(), "{}", hyper.cost);
+        assert_eq!(hyper.plan, vine(3));
     }
     use crate::stats::Counters;
 
@@ -337,8 +202,13 @@ mod tests {
     fn fan_column_matches_reference() {
         let spec = fig3_spec();
         let mut stats = NoStats;
-        let t: AosTable =
-            optimize_join_into::<_, _, _, true>(&spec, &Kappa0, f32::INFINITY, &mut stats);
+        let t: AosTable = optimize_join_into::<_, _, _, true>(
+            &spec,
+            &Kappa0,
+            f32::INFINITY,
+            DriveOptions::serial(),
+            &mut stats,
+        );
         for bits in 1u32..(1 << spec.n()) {
             let s = RelSet::from_bits(bits);
             if s.is_singleton() {
@@ -354,8 +224,13 @@ mod tests {
     fn cardinalities_match_induced_subgraph_closed_form() {
         let spec = fig3_spec();
         let mut stats = NoStats;
-        let t: AosTable =
-            optimize_join_into::<_, _, _, true>(&spec, &Kappa0, f32::INFINITY, &mut stats);
+        let t: AosTable = optimize_join_into::<_, _, _, true>(
+            &spec,
+            &Kappa0,
+            f32::INFINITY,
+            DriveOptions::serial(),
+            &mut stats,
+        );
         for bits in 1u32..(1 << spec.n()) {
             let s = RelSet::from_bits(bits);
             let expect = spec.join_cardinality(s);
@@ -465,10 +340,11 @@ mod tests {
         let spec = fig3_spec();
         let mut s1 = NoStats;
         let mut s2 = NoStats;
+        let serial = DriveOptions::serial();
         let aos: AosTable =
-            optimize_join_into::<_, _, _, true>(&spec, &SortMerge, f32::INFINITY, &mut s1);
+            optimize_join_into::<_, _, _, true>(&spec, &SortMerge, f32::INFINITY, serial, &mut s1);
         let hot: HotColdTable =
-            optimize_join_into::<_, _, _, true>(&spec, &SortMerge, f32::INFINITY, &mut s2);
+            optimize_join_into::<_, _, _, true>(&spec, &SortMerge, f32::INFINITY, serial, &mut s2);
         for bits in 1u32..(1 << spec.n()) {
             let s = RelSet::from_bits(bits);
             assert_eq!(aos.cost(s), hot.cost(s));
@@ -496,8 +372,11 @@ mod tests {
         let cart = JoinSpec::cartesian(&[10.0; 6]).unwrap();
         let mut c1 = Counters::default();
         let mut c2 = Counters::default();
-        let _: AosTable = optimize_join_into::<_, _, _, false>(&chain, &Kappa0, f32::INFINITY, &mut c1);
-        let _: AosTable = optimize_join_into::<_, _, _, false>(&cart, &Kappa0, f32::INFINITY, &mut c2);
+        let serial = DriveOptions::serial();
+        let _: AosTable =
+            optimize_join_into::<_, _, _, false>(&chain, &Kappa0, f32::INFINITY, serial, &mut c1);
+        let _: AosTable =
+            optimize_join_into::<_, _, _, false>(&cart, &Kappa0, f32::INFINITY, serial, &mut c2);
         assert_eq!(c1.loop_iters, c2.loop_iters);
         assert_eq!(c1.subsets, c2.subsets);
         assert_eq!(c1.loop_iters as f64, Counters::split_candidates(6), "closed form");

@@ -58,14 +58,11 @@ pub mod table;
 pub mod threshold;
 
 pub use bitset::{RelSet, MAX_RELS};
-pub use cartesian::{
-    optimize_products, optimize_products_into, optimize_products_into_with,
-    optimize_products_with, Optimized,
-};
+pub use cartesian::{optimize_products, optimize_products_into, Optimized};
 pub use conv::DriverChoice;
 pub use cost::{ConvSupport, CostModel, DiskNestedLoops, JoinAlgorithm, Kappa0, SmDnl, SortMerge};
 pub use hyper::{optimize_hyper, optimize_hyper_into, HyperSpec};
-pub use join::{optimize_join, optimize_join_into, optimize_join_into_with, optimize_join_with};
+pub use join::{optimize_join, optimize_join_into, optimize_join_with};
 pub use kernel::KernelChoice;
 pub use ordered::{optimize_ordered, optimize_ordered_naive, OrderedOptimized, OrderedPlan, OrderedSpec};
 pub use plan::{AnnotatedPlan, Plan, PlanArena, PlanNodeId};
@@ -74,11 +71,10 @@ pub use split::DriveOptions;
 pub use stats::{Counters, NoStats, Stats};
 pub use table::{
     AosTable, CompactProductTable, HotColdTable, LayoutChoice, SyncTable, SyncTableView,
-    TableLayout, WaveTableLayout, MAX_TABLE_RELS,
+    TableLayout, MAX_TABLE_RELS,
 };
 pub use threshold::{
     optimize_join_threshold, optimize_join_threshold_arena_cancellable,
-    optimize_join_threshold_arena_with, optimize_join_threshold_into,
-    optimize_join_threshold_into_with, optimize_join_threshold_reusing_with,
-    optimize_join_threshold_with, ArenaThresholdOutcome, ThresholdOutcome, ThresholdSchedule,
+    optimize_join_threshold_arena_with, optimize_join_threshold_with, ArenaThresholdOutcome,
+    ThresholdOutcome, ThresholdSchedule,
 };

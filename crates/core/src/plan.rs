@@ -625,6 +625,7 @@ mod tests {
             &spec,
             &Kappa0,
             f32::INFINITY,
+            crate::split::DriveOptions::serial(),
             &mut crate::stats::NoStats,
         );
         let full = spec.all_rels();

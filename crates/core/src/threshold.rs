@@ -18,14 +18,11 @@
 use crate::bitset::RelSet;
 use crate::cartesian::Optimized;
 use crate::cost::CostModel;
-use crate::join::{fill_join_table_with, optimize_join_into};
-use crate::plan::{Plan, PlanArena, PlanNodeId};
+use crate::plan::{PlanArena, PlanNodeId};
 use crate::spec::{JoinSpec, SpecError};
-use crate::split::{DriveOptions, NEVER_CANCELLED};
+use crate::split::{fill, DriveOptions, Problem, NEVER_CANCELLED};
 use crate::stats::{NoStats, Stats};
-use crate::table::{
-    AosTable, HotColdTable, LayoutChoice, TableLayout, WaveTableLayout, MAX_TABLE_RELS,
-};
+use crate::table::{AosTable, HotColdTable, LayoutChoice, TableLayout, MAX_TABLE_RELS};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 /// An escalation schedule of plan-cost thresholds.
@@ -41,6 +38,12 @@ pub struct ThresholdSchedule {
 }
 
 impl ThresholdSchedule {
+    /// No thresholded pass at all: the first pass is the uncapped one.
+    /// What the unthresholded entry points ([`crate::optimize_join`] and
+    /// friends) run through the one escalation loop.
+    pub(crate) const UNCAPPED: ThresholdSchedule =
+        ThresholdSchedule { initial: f32::INFINITY, factor: 2.0, max_passes: 0 };
+
     /// Schedule starting at `initial`, escalating by `factor` each failure.
     ///
     /// # Panics
@@ -81,121 +84,6 @@ pub struct ThresholdOutcome {
     pub final_cap: f32,
 }
 
-/// Thresholded join optimization with full control over the table layout,
-/// statistics sink and pruning switch; returns the last pass's table
-/// together with the outcome. Statistics accumulate across passes (the
-/// `passes` counter distinguishes them).
-///
-/// The plan found by a *successful* thresholded pass is the true optimum:
-/// a pass only succeeds when the best plan's cost is below the cap, and
-/// every plan rejected by the cap costs at least the cap, so no rejected
-/// plan could have beaten it.
-///
-/// # Panics
-/// Panics if `spec.n() > MAX_TABLE_RELS`.
-pub fn optimize_join_threshold_into<L, M, St, const PRUNE: bool>(
-    spec: &JoinSpec,
-    model: &M,
-    schedule: ThresholdSchedule,
-    stats: &mut St,
-) -> (L, ThresholdOutcome)
-where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
-    let full = spec.all_rels();
-    let mut cap = schedule.initial;
-    let mut passes = 0u32;
-    loop {
-        passes += 1;
-        let capped = passes <= schedule.max_passes;
-        let eff_cap = if capped { cap } else { f32::INFINITY };
-        let table: L = optimize_join_into::<L, M, St, PRUNE>(spec, model, eff_cap, stats);
-        let cost = table.cost(full);
-        if cost.is_finite() || !capped {
-            let optimized = if cost.is_finite() {
-                Optimized { plan: Plan::extract(&table, full), cost, card: table.card(full) }
-            } else {
-                // Even uncapped, every plan overflowed f32. Surface the
-                // failure as an infinite-cost result with a degenerate
-                // plan of the full set joined in input order so callers
-                // can still execute *something*.
-                let mut plan = Plan::scan(0);
-                for rel in 1..spec.n() {
-                    plan = Plan::join(plan, Plan::scan(rel));
-                }
-                Optimized { plan, cost: f32::INFINITY, card: table.card(full) }
-            };
-            return (table, ThresholdOutcome { optimized, passes, final_cap: eff_cap });
-        }
-        cap *= schedule.factor;
-    }
-}
-
-/// [`optimize_join_threshold_into`] with an explicit execution policy:
-/// every pass (thresholded or uncapped fallback) runs through the
-/// rank-wave parallel driver when `options` resolves to two or more
-/// workers. Pass outcomes — and the final table — are bit-identical to
-/// the serial schedule.
-///
-/// # Panics
-/// Panics if `spec.n() > MAX_TABLE_RELS`.
-pub fn optimize_join_threshold_into_with<L, M, St, const PRUNE: bool>(
-    spec: &JoinSpec,
-    model: &M,
-    schedule: ThresholdSchedule,
-    options: DriveOptions,
-    stats: &mut St,
-) -> (L, ThresholdOutcome)
-where
-    L: WaveTableLayout + Send,
-    M: CostModel + Sync,
-    St: Stats + Default + Send,
-{
-    assert!(spec.n() <= MAX_TABLE_RELS, "unsupported relation count {}", spec.n());
-    let mut table = L::with_rels(spec.n());
-    let outcome = optimize_join_threshold_reusing_with::<L, M, St, PRUNE>(
-        &mut table, spec, model, schedule, options, stats,
-    );
-    (table, outcome)
-}
-
-/// [`optimize_join_threshold_into_with`] over a **caller-provided** table:
-/// every pass (and any escalation re-pass) fills `table` in place, so a
-/// multi-pass optimization allocates nothing and a caller holding a table
-/// pool — e.g. the service — can recycle `O(2^n)` allocations across
-/// requests.
-///
-/// The table does not need to be cleared between uses: singleton rows are
-/// re-initialized each pass and every non-singleton row is fully written
-/// before any superset reads it, so results are bit-identical to a run on
-/// a freshly allocated table (pinned by the dirty-table test below).
-///
-/// # Panics
-/// Panics if `table.rels() != spec.n()`.
-pub fn optimize_join_threshold_reusing_with<L, M, St, const PRUNE: bool>(
-    table: &mut L,
-    spec: &JoinSpec,
-    model: &M,
-    schedule: ThresholdSchedule,
-    options: DriveOptions,
-    stats: &mut St,
-) -> ThresholdOutcome
-where
-    L: WaveTableLayout + Send,
-    M: CostModel + Sync,
-    St: Stats + Default + Send,
-{
-    let mut arena = PlanArena::with_node_capacity(2 * spec.n() - 1);
-    let out = optimize_join_threshold_arena_with::<L, M, St, PRUNE>(
-        table, &mut arena, spec, model, schedule, options, stats,
-    );
-    let optimized =
-        Optimized { plan: arena.to_plan(out.root), cost: out.cost, card: out.card };
-    ThresholdOutcome { optimized, passes: out.passes, final_cap: out.final_cap }
-}
-
 /// A thresholded optimization outcome whose plan lives in a caller's
 /// [`PlanArena`] — see [`optimize_join_threshold_arena_with`].
 #[derive(Copy, Clone, Debug)]
@@ -213,12 +101,26 @@ pub struct ArenaThresholdOutcome {
     pub final_cap: f32,
 }
 
-/// [`optimize_join_threshold_reusing_with`] with plan extraction into a
-/// **caller-provided** [`PlanArena`]: together with the recycled table
-/// this makes the whole optimize-and-extract path allocation-free once
-/// both are warm (pinned by the `no_alloc` integration suite). The
-/// arena is not cleared first — recycle it with [`PlanArena::clear`]
-/// between requests.
+/// Thresholded join optimization over a **caller-provided** table, with
+/// plan extraction into a **caller-provided** [`PlanArena`]: every pass
+/// (and any escalation re-pass) fills `table` in place, so a multi-pass
+/// optimization allocates nothing, and a caller holding a table pool —
+/// e.g. the service — can recycle `O(2^n)` allocations across requests.
+/// Together the recycled table and arena make the whole
+/// optimize-and-extract path allocation-free once both are warm (pinned
+/// by the `no_alloc` integration suite). The arena is not cleared
+/// first — recycle it with [`PlanArena::clear`] between requests.
+///
+/// The table does not need to be cleared between uses: the fill
+/// re-initializes every row it reads, so results are bit-identical to a
+/// run on a freshly allocated table (pinned by the dirty-table test
+/// below). Statistics accumulate across passes (the `passes` counter
+/// distinguishes them), and `table` holds the last pass's rows.
+///
+/// The plan found by a *successful* thresholded pass is the true optimum:
+/// a pass only succeeds when the best plan's cost is below the cap, and
+/// every plan rejected by the cap costs at least the cap, so no rejected
+/// plan could have beaten it.
 ///
 /// The never-cancelled form of [`optimize_join_threshold_arena_cancellable`].
 ///
@@ -234,11 +136,11 @@ pub fn optimize_join_threshold_arena_with<L, M, St, const PRUNE: bool>(
     stats: &mut St,
 ) -> ArenaThresholdOutcome
 where
-    L: WaveTableLayout + Send,
+    L: TableLayout,
     M: CostModel + Sync,
     St: Stats + Default + Send,
 {
-    let out = optimize_join_threshold_arena_cancellable::<L, M, St, PRUNE>(
+    escalate::<L, M, St, _, PRUNE>(
         table,
         arena,
         spec,
@@ -247,11 +149,8 @@ where
         options,
         &NEVER_CANCELLED,
         stats,
-    );
-    match out {
-        Some(out) => out,
-        None => unreachable!("a never-set cancel flag cannot stop the drive"),
-    }
+    )
+    .expect("a never-set cancel flag cannot stop the drive")
 }
 
 /// [`optimize_join_threshold_arena_with`] that gives up when `cancel`
@@ -279,11 +178,43 @@ pub fn optimize_join_threshold_arena_cancellable<L, M, St, const PRUNE: bool>(
     stats: &mut St,
 ) -> Option<ArenaThresholdOutcome>
 where
-    L: WaveTableLayout + Send,
+    L: TableLayout,
     M: CostModel + Sync,
     St: Stats + Default + Send,
 {
-    let full = spec.all_rels();
+    escalate::<L, M, St, _, PRUNE>(table, arena, spec, model, schedule, options, cancel, stats)
+}
+
+/// The one escalation loop (paper Section 6.4) behind every exact entry
+/// point that returns a plan: fill `table` under the schedule's caps,
+/// escalating after each failed pass and finishing with an uncapped
+/// pass once the thresholded ones are spent, then extract the plan into
+/// `arena`. `None` when `cancel` stopped a pass.
+///
+/// When even the uncapped pass overflows `f32` — every plan costs the
+/// same infinity, so no row recorded a split and extraction would panic
+/// — the plan is the degenerate input-order left-deep vine at cost `+∞`,
+/// so callers can still execute *something*. This is the only place
+/// that fallback is made.
+#[allow(clippy::too_many_arguments)]
+fn escalate<L, M, St, P, const PRUNE: bool>(
+    table: &mut L,
+    arena: &mut PlanArena,
+    problem: &P,
+    model: &M,
+    schedule: ThresholdSchedule,
+    options: DriveOptions,
+    cancel: &AtomicBool,
+    stats: &mut St,
+) -> Option<ArenaThresholdOutcome>
+where
+    L: TableLayout,
+    M: CostModel + Sync,
+    St: Stats + Default + Send,
+    P: Problem,
+{
+    let n = problem.rels();
+    let full = RelSet::full(n);
     let mut cap = schedule.initial;
     let mut passes = 0u32;
     loop {
@@ -291,24 +222,17 @@ where
         let capped = passes <= schedule.max_passes;
         let eff_cap = if capped { cap } else { f32::INFINITY };
         if cancel.load(Relaxed)
-            || !fill_join_table_with::<L, M, St, PRUNE>(
-                table, spec, model, eff_cap, options, cancel, stats,
-            )
+            || !fill::<L, M, St, P, PRUNE>(table, problem, model, eff_cap, options, cancel, stats)
         {
             return None;
         }
         let cost = table.cost(full);
         if cost.is_finite() || !capped {
-            let root = if cost.is_finite() {
-                arena.extract(table, full)
+            let (root, cost) = if cost.is_finite() {
+                (arena.extract(table, full), cost)
             } else {
-                // Even uncapped, every plan overflowed f32. Surface the
-                // failure as an infinite-cost result with a degenerate
-                // plan of the full set joined in input order so callers
-                // can still execute *something*.
-                arena.left_deep_vine(spec.n())
+                (arena.left_deep_vine(n), f32::INFINITY)
             };
-            let cost = if cost.is_finite() { cost } else { f32::INFINITY };
             return Some(ArenaThresholdOutcome {
                 root,
                 cost,
@@ -321,8 +245,50 @@ where
     }
 }
 
-/// Thresholded join optimization with the standard defaults (AoS layout,
-/// pruning on, no statistics, default [`DriveOptions`] execution policy).
+/// Optimize `problem` through `schedule` on a freshly allocated table of
+/// the layout [`DriveOptions::layout`] names, returning an owned plan —
+/// the body of every non-generic entry point.
+pub(crate) fn optimize_fresh<P, M>(
+    problem: &P,
+    model: &M,
+    schedule: ThresholdSchedule,
+    options: DriveOptions,
+) -> ThresholdOutcome
+where
+    P: Problem,
+    M: CostModel + Sync,
+{
+    fn run<L: TableLayout, P: Problem, M: CostModel + Sync>(
+        problem: &P,
+        model: &M,
+        schedule: ThresholdSchedule,
+        options: DriveOptions,
+    ) -> ThresholdOutcome {
+        let n = problem.rels();
+        let mut table = L::with_rels(n);
+        let mut arena = PlanArena::with_node_capacity(2 * n - 1);
+        let out = escalate::<L, M, NoStats, P, true>(
+            &mut table,
+            &mut arena,
+            problem,
+            model,
+            schedule,
+            options,
+            &NEVER_CANCELLED,
+            &mut NoStats,
+        )
+        .expect("a never-set cancel flag cannot stop the drive");
+        let optimized = Optimized { plan: arena.to_plan(out.root), cost: out.cost, card: out.card };
+        ThresholdOutcome { optimized, passes: out.passes, final_cap: out.final_cap }
+    }
+    match options.layout {
+        LayoutChoice::Aos => run::<AosTable, P, M>(problem, model, schedule, options),
+        LayoutChoice::HotCold => run::<HotColdTable, P, M>(problem, model, schedule, options),
+    }
+}
+
+/// Thresholded join optimization with the standard defaults (pruning on,
+/// no statistics, default [`DriveOptions`] execution policy).
 ///
 /// # Errors
 /// Returns [`SpecError::TooManyRels`] when the DP table would be too large.
@@ -337,7 +303,10 @@ pub fn optimize_join_threshold<M: CostModel + Sync>(
 /// [`optimize_join_threshold`] with an explicit execution policy
 /// (worker-thread count for the rank-wave parallel driver; `1` = serial)
 /// and table layout ([`DriveOptions::layout`] picks the
-/// monomorphization).
+/// monomorphization). Every pass runs under the same policy; pass
+/// outcomes are bit-identical across policies. Callers that need the
+/// table or the §3.3 counters use [`optimize_join_threshold_arena_with`]
+/// on a table they allocate.
 ///
 /// # Errors
 /// Returns [`SpecError::TooManyRels`] when the DP table would be too large.
@@ -350,22 +319,7 @@ pub fn optimize_join_threshold_with<M: CostModel + Sync>(
     if spec.n() > MAX_TABLE_RELS {
         return Err(SpecError::TooManyRels(spec.n()));
     }
-    let mut stats = NoStats;
-    let outcome = match options.layout {
-        LayoutChoice::Aos => {
-            optimize_join_threshold_into_with::<AosTable, M, NoStats, true>(
-                spec, model, schedule, options, &mut stats,
-            )
-            .1
-        }
-        LayoutChoice::HotCold => {
-            optimize_join_threshold_into_with::<HotColdTable, M, NoStats, true>(
-                spec, model, schedule, options, &mut stats,
-            )
-            .1
-        }
-    };
-    Ok(outcome)
+    Ok(optimize_fresh(spec, model, schedule, options))
 }
 
 /// Convenience: a successful thresholded pass skipped the split loop for
@@ -385,8 +339,30 @@ pub fn rejected_subsets<L: TableLayout>(table: &L, n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::cost::{DiskNestedLoops, Kappa0};
-    use crate::join::optimize_join;
+    use crate::join::{optimize_join, optimize_join_into};
     use crate::stats::Counters;
+
+    /// A thresholded κ0 run on a fresh table of layout `L`, returning
+    /// the last pass's table with the outcome and its plan.
+    fn run<L: TableLayout>(
+        spec: &JoinSpec,
+        schedule: ThresholdSchedule,
+        stats: &mut Counters,
+    ) -> (L, ArenaThresholdOutcome, crate::plan::Plan) {
+        let mut table = L::with_rels(spec.n());
+        let mut arena = PlanArena::new();
+        let out = optimize_join_threshold_arena_with::<L, _, _, true>(
+            &mut table,
+            &mut arena,
+            spec,
+            &Kappa0,
+            schedule,
+            DriveOptions::serial(),
+            stats,
+        );
+        let plan = arena.to_plan(out.root);
+        (table, out, plan)
+    }
 
     fn chain_spec(n: usize, card: f64, sel: f64) -> JoinSpec {
         let cards = vec![card; n];
@@ -444,19 +420,19 @@ mod tests {
         assert!(unbounded.cost < 1e9);
 
         let mut capped = Counters::default();
-        let (_, out) = optimize_join_threshold_into::<AosTable, _, _, true>(
-            &spec,
-            &Kappa0,
-            ThresholdSchedule::single(1e9),
-            &mut capped,
-        );
+        let (_, out, _) = run::<AosTable>(&spec, ThresholdSchedule::single(1e9), &mut capped);
         assert_eq!(out.passes, 1);
-        assert_eq!(out.optimized.cost, unbounded.cost);
+        assert_eq!(out.cost, unbounded.cost);
         assert!(capped.loops_skipped > 0, "threshold should skip some split loops");
 
         let mut uncapped = Counters::default();
-        let _: AosTable =
-            optimize_join_into::<_, _, _, true>(&spec, &Kappa0, f32::INFINITY, &mut uncapped);
+        let _: AosTable = optimize_join_into::<_, _, _, true>(
+            &spec,
+            &Kappa0,
+            f32::INFINITY,
+            DriveOptions::serial(),
+            &mut uncapped,
+        );
         assert!(
             capped.loop_iters < uncapped.loop_iters,
             "thresholded pass should enumerate fewer splits ({} vs {})",
@@ -475,13 +451,8 @@ mod tests {
     #[test]
     fn rejected_subsets_counts_infinite_rows() {
         let spec = chain_spec(8, 1000.0, 1e-3);
-        let mut stats = NoStats;
-        let (table, _) = optimize_join_threshold_into::<AosTable, _, _, true>(
-            &spec,
-            &Kappa0,
-            ThresholdSchedule::single(1e6),
-            &mut stats,
-        );
+        let (table, _, _) =
+            run::<AosTable>(&spec, ThresholdSchedule::single(1e6), &mut Counters::default());
         let rejected = rejected_subsets(&table, spec.n());
         assert!(rejected > 0);
     }
@@ -491,36 +462,30 @@ mod tests {
         let dirty_spec = chain_spec(8, 5000.0, 0.9);
         let spec = chain_spec(8, 100.0, 0.01);
         let schedule = ThresholdSchedule::new(1.0, 100.0, 10);
-        let options = DriveOptions::serial();
 
         // Dirty the table with a different query's DP rows, then reuse it
         // through a schedule that forces escalation re-passes.
-        let mut table: AosTable = {
-            let mut stats = NoStats;
-            optimize_join_threshold_into_with::<AosTable, _, _, true>(
-                &dirty_spec,
-                &Kappa0,
-                ThresholdSchedule::default(),
-                options,
-                &mut stats,
-            )
-            .0
-        };
-        let mut stats = NoStats;
-        let reused = optimize_join_threshold_reusing_with::<AosTable, _, _, true>(
-            &mut table, &spec, &Kappa0, schedule, options, &mut stats,
+        let (mut table, _, _) =
+            run::<AosTable>(&dirty_spec, ThresholdSchedule::default(), &mut Counters::default());
+        let mut arena = PlanArena::new();
+        let reused = optimize_join_threshold_arena_with::<AosTable, _, _, true>(
+            &mut table,
+            &mut arena,
+            &spec,
+            &Kappa0,
+            schedule,
+            DriveOptions::serial(),
+            &mut NoStats,
         );
 
-        let mut stats = NoStats;
-        let (fresh_table, fresh) = optimize_join_threshold_into_with::<AosTable, _, _, true>(
-            &spec, &Kappa0, schedule, options, &mut stats,
-        );
+        let (fresh_table, fresh, fresh_plan) =
+            run::<AosTable>(&spec, schedule, &mut Counters::default());
 
         assert!(reused.passes > 1, "schedule should force escalation");
         assert_eq!(reused.passes, fresh.passes);
         assert_eq!(reused.final_cap.to_bits(), fresh.final_cap.to_bits());
-        assert_eq!(reused.optimized.cost.to_bits(), fresh.optimized.cost.to_bits());
-        assert_eq!(reused.optimized.plan.canonical(), fresh.optimized.plan.canonical());
+        assert_eq!(reused.cost.to_bits(), fresh.cost.to_bits());
+        assert_eq!(arena.to_plan(reused.root).canonical(), fresh_plan.canonical());
         for bits in 1u32..(1u32 << spec.n()) {
             let s = RelSet::from_bits(bits);
             assert_eq!(table.card(s).to_bits(), fresh_table.card(s).to_bits(), "card {bits:#b}");
@@ -534,14 +499,14 @@ mod tests {
         let spec = chain_spec(5, 100.0, 0.1);
         let mut table = AosTable::with_rels(4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut stats = NoStats;
-            optimize_join_threshold_reusing_with::<AosTable, _, _, true>(
+            optimize_join_threshold_arena_with::<AosTable, _, _, true>(
                 &mut table,
+                &mut PlanArena::new(),
                 &spec,
                 &Kappa0,
                 ThresholdSchedule::default(),
                 DriveOptions::serial(),
-                &mut stats,
+                &mut NoStats,
             )
         }));
         assert!(result.is_err(), "size-mismatched table must be rejected");

@@ -2,7 +2,7 @@
 //!
 //! The exact path allocates an `O(2^n)`-row table per optimization; at
 //! service request rates that is the dominant allocator traffic. Since
-//! [`blitz_core::optimize_join_threshold_reusing_with`] fills a
+//! [`blitz_core::optimize_join_threshold_arena_cancellable`] fills a
 //! caller-provided table in place — with results bit-identical to a
 //! fresh allocation — the service can keep finished tables on a shelf
 //! keyed by `(layout, n_rels)` and hand them to the next request of the
@@ -19,7 +19,7 @@
 //! *concurrency* of each query shape rather than its history.
 
 use crate::sync::lock;
-use blitz_core::{AosTable, HotColdTable, LayoutChoice, PlanArena, WaveTableLayout};
+use blitz_core::{AosTable, HotColdTable, LayoutChoice, PlanArena, TableLayout};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
@@ -46,7 +46,7 @@ pub enum AnyTable {
 
 /// A table layout the pool can shelve: pairs the static
 /// [`LayoutChoice`] tag with the [`AnyTable`] wrap/unwrap glue.
-pub trait PoolSlot: WaveTableLayout + Send + Sized {
+pub trait PoolSlot: TableLayout + Send + Sized {
     /// The layout tag used in the shelf key.
     const LAYOUT: LayoutChoice;
     /// Box this table into the pool's uniform variant.
@@ -189,7 +189,6 @@ impl TablePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blitz_core::TableLayout;
     use std::sync::Arc;
 
     #[test]

@@ -8,9 +8,9 @@
 
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
-    optimize_join_threshold_into, AosTable, Counters, Kappa0, TableLayout,
+    optimize_join_threshold_arena_with, AosTable, Counters, Kappa0, PlanArena, TableLayout,
 };
-use blitzsplit::{optimize_join, ThresholdSchedule};
+use blitzsplit::{optimize_join, DriveOptions, ThresholdSchedule};
 
 fn main() {
     // A 13-relation chain query of the paper's Appendix shape.
@@ -25,16 +25,21 @@ fn main() {
         ("tight threshold 1e2 (escalates)", ThresholdSchedule::new(1e2, 1e3, 5)),
     ] {
         let mut counters = Counters::default();
-        let (table, outcome) = optimize_join_threshold_into::<AosTable, _, _, true>(
-            &spec, &Kappa0, schedule, &mut counters,
+        let outcome = optimize_join_threshold_arena_with::<AosTable, _, _, true>(
+            &mut AosTable::with_rels(spec.n()),
+            &mut PlanArena::new(),
+            &spec,
+            &Kappa0,
+            schedule,
+            DriveOptions::serial(),
+            &mut counters,
         );
-        let _ = table.rels();
         println!("{label}:");
         println!("  passes = {}, final cap = {:.1e}", outcome.passes, outcome.final_cap);
         println!(
             "  cost = {:.4e} (matches unbounded: {})",
-            outcome.optimized.cost,
-            (outcome.optimized.cost - unbounded.cost).abs() <= unbounded.cost.abs() * 1e-6
+            outcome.cost,
+            (outcome.cost - unbounded.cost).abs() <= unbounded.cost.abs() * 1e-6
         );
         println!(
             "  split loops skipped by the threshold: {} of {} subsets",
@@ -49,6 +54,7 @@ fn main() {
         &spec,
         &Kappa0,
         f32::INFINITY,
+        DriveOptions::serial(),
         &mut counters,
     );
     println!("no threshold: {} split-loop iterations in 1 pass", counters.loop_iters);

@@ -56,7 +56,6 @@ pub use blitz_service as service;
 
 pub use blitz_core::{
     optimize_join, optimize_join_threshold, optimize_join_threshold_with, optimize_join_with,
-    optimize_products, optimize_products_with, CostModel, DiskNestedLoops, DriveOptions,
-    DriverChoice, JoinSpec, Kappa0, KernelChoice, LayoutChoice, Optimized, Plan, RelSet, SmDnl,
-    SortMerge, ThresholdSchedule,
+    optimize_products, CostModel, DiskNestedLoops, DriveOptions, DriverChoice, JoinSpec, Kappa0,
+    KernelChoice, LayoutChoice, Optimized, Plan, RelSet, SmDnl, SortMerge, ThresholdSchedule,
 };

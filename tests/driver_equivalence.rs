@@ -31,8 +31,8 @@
 use blitzsplit::baselines::best_bushy;
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
-    optimize_join_threshold_into_with, AosTable, ConvSupport, Counters, HotColdTable, RelSet,
-    TableLayout, WaveTableLayout,
+    optimize_join_threshold_arena_with, AosTable, ConvSupport, Counters, HotColdTable, PlanArena,
+    RelSet, TableLayout,
 };
 use blitzsplit::{
     optimize_join_with, CostModel, DiskNestedLoops, DriveOptions, DriverChoice, JoinSpec, Kappa0,
@@ -59,19 +59,22 @@ struct Snapshot {
     cost: f32,
 }
 
-fn snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
+fn snapshot<L: TableLayout, M: CostModel + Sync>(
     spec: &JoinSpec,
     model: &M,
     schedule: ThresholdSchedule,
     options: DriveOptions,
 ) -> Snapshot {
-    let mut counters = Counters::default();
-    let (table, outcome) = optimize_join_threshold_into_with::<L, M, Counters, true>(
+    let mut table = L::with_rels(spec.n());
+    let mut arena = PlanArena::new();
+    let outcome = optimize_join_threshold_arena_with::<L, M, Counters, true>(
+        &mut table,
+        &mut arena,
         spec,
         model,
         schedule,
         options,
-        &mut counters,
+        &mut Counters::default(),
     );
     let full_rows: Vec<RowBits> = (1u32..(1u32 << spec.n()))
         .map(|bits| {
@@ -84,8 +87,8 @@ fn snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
         full_rows,
         passes: outcome.passes,
         final_cap: outcome.final_cap.to_bits(),
-        plan: outcome.optimized.plan,
-        cost: outcome.optimized.cost,
+        plan: arena.to_plan(outcome.root),
+        cost: outcome.cost,
     }
 }
 
@@ -93,7 +96,8 @@ fn snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
 /// cost/card columns, pass count and final cap bit-equal everywhere;
 /// plans cost-equal and each optimal under a direct re-cost; conv's
 /// table deterministic across executions, layouts, kernels and thread
-/// counts. The `hotcold+simd` rows are the service's production path.
+/// counts. The `threads=4 hotcold+simd` row is the service's production
+/// path; AoS is serial-only, so its conv row runs serially.
 fn check_drivers<M: CostModel + Sync>(spec: &JoinSpec, model: &M, schedule: ThresholdSchedule) {
     let split = snapshot::<AosTable, M>(
         spec,
@@ -102,38 +106,43 @@ fn check_drivers<M: CostModel + Sync>(spec: &JoinSpec, model: &M, schedule: Thre
         DriveOptions::serial().with_driver(DriverChoice::Split),
     );
     let mut conv_reference: Option<Vec<RowBits>> = None;
-    for (label, base) in
-        [("serial", DriveOptions::serial()), ("threads=4", DriveOptions::parallel(4))]
-    {
-        let options = base.with_driver(DriverChoice::Conv);
-        let simd = options.with_kernel(KernelChoice::Simd);
-        let variants = [
-            ("aos", snapshot::<AosTable, M>(spec, model, schedule, options)),
-            ("hotcold", snapshot::<HotColdTable, M>(spec, model, schedule, options)),
-            ("hotcold+simd", snapshot::<HotColdTable, M>(spec, model, schedule, simd)),
-        ];
-        for (name, conv) in variants {
-            let ctx = format!("{} conv {label} {name} n={}", model.name(), spec.n());
-            assert_eq!(conv.cost_rows, split.cost_rows, "{ctx}: cost/card columns");
-            assert_eq!(conv.passes, split.passes, "{ctx}: passes");
-            assert_eq!(conv.final_cap, split.final_cap, "{ctx}: final cap");
-            assert_eq!(conv.cost.to_bits(), split.cost.to_bits(), "{ctx}: plan cost");
-            if conv.cost.is_finite() {
-                let (_, recost) = conv.plan.cost(spec, model);
-                let tol = conv.cost.abs() * 1e-4 + 1e-4;
-                assert!(
-                    (recost - conv.cost).abs() <= tol,
-                    "{ctx}: plan recost {recost} vs table {}",
-                    conv.cost
-                );
-            }
-            // Tie-break stability: whatever split conv picked, it picks
-            // it in every run, every layout, every thread count.
-            match &conv_reference {
-                None => conv_reference = Some(conv.full_rows),
-                Some(reference) => {
-                    assert_eq!(&conv.full_rows, reference, "{ctx}: best_lhs not deterministic");
-                }
+    let serial = DriveOptions::serial().with_driver(DriverChoice::Conv);
+    let parallel = DriveOptions::parallel(4).with_driver(DriverChoice::Conv);
+    let simd = KernelChoice::Simd;
+    let variants = [
+        ("serial aos", snapshot::<AosTable, M>(spec, model, schedule, serial)),
+        ("serial hotcold", snapshot::<HotColdTable, M>(spec, model, schedule, serial)),
+        (
+            "serial hotcold+simd",
+            snapshot::<HotColdTable, M>(spec, model, schedule, serial.with_kernel(simd)),
+        ),
+        ("threads=4 hotcold", snapshot::<HotColdTable, M>(spec, model, schedule, parallel)),
+        (
+            "threads=4 hotcold+simd",
+            snapshot::<HotColdTable, M>(spec, model, schedule, parallel.with_kernel(simd)),
+        ),
+    ];
+    for (name, conv) in variants {
+        let ctx = format!("{} conv {name} n={}", model.name(), spec.n());
+        assert_eq!(conv.cost_rows, split.cost_rows, "{ctx}: cost/card columns");
+        assert_eq!(conv.passes, split.passes, "{ctx}: passes");
+        assert_eq!(conv.final_cap, split.final_cap, "{ctx}: final cap");
+        assert_eq!(conv.cost.to_bits(), split.cost.to_bits(), "{ctx}: plan cost");
+        if conv.cost.is_finite() {
+            let (_, recost) = conv.plan.cost(spec, model);
+            let tol = conv.cost.abs() * 1e-4 + 1e-4;
+            assert!(
+                (recost - conv.cost).abs() <= tol,
+                "{ctx}: plan recost {recost} vs table {}",
+                conv.cost
+            );
+        }
+        // Tie-break stability: whatever split conv picked, it picks
+        // it in every run, every layout, every thread count.
+        match &conv_reference {
+            None => conv_reference = Some(conv.full_rows),
+            Some(reference) => {
+                assert_eq!(&conv.full_rows, reference, "{ctx}: best_lhs not deterministic");
             }
         }
     }
@@ -263,20 +272,8 @@ impl CostModel for LopsidedLoops {
 #[test]
 fn conv_fallback_is_bit_identical_to_split() {
     fn rows<M: CostModel + Sync>(spec: &JoinSpec, model: &M, driver: DriverChoice) -> Vec<RowBits> {
-        let mut counters = Counters::default();
-        let (table, _) = optimize_join_threshold_into_with::<AosTable, M, Counters, true>(
-            spec,
-            model,
-            ThresholdSchedule::default(),
-            DriveOptions::serial().with_driver(driver),
-            &mut counters,
-        );
-        (1u32..(1u32 << spec.n()))
-            .map(|bits| {
-                let s = RelSet::from_bits(bits);
-                (table.cost(s).to_bits(), table.card(s).to_bits(), table.best_lhs(s))
-            })
-            .collect()
+        let options = DriveOptions::serial().with_driver(driver);
+        snapshot::<AosTable, M>(spec, model, ThresholdSchedule::default(), options).full_rows
     }
     let model = LopsidedLoops;
     assert_eq!(

@@ -9,7 +9,8 @@
 //! the threshold pass count, and the extracted canonical plan are
 //! identical across kernels, drivers (serial and rank-wave parallel),
 //! and table layouts. Anything less and a "perf knob" would silently
-//! change query plans.
+//! change query plans. AoS is serial-only (only hot/cold runs waves),
+//! so the parallel rows run on hot/cold.
 //!
 //! On `AosTable`, which has no dense cost column, the SIMD kernel judges
 //! every batch through the portable per-lane path; on `HotColdTable` it
@@ -22,8 +23,8 @@
 
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
-    optimize_join_threshold_into_with, AosTable, Counters, HotColdTable, RelSet, TableLayout,
-    WaveTableLayout,
+    optimize_join_threshold_arena_with, AosTable, Counters, HotColdTable, PlanArena, RelSet,
+    TableLayout,
 };
 use blitzsplit::{DriveOptions, JoinSpec, Kappa0, KernelChoice, ThresholdSchedule};
 use proptest::prelude::*;
@@ -42,13 +43,17 @@ fn rows<L: TableLayout>(n: usize, table: &L) -> Vec<RowBits> {
 }
 
 /// Everything a kernel could plausibly perturb, bit-exact.
-fn snapshot<L: WaveTableLayout + Send>(
+fn snapshot<L: TableLayout>(
     spec: &JoinSpec,
     schedule: ThresholdSchedule,
     options: DriveOptions,
 ) -> (Vec<RowBits>, Counters, u32, u32, String) {
     let mut counters = Counters::default();
-    let (table, outcome) = optimize_join_threshold_into_with::<L, Kappa0, Counters, true>(
+    let mut table = L::with_rels(spec.n());
+    let mut arena = PlanArena::new();
+    let outcome = optimize_join_threshold_arena_with::<L, Kappa0, Counters, true>(
+        &mut table,
+        &mut arena,
         spec,
         &Kappa0,
         schedule,
@@ -60,7 +65,7 @@ fn snapshot<L: WaveTableLayout + Send>(
         counters,
         outcome.passes,
         outcome.final_cap.to_bits(),
-        format!("{:?}", outcome.optimized.plan.canonical()),
+        format!("{:?}", arena.to_plan(outcome.root).canonical()),
     )
 }
 
@@ -73,22 +78,20 @@ fn check_kernels(spec: &JoinSpec, schedule: ThresholdSchedule) {
         DriveOptions::serial().with_kernel(KernelChoice::Scalar),
     );
     for kernel in KernelChoice::ALL {
-        for (label, base) in
-            [("serial", DriveOptions::serial()), ("threads=4", DriveOptions::parallel(4))]
-        {
-            let options = base.with_kernel(kernel);
-            let variants = [
-                ("aos", snapshot::<AosTable>(spec, schedule, options)),
-                ("hotcold", snapshot::<HotColdTable>(spec, schedule, options)),
-            ];
-            for (name, got) in variants {
-                assert_eq!(
-                    got,
-                    reference,
-                    "kernel={kernel} {label} {name} n={}: diverged from serial scalar aos",
-                    spec.n()
-                );
-            }
+        let serial = DriveOptions::serial().with_kernel(kernel);
+        let parallel = DriveOptions::parallel(4).with_kernel(kernel);
+        let variants = [
+            ("serial aos", snapshot::<AosTable>(spec, schedule, serial)),
+            ("serial hotcold", snapshot::<HotColdTable>(spec, schedule, serial)),
+            ("threads=4 hotcold", snapshot::<HotColdTable>(spec, schedule, parallel)),
+        ];
+        for (name, got) in variants {
+            assert_eq!(
+                got,
+                reference,
+                "kernel={kernel} {name} n={}: diverged from serial scalar aos",
+                spec.n()
+            );
         }
     }
 }

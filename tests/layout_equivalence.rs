@@ -1,22 +1,23 @@
 //! Layout equivalence: the DP-table layout is a pure memory-layout choice.
 //!
 //! The optimizer's contract is that `AosTable` and `HotColdTable` — and,
-//! for Cartesian-product-only problems, the serial `CompactProductTable`
-//! — are interchangeable down to the last bit: every row's cost bits,
+//! for Cartesian-product-only problems, `CompactProductTable` — are
+//! interchangeable down to the last bit: every row's cost bits,
 //! cardinality bits and `best_lhs`, the extracted plan, and even the
 //! §3.3 instrumentation counters are identical across layouts and
 //! drivers (serial and rank-wave parallel at any worker count). Anything
 //! less and a "perf knob" would silently change query plans.
 //!
-//! These tests pin that contract across the four paper topologies ×
-//! three cost models × {serial, 2, 5 threads}, and through a multi-pass
+//! Only hot/cold runs waves; AoS and the 16-byte rows are serial
+//! references. These tests pin the contract by checking hot/cold —
+//! serial and at 2 and 5 threads — against serial AoS, across the four
+//! paper topologies × three cost models, and through a multi-pass
 //! threshold schedule.
 
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
-    optimize_join_into_with, optimize_join_threshold_into_with, optimize_products_into,
-    optimize_products_into_with, AosTable, CompactProductTable, Counters, HotColdTable, RelSet,
-    TableLayout, WaveTableLayout,
+    optimize_join_into, optimize_join_threshold_arena_with, optimize_products_into, AosTable,
+    CompactProductTable, Counters, HotColdTable, PlanArena, RelSet, TableLayout,
 };
 use blitzsplit::{
     CostModel, DiskNestedLoops, DriveOptions, JoinSpec, Kappa0, SmDnl, SortMerge,
@@ -26,7 +27,7 @@ use blitzsplit::{
 const TOPOLOGIES: [Topology; 4] =
     [Topology::Chain, Topology::CyclePlus3, Topology::Star, Topology::Clique];
 
-/// Every execution policy the equivalence must hold under.
+/// Every execution policy hot/cold must match serial AoS under.
 fn drive_variants() -> Vec<(String, DriveOptions)> {
     let mut v = vec![("serial".to_string(), DriveOptions::serial())];
     for threads in [2usize, 5] {
@@ -65,13 +66,13 @@ fn product_rows<L: TableLayout>(n: usize, table: &L) -> Vec<(u32, u64, RelSet)> 
         .collect()
 }
 
-fn join_snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
+fn join_snapshot<L: TableLayout, M: CostModel + Sync>(
     spec: &JoinSpec,
     model: &M,
     options: DriveOptions,
 ) -> (Vec<RowBits>, Counters) {
     let mut counters = Counters::default();
-    let table: L = optimize_join_into_with::<L, M, Counters, true>(
+    let table: L = optimize_join_into::<L, M, Counters, true>(
         spec,
         model,
         f32::INFINITY,
@@ -85,26 +86,21 @@ fn check_join_layouts<M: CostModel + Sync>(spec: &JoinSpec, model: &M) {
     let (reference, reference_counters) =
         join_snapshot::<AosTable, M>(spec, model, DriveOptions::serial());
     for (label, options) in drive_variants() {
-        let variants = [
-            ("aos", join_snapshot::<AosTable, M>(spec, model, options)),
-            ("hotcold", join_snapshot::<HotColdTable, M>(spec, model, options)),
-        ];
-        for (name, (got_rows, got_counters)) in variants {
-            assert_eq!(
-                got_rows,
-                reference,
-                "{} n={} {label} {name}: table rows diverged from serial aos",
-                model.name(),
-                spec.n()
-            );
-            assert_eq!(
-                got_counters,
-                reference_counters,
-                "{} n={} {label} {name}: counters diverged from serial aos",
-                model.name(),
-                spec.n()
-            );
-        }
+        let (got_rows, got_counters) = join_snapshot::<HotColdTable, M>(spec, model, options);
+        assert_eq!(
+            got_rows,
+            reference,
+            "{} n={} {label} hotcold: table rows diverged from serial aos",
+            model.name(),
+            spec.n()
+        );
+        assert_eq!(
+            got_counters,
+            reference_counters,
+            "{} n={} {label} hotcold: counters diverged from serial aos",
+            model.name(),
+            spec.n()
+        );
     }
 }
 
@@ -131,13 +127,13 @@ fn join_layouts_agree_on_skewed_specs() {
     check_join_layouts(&spec, &SmDnl::default());
 }
 
-fn product_snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
+fn product_snapshot<L: TableLayout, M: CostModel + Sync>(
     cards: &[f64],
     model: &M,
     options: DriveOptions,
 ) -> (Vec<(u32, u64, RelSet)>, Counters) {
     let mut counters = Counters::default();
-    let table: L = optimize_products_into_with::<L, M, Counters, true>(
+    let table: L = optimize_products_into::<L, M, Counters, true>(
         cards,
         model,
         f32::INFINITY,
@@ -147,20 +143,12 @@ fn product_snapshot<L: WaveTableLayout + Send, M: CostModel + Sync>(
     (product_rows(cards.len(), &table), counters)
 }
 
-/// The paper's 16-byte rows through the serial generic entry point —
-/// the only one [`CompactProductTable`] supports.
-fn compact_snapshot<M: CostModel>(cards: &[f64], model: &M) -> (Vec<(u32, u64, RelSet)>, Counters) {
-    let mut counters = Counters::default();
-    let table: CompactProductTable =
-        optimize_products_into::<_, M, Counters, true>(cards, model, f32::INFINITY, &mut counters);
-    (product_rows(cards.len(), &table), counters)
-}
-
 fn check_product_layouts<M: CostModel + Sync>(cards: &[f64], model: &M) {
     assert!(!M::HAS_AUX, "CompactProductTable is only valid without aux state");
     let (reference, reference_counters) =
         product_snapshot::<AosTable, M>(cards, model, DriveOptions::serial());
-    let compact = compact_snapshot(cards, model);
+    // The paper's 16-byte rows are a serial reference too.
+    let compact = product_snapshot::<CompactProductTable, M>(cards, model, DriveOptions::serial());
     assert_eq!(compact.0, reference, "{} products compact: rows diverged from aos", model.name());
     assert_eq!(
         compact.1,
@@ -169,24 +157,19 @@ fn check_product_layouts<M: CostModel + Sync>(cards: &[f64], model: &M) {
         model.name()
     );
     for (label, options) in drive_variants() {
-        let variants = [
-            ("aos", product_snapshot::<AosTable, M>(cards, model, options)),
-            ("hotcold", product_snapshot::<HotColdTable, M>(cards, model, options)),
-        ];
-        for (name, (got_rows, got_counters)) in variants {
-            assert_eq!(
-                got_rows,
-                reference,
-                "{} products {label} {name}: rows diverged from serial aos",
-                model.name()
-            );
-            assert_eq!(
-                got_counters,
-                reference_counters,
-                "{} products {label} {name}: counters diverged from serial aos",
-                model.name()
-            );
-        }
+        let (got_rows, got_counters) = product_snapshot::<HotColdTable, M>(cards, model, options);
+        assert_eq!(
+            got_rows,
+            reference,
+            "{} products {label} hotcold: rows diverged from serial aos",
+            model.name()
+        );
+        assert_eq!(
+            got_counters,
+            reference_counters,
+            "{} products {label} hotcold: counters diverged from serial aos",
+            model.name()
+        );
     }
 }
 
@@ -197,13 +180,16 @@ fn product_layouts_agree_including_compact() {
     check_product_layouts(&cards, &DiskNestedLoops::default());
 }
 
-fn threshold_snapshot<L: WaveTableLayout + Send>(
+fn threshold_snapshot<L: TableLayout>(
     spec: &JoinSpec,
     schedule: ThresholdSchedule,
     options: DriveOptions,
 ) -> (Vec<RowBits>, Counters, u32, u32) {
     let mut counters = Counters::default();
-    let (table, outcome) = optimize_join_threshold_into_with::<L, Kappa0, Counters, true>(
+    let mut table = L::with_rels(spec.n());
+    let outcome = optimize_join_threshold_arena_with::<L, Kappa0, Counters, true>(
+        &mut table,
+        &mut PlanArena::new(),
         spec,
         &Kappa0,
         schedule,
@@ -214,7 +200,7 @@ fn threshold_snapshot<L: WaveTableLayout + Send>(
 }
 
 /// A threshold schedule that escalates across passes must agree across
-/// layouts too — each pass allocates a fresh table, so a layout whose
+/// layouts too — each pass refills the table, so a layout whose
 /// initial (+∞-cost) state diverged would change the pass count or the
 /// rows pruned under the early caps, and surface here.
 #[test]
@@ -226,12 +212,7 @@ fn threshold_schedule_is_layout_and_schedule_invariant() {
     assert!(reference.2 > 1, "want a schedule that actually escalates");
 
     for (label, options) in drive_variants() {
-        let variants = [
-            ("aos", threshold_snapshot::<AosTable>(&spec, schedule, options)),
-            ("hotcold", threshold_snapshot::<HotColdTable>(&spec, schedule, options)),
-        ];
-        for (name, got) in variants {
-            assert_eq!(got, reference, "threshold {label} {name} diverged from serial aos");
-        }
+        let got = threshold_snapshot::<HotColdTable>(&spec, schedule, options);
+        assert_eq!(got, reference, "threshold {label} hotcold diverged from serial aos");
     }
 }

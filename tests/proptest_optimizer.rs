@@ -6,8 +6,8 @@
 use blitzsplit::baselines::best_bushy;
 use blitzsplit::core::{optimize_join_into, AosTable, NoStats, TableLayout};
 use blitzsplit::{
-    optimize_join, optimize_join_threshold, DiskNestedLoops, JoinSpec, Kappa0, RelSet, SortMerge,
-    ThresholdSchedule,
+    optimize_join, optimize_join_threshold, DiskNestedLoops, DriveOptions, JoinSpec, Kappa0,
+    RelSet, SortMerge, ThresholdSchedule,
 };
 use proptest::prelude::*;
 
@@ -52,8 +52,13 @@ proptest! {
     #[test]
     fn table_cardinalities_match_closed_form(spec in arb_spec()) {
         let mut stats = NoStats;
-        let t: AosTable =
-            optimize_join_into::<_, _, _, true>(&spec, &Kappa0, f32::INFINITY, &mut stats);
+        let t: AosTable = optimize_join_into::<_, _, _, true>(
+            &spec,
+            &Kappa0,
+            f32::INFINITY,
+            DriveOptions::serial(),
+            &mut stats,
+        );
         for bits in 1u32..(1 << spec.n()) {
             let s = RelSet::from_bits(bits);
             let expect = spec.join_cardinality(s);
@@ -67,8 +72,13 @@ proptest! {
     #[test]
     fn fan_recurrence_matches_definition(spec in arb_spec()) {
         let mut stats = NoStats;
-        let t: AosTable =
-            optimize_join_into::<_, _, _, true>(&spec, &Kappa0, f32::INFINITY, &mut stats);
+        let t: AosTable = optimize_join_into::<_, _, _, true>(
+            &spec,
+            &Kappa0,
+            f32::INFINITY,
+            DriveOptions::serial(),
+            &mut stats,
+        );
         for bits in 1u32..(1 << spec.n()) {
             let s = RelSet::from_bits(bits);
             if s.len() < 2 { continue; }

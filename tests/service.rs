@@ -949,8 +949,16 @@ fn ladder_deadline_holds_behind_a_long_dp() {
     let warm = Workload::new(12, Topology::Clique, 70.0, 0.5).spec();
     assert_eq!(service.optimize(&Request::new(warm)).source, PlanSource::Exact);
     let deadline = Duration::from_millis(100);
-    let long = Workload::new(16, Topology::Clique, 100.0, 0.5).spec();
-    let long_estimate = service.exact_estimate(&Request::new(long.clone())).unwrap();
+    // The smallest clique from 16 relations up whose estimated DP
+    // outlasts the deadline eight times over: optimized builds on fast
+    // hosts get through 16 relations in under 800 ms.
+    let estimate = |spec: &JoinSpec| service.exact_estimate(&Request::new(spec.clone()));
+    let max_rels = service.config().max_exact_rels;
+    let long = (16..=max_rels)
+        .map(|n| Workload::new(n, Topology::Clique, 100.0, 0.5).spec())
+        .find(|spec| estimate(spec).is_some_and(|e| e > deadline * 8))
+        .unwrap_or_else(|| Workload::new(max_rels, Topology::Clique, 100.0, 0.5).spec());
+    let long_estimate = estimate(&long).unwrap();
     assert!(long_estimate > deadline * 8, "{long_estimate:?} vs deadline {deadline:?}");
     let addr = spawn_server(Arc::clone(&service), ServerOptions::default());
     let mut holder = Wire::connect(addr);

@@ -6,30 +6,28 @@
 //! writes within a wave, reads only from strictly earlier waves (or the
 //! worker's own already-written row). A violation panics with the exact
 //! row, wave and worker — so a clean pass here is a machine-checked
-//! witness that the drivers below uphold the `WaveTableLayout` contract,
-//! not just that they happened to produce the right numbers.
+//! witness that the drivers below uphold the `SyncTable` wave
+//! discipline, not just that they happened to produce the right numbers.
+//! Only `HotColdTable` runs waves, so every run here is on hot/cold.
 
 #![cfg(blitz_check)]
 
 use blitzsplit::catalog::{Topology, Workload};
-use blitzsplit::core::{optimize_join_into_with, AosTable, HotColdTable, NoStats};
+use blitzsplit::core::{optimize_join_into, HotColdTable, NoStats, TableLayout};
 use blitzsplit::{
-    optimize_join_threshold_with, CostModel, DriveOptions, DriverChoice, JoinSpec, Kappa0,
-    SortMerge, ThresholdSchedule,
+    optimize_join_threshold_with, CostModel, DiskNestedLoops, DriveOptions, DriverChoice,
+    JoinSpec, Kappa0, LayoutChoice, SortMerge, ThresholdSchedule,
 };
 
-fn drive<L: blitzsplit::core::WaveTableLayout + Send, M: CostModel + Sync>(
-    spec: &JoinSpec,
-    model: &M,
-    opts: DriveOptions,
-) {
+fn drive<M: CostModel + Sync>(spec: &JoinSpec, model: &M, opts: DriveOptions) {
     let mut stats = NoStats;
-    let table: L = optimize_join_into_with::<_, _, _, true>(spec, model, f32::INFINITY, opts, &mut stats);
+    let table: HotColdTable =
+        optimize_join_into::<_, _, _, true>(spec, model, f32::INFINITY, opts, &mut stats);
     // Touch the result so the fill can't be optimized away.
     assert!(table.cost(spec.all_rels()).is_finite() || true);
 }
 
-/// Several thread counts, both layouts: the shadow checker must stay
+/// Several thread counts and models: the shadow checker must stay
 /// silent on the production drivers.
 #[test]
 fn parallel_drivers_pass_shadow_checking() {
@@ -37,9 +35,9 @@ fn parallel_drivers_pass_shadow_checking() {
         let spec = Workload::new(8, topo, 100.0, 0.5).spec();
         for threads in [2usize, 3, 4] {
             let opts = DriveOptions::parallel(threads);
-            drive::<AosTable, _>(&spec, &Kappa0, opts);
-            drive::<HotColdTable, _>(&spec, &SortMerge, opts);
-            drive::<HotColdTable, _>(&spec, &Kappa0, opts);
+            drive(&spec, &DiskNestedLoops::default(), opts);
+            drive(&spec, &SortMerge, opts);
+            drive(&spec, &Kappa0, opts);
         }
     }
 }
@@ -54,8 +52,8 @@ fn conv_driver_passes_shadow_checking() {
         let spec = Workload::new(8, topo, 100.0, 0.5).spec();
         for threads in [2usize, 4] {
             let opts = DriveOptions::parallel(threads).with_driver(DriverChoice::Conv);
-            drive::<AosTable, _>(&spec, &Kappa0, opts);
-            drive::<HotColdTable, _>(&spec, &Kappa0, opts);
+            drive(&spec, &SortMerge, opts);
+            drive(&spec, &Kappa0, opts);
         }
     }
 }
@@ -65,7 +63,7 @@ fn conv_driver_passes_shadow_checking() {
 #[test]
 fn oversubscribed_run_passes_shadow_checking() {
     let spec = Workload::new(4, Topology::CyclePlus3, 50.0, 0.4).spec();
-    drive::<AosTable, _>(&spec, &Kappa0, DriveOptions::parallel(16));
+    drive(&spec, &Kappa0, DriveOptions::parallel(16));
 }
 
 /// Multi-pass threshold re-optimization rebuilds the table repeatedly;
@@ -74,7 +72,7 @@ fn oversubscribed_run_passes_shadow_checking() {
 fn threshold_schedule_passes_shadow_checking() {
     let spec = Workload::new(9, Topology::Clique, 1000.0, 0.5).spec();
     let schedule = ThresholdSchedule::new(10.0, 1e3, 6);
-    let out =
-        optimize_join_threshold_with(&spec, &Kappa0, schedule, DriveOptions::parallel(4)).unwrap();
+    let options = DriveOptions::parallel(4).with_layout(LayoutChoice::HotCold);
+    let out = optimize_join_threshold_with(&spec, &Kappa0, schedule, options).unwrap();
     assert!(out.passes >= 1);
 }

@@ -2,7 +2,7 @@
 //! umbrella-crate API.
 
 use blitzsplit::core::{optimize_products_into, AosTable, NoStats, TableLayout};
-use blitzsplit::{optimize_products, Kappa0, Plan, RelSet};
+use blitzsplit::{optimize_products, DriveOptions, Kappa0, Plan, RelSet};
 
 #[test]
 fn table1_final_row_and_plan() {
@@ -22,8 +22,13 @@ fn table1_final_row_and_plan() {
 fn table1_every_row() {
     let cards = [10.0, 20.0, 30.0, 40.0];
     let mut stats = NoStats;
-    let t: AosTable =
-        optimize_products_into::<AosTable, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut stats);
+    let t: AosTable = optimize_products_into::<AosTable, _, _, true>(
+        &cards,
+        &Kappa0,
+        f32::INFINITY,
+        DriveOptions::serial(),
+        &mut stats,
+    );
     let rows: &[(u32, f64, f32)] = &[
         (0b0001, 10.0, 0.0),
         (0b0010, 20.0, 0.0),
@@ -54,8 +59,13 @@ fn table1_best_lhs_column() {
     // an equally good recording of the same split).
     let cards = [10.0, 20.0, 30.0, 40.0];
     let mut stats = NoStats;
-    let t: AosTable =
-        optimize_products_into::<AosTable, _, _, true>(&cards, &Kappa0, f32::INFINITY, &mut stats);
+    let t: AosTable = optimize_products_into::<AosTable, _, _, true>(
+        &cards,
+        &Kappa0,
+        f32::INFINITY,
+        DriveOptions::serial(),
+        &mut stats,
+    );
     let check = |set: u32, expect: u32| {
         let s = RelSet::from_bits(set);
         let got = t.best_lhs(s).bits();

@@ -98,6 +98,7 @@ fn optimization_cost_orders_match_the_papers_qualitative_claims() {
     // cardinality; chains the least — measured via instrumentation rather
     // than (noisy) wall-clock in this test.
     use blitzsplit::core::{optimize_join_into, AosTable, Counters};
+    use blitzsplit::DriveOptions;
     let n = 11;
     let count = |topo: Topology, mu: f64| -> u64 {
         let spec = Workload::new(n, topo, mu, 0.0).spec();
@@ -106,6 +107,7 @@ fn optimization_cost_orders_match_the_papers_qualitative_claims() {
             &spec,
             &DiskNestedLoops::default(),
             f32::INFINITY,
+            DriveOptions::serial(),
             &mut c,
         );
         c.kappa_dep_evals
