@@ -77,7 +77,7 @@ fn analyze() -> ExitCode {
             );
             eprintln!(
                 "  pointer-bearing fns: {}; lock classes: [{}]; wait sites: {}",
-                summary.pointer_fns,
+                summary.pointer_fns.len(),
                 summary.lock_classes.join(", "),
                 summary.wait_sites
             );

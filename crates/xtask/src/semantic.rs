@@ -68,8 +68,9 @@ pub struct Summary {
     pub uses: usize,
     /// Call sites recorded.
     pub calls: usize,
-    /// Pointer-bearing functions (unsafe or raw-pointer signature).
-    pub pointer_fns: usize,
+    /// Qualified names of the pointer-bearing functions (unsafe or
+    /// raw-pointer signature), one entry per function.
+    pub pointer_fns: Vec<String>,
     /// Lock classes seen at `sync::lock` acquisition sites.
     pub lock_classes: Vec<String>,
     /// Nested-acquisition edges (held class → acquired class).
@@ -140,7 +141,7 @@ fn rule_unsafe_provenance(graph: &CallGraph, findings: &mut Vec<Finding>, summar
             ptr_ids.insert(id);
         }
     }
-    summary.pointer_fns = ptr_ids.len();
+    summary.pointer_fns = ptr_ids.iter().map(|&id| graph.item(id).qual.clone()).collect();
     // Declaration side: pointer-bearing functions need an audited home
     // or an audit trail.
     for &id in &ptr_ids {
