@@ -15,8 +15,7 @@
 //!
 //! Environment knobs: `BLITZ_LOAD_CLIENTS` (request loops, default 8),
 //! `BLITZ_LOAD_IDLE` (idle swarm, default 500), `BLITZ_LOAD_SECS`
-//! (request window, default 2). `BLITZ_TEST_POLLER=poll` runs the loop
-//! on the portable `poll(2)` backend.
+//! (request window, default 2).
 
 use blitz_service::server::response_field;
 use blitz_service::{Client, OptimizerService, Server, ServerOptions, ServiceConfig};

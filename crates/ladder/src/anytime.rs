@@ -108,6 +108,10 @@ impl GapBasis {
     }
 }
 
+/// Consecutive rejected proposals after which rung 3's iterated
+/// improvement hands the remaining budget to simulated annealing.
+const II_MAX_CONSECUTIVE_FAILURES: usize = 512;
+
 /// Budgets and knobs for one [`optimize_ladder`] run.
 #[derive(Clone, Debug)]
 pub struct LadderConfig {
@@ -124,12 +128,6 @@ pub struct LadderConfig {
     /// Rung-3 proposal budget shared by iterated improvement and simulated
     /// annealing. `0` disables the rung.
     pub refine_steps: u64,
-    /// Consecutive rejected proposals after which the II phase hands the
-    /// remaining budget to SA.
-    pub ii_max_consecutive_failures: usize,
-    /// Cooling schedule for the SA phase (its `seed` field is ignored —
-    /// [`LadderConfig::seed`] drives one stream across both phases).
-    pub sa: SaParams,
     /// PRNG seed for rung 3.
     pub seed: u64,
     /// Optional wall-clock ceiling over the whole ladder (best-effort;
@@ -152,8 +150,6 @@ impl Default for LadderConfig {
             dp_window: 10,
             dp_rounds: 2,
             refine_steps: 20_000,
-            ii_max_consecutive_failures: 512,
-            sa: SaParams::default(),
             seed: 0x01ad_de12,
             wall_clock: None,
             driver: DriveOptions::default().driver,
@@ -544,7 +540,7 @@ pub fn optimize_ladder<M: CostModel + Sync>(
                 cost,
                 &mut rng,
                 chunk,
-                cfg.ii_max_consecutive_failures,
+                II_MAX_CONSECUTIVE_FAILURES,
                 &mut eval,
             );
             spent.refine_steps += out.steps;
@@ -569,7 +565,10 @@ pub fn optimize_ladder<M: CostModel + Sync>(
                 }
             }
             if sa_budget > 0 {
-                let out = anneal_from(plan, cost, &mut rng, &cfg.sa, sa_budget, &mut eval);
+                // The default cooling schedule; its `seed` is ignored,
+                // since `cfg.seed` drives one stream across both phases.
+                let params = SaParams::default();
+                let out = anneal_from(plan, cost, &mut rng, &params, sa_budget, &mut eval);
                 spent.refine_steps += out.steps;
                 plan = out.plan;
                 cost = out.cost;

@@ -14,9 +14,7 @@
 //!   exactly one optimization);
 //! * [`Lookup::Reserved`] — the caller won the race and owns a
 //!   [`Reservation`] it must resolve: [`Reservation::fulfill_cached`]
-//!   publishes the plan and inserts it into the LRU,
-//!   [`Reservation::fulfill_uncached`] publishes to the waiters only
-//!   (used for fallback plans not worth caching), and dropping the
+//!   publishes the plan and inserts it into the LRU, and dropping the
 //!   reservation unresolved wakes waiters empty-handed so nobody blocks
 //!   forever.
 //!
@@ -271,10 +269,10 @@ pub enum Lookup {
 
 /// Exclusive obligation to resolve one in-flight cache entry.
 ///
-/// Exactly one of [`fulfill_cached`](Reservation::fulfill_cached) /
-/// [`fulfill_uncached`](Reservation::fulfill_uncached) should be called;
-/// if the reservation is instead dropped (worker died, job discarded at
-/// shutdown), the entry is removed and all waiters wake empty-handed.
+/// Resolve it by calling [`fulfill_cached`](Reservation::fulfill_cached)
+/// once; if the reservation is instead dropped (worker died, job
+/// discarded at shutdown), the entry is removed and all waiters wake
+/// empty-handed.
 pub struct Reservation {
     cache: Arc<PlanCache>,
     key: u128,
@@ -299,18 +297,7 @@ impl Reservation {
     pub fn fulfill_cached(mut self, value: ComputedPlan) -> Arc<ComputedPlan> {
         self.resolved = true;
         let value = Arc::new(value);
-        self.cache.complete(self.key, &self.slot, Arc::clone(&value), true);
-        self.slot.publish(SlotState::Done(Arc::clone(&value)));
-        value
-    }
-
-    /// Publish `value` to all waiters but leave the cache without an
-    /// entry (used for fallback plans that should not displace exact
-    /// cached plans).
-    pub fn fulfill_uncached(mut self, value: ComputedPlan) -> Arc<ComputedPlan> {
-        self.resolved = true;
-        let value = Arc::new(value);
-        self.cache.complete(self.key, &self.slot, Arc::clone(&value), false);
+        self.cache.complete(self.key, &self.slot, Arc::clone(&value));
         self.slot.publish(SlotState::Done(Arc::clone(&value)));
         value
     }
@@ -404,13 +391,13 @@ impl PlanCache {
         true
     }
 
-    fn complete(&self, key: u128, slot: &Arc<Slot>, value: Arc<ComputedPlan>, insert: bool) {
+    fn complete(&self, key: u128, slot: &Arc<Slot>, value: Arc<ComputedPlan>) {
         let mut shard = sync::lock(self.shard(key));
         // Replace only this reservation's own in-flight entry. It may be
         // gone already (its last waiter left), and the key may since
         // hold a newer in-flight entry or a resident plan: keep those.
         shard.remove_in_flight(key, slot);
-        if insert && !shard.map.contains_key(&key) {
+        if !shard.map.contains_key(&key) {
             shard.insert_ready(key, value, self.per_shard_capacity);
         }
     }
@@ -509,15 +496,6 @@ mod tests {
         assert!(slot.wait(Some(Duration::from_secs(1))).is_none());
         // The key is free again: the next lookup reserves.
         assert!(matches!(cache.lookup_or_reserve(9), Lookup::Reserved(_)));
-    }
-
-    #[test]
-    fn uncached_fulfillment_shares_but_does_not_insert() {
-        let cache = PlanCache::new(8, 1);
-        let Lookup::Reserved(res) = cache.lookup_or_reserve(5) else { panic!() };
-        res.fulfill_uncached(plan(2.0));
-        assert_eq!(cache.len(), 0);
-        assert!(matches!(cache.lookup_or_reserve(5), Lookup::Reserved(_)));
     }
 
     #[test]

@@ -31,10 +31,13 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+// Without a native poller there is no readiness loop, so the helpers
+// only it calls go unused.
+#![cfg_attr(not(any(poller = "epoll", poller = "kqueue")), allow(dead_code))]
 
 pub mod cache;
 pub mod metrics;
-#[cfg(unix)]
+#[cfg(any(poller = "epoll", poller = "kqueue"))]
 pub mod net;
 pub mod pool;
 pub mod server;
@@ -936,20 +939,17 @@ impl OptimizerService {
         deadline: Option<Duration>,
         start: Instant,
     ) -> Offload {
-        let ladder = self.config.ladder.as_ref().map(|settings| {
-            LadderConfig {
-                max_exact_rels: self.config.max_exact_rels,
-                dp_window: settings.dp_window,
-                dp_rounds: settings.dp_rounds,
-                refine_steps: settings.refine_steps,
-                seed: settings.seed,
-                wall_clock: settings.budget,
-                // Config-driven like the exact path: the ladder's rung-1
-                // gate must not pick up the BLITZ_TEST_DRIVER env
-                // override that LadderConfig::default() honors for tests.
-                driver: self.config.driver,
-                ..LadderConfig::default()
-            }
+        let ladder = self.config.ladder.as_ref().map(|settings| LadderConfig {
+            max_exact_rels: self.config.max_exact_rels,
+            dp_window: settings.dp_window,
+            dp_rounds: settings.dp_rounds,
+            refine_steps: settings.refine_steps,
+            seed: settings.seed,
+            wall_clock: settings.budget,
+            // Config-driven like the exact path: the ladder's rung-1
+            // gate must not pick up the BLITZ_TEST_DRIVER env override
+            // that LadderConfig::default() honors for tests.
+            driver: self.config.driver,
         });
         Offload {
             query,

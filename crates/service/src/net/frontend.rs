@@ -561,9 +561,10 @@ impl EventLoop {
     /// Serve one readiness report for a connection.
     fn conn_ready(&mut self, token: usize, event: Event, now: Instant) {
         let Some(conn) = self.conns.get_mut(&token) else { return };
-        // With no interest registered, epoll and poll(2) still report a
-        // hangup or socket error (as readable + writable): nothing can be
-        // read from or written to the socket any more.
+        // With no interest registered, epoll still reports a hangup or
+        // socket error (as readable + writable): nothing can be read from
+        // or written to the socket any more. kqueue reports nothing for
+        // an fd with no filter registered.
         let broken = conn.interest == Interest::NONE && event.readable && event.writable;
         let mut alive = !broken;
         if alive && event.readable && conn.interest.readable {

@@ -1,22 +1,19 @@
 //! Readiness polling for the nonblocking server frontend.
 //!
-//! [`Poller`] wraps one OS readiness facility — `epoll(7)` on Linux,
-//! `kqueue(2)` on the BSDs/macOS, `poll(2)` anywhere else on Unix — in
-//! a level-triggered `add`/`modify`/`remove`/`wait` interface over
-//! `(fd, token, interest)` registrations (see [`sys`] for the backend
-//! contract and FFI details). [`Waker`] is the cross-thread wake-up:
-//! pool jobs finishing a request nudge the event loop out of `wait`
-//! through a socketpair registered like any other connection.
-//!
-//! The backend is chosen at `Poller::new` time: the platform native one
-//! by default, or the portable fallback when the `BLITZ_TEST_POLLER`
-//! environment variable is set to `poll` — which is how CI exercises
-//! the fallback on the same Linux hosts that normally run epoll.
+//! [`Poller`] owns this target's one native readiness facility —
+//! `epoll(7)` on Linux and Android, `kqueue(2)` on 64-bit macOS, iOS,
+//! OpenBSD and DragonFly — behind a level-triggered
+//! `add`/`modify`/`remove`/`wait` interface over `(fd, token, interest)`
+//! registrations (see `sys` for the backend contract and FFI
+//! details). The choice is made at compile time by the crate's build
+//! script; on any other target this module does not compile and
+//! [`Server::run`](crate::Server::run) returns
+//! [`io::ErrorKind::Unsupported`]. [`Waker`] is the cross-thread
+//! wake-up: pool jobs finishing a request nudge the event loop out of
+//! `wait` through a socketpair registered like any other connection.
 
 pub(crate) mod frontend;
-pub mod sys;
-
-pub use sys::Backend;
+mod sys;
 
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
@@ -28,7 +25,7 @@ use std::time::Duration;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Interest {
     /// Wake when the fd has bytes to read (or a peer hangup/error,
-    /// which every backend folds into readability so the owner's next
+    /// which the poller folds into readability so the owner's next
     /// read observes it).
     pub readable: bool,
     /// Wake when the fd can accept more bytes without blocking.
@@ -62,58 +59,36 @@ pub struct Event {
 /// fd *before* closing it, because the kernel-side interest tables key
 /// on the open file description.
 pub struct Poller {
-    selector: sys::Selector,
+    native: sys::Native,
 }
 
 impl Poller {
-    /// Open a poller on the platform-native backend, unless the
-    /// `BLITZ_TEST_POLLER` environment variable says `poll` — then the
-    /// portable fallback runs instead (any other value is ignored).
+    /// Open a poller on this target's native backend.
     pub fn new() -> io::Result<Poller> {
-        let var = std::env::var("BLITZ_TEST_POLLER").ok();
-        Poller::with_backend(backend_for(var.as_deref()))
-    }
-
-    /// Open a poller on an explicit backend.
-    pub fn with_backend(backend: Backend) -> io::Result<Poller> {
-        Ok(Poller { selector: sys::Selector::new(backend)? })
-    }
-
-    /// The backend this poller runs on.
-    pub fn backend(&self) -> Backend {
-        self.selector.backend()
+        Ok(Poller { native: sys::Native::new()? })
     }
 
     /// Register `fd` under `token`. One registration per fd; re-adding
     /// an fd without removing it first is a backend error.
     pub fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        self.selector.add(fd, token, interest)
+        self.native.add(fd, token, interest)
     }
 
     /// Change an existing registration's token or interest.
     pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        self.selector.modify(fd, token, interest)
+        self.native.modify(fd, token, interest)
     }
 
     /// Drop `fd`'s registration. Call before closing the fd.
     pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-        self.selector.remove(fd)
+        self.native.remove(fd)
     }
 
     /// Block until readiness or `timeout` (`None` = forever), appending
     /// events to `out`. Returns how many were appended; 0 on timeout.
     /// A signal interruption reports as 0 events, never as an error.
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        self.selector.wait(out, timeout)
-    }
-}
-
-/// Map the `BLITZ_TEST_POLLER` override onto a backend: `poll` forces
-/// the portable fallback, anything else keeps the native choice.
-fn backend_for(override_var: Option<&str>) -> Backend {
-    match override_var {
-        Some("poll") => Backend::Poll,
-        _ => Backend::native(),
+        self.native.wait(out, timeout)
     }
 }
 
@@ -183,112 +158,86 @@ mod tests {
         (a, b)
     }
 
-    /// Every backend this build carries must deliver the same
-    /// level-triggered semantics; the tests below run on each.
-    fn each_backend(test: impl Fn(Poller)) {
-        for backend in Backend::available() {
-            let poller = Poller::with_backend(backend).unwrap();
-            assert_eq!(poller.backend(), backend);
-            test(poller);
-        }
-    }
-
     #[test]
     fn readable_after_peer_writes() {
-        each_backend(|mut poller| {
-            let (mut a, b) = pair();
-            poller.add(b.as_raw_fd(), 7, Interest::READABLE).unwrap();
-            let mut events = Vec::new();
+        let mut poller = Poller::new().unwrap();
+        let (mut a, b) = pair();
+        poller.add(b.as_raw_fd(), 7, Interest::READABLE).unwrap();
+        let mut events = Vec::new();
 
-            // Nothing to read yet: the wait must time out.
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "{:?}: spurious event {events:?}", poller.backend());
+        // Nothing to read yet: the wait must time out.
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0, "spurious event {events:?}");
 
-            a.write_all(b"hi").unwrap();
-            let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert!(n >= 1, "{:?}: no event after write", poller.backend());
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.readable),
-                "{:?}: {events:?}",
-                poller.backend()
-            );
-            poller.remove(b.as_raw_fd()).unwrap();
-        });
+        a.write_all(b"hi").unwrap();
+        let n = poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert!(n >= 1, "no event after write");
+        assert!(events.iter().any(|e| e.token == 7 && e.readable), "{events:?}");
+        poller.remove(b.as_raw_fd()).unwrap();
     }
 
     #[test]
     fn level_triggered_until_drained() {
-        each_backend(|mut poller| {
-            let (mut a, mut b) = pair();
-            poller.add(b.as_raw_fd(), 1, Interest::READABLE).unwrap();
-            a.write_all(b"x").unwrap();
-            // Unread input keeps reporting — twice in a row.
-            for _ in 0..2 {
-                let mut events = Vec::new();
-                poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-                assert!(events.iter().any(|e| e.token == 1 && e.readable));
-            }
-            // Draining silences it.
-            let mut sink = [0u8; 8];
-            let _ = b.read(&mut sink).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (mut a, mut b) = pair();
+        poller.add(b.as_raw_fd(), 1, Interest::READABLE).unwrap();
+        a.write_all(b"x").unwrap();
+        // Unread input keeps reporting — twice in a row.
+        for _ in 0..2 {
             let mut events = Vec::new();
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "{:?}: {events:?}", poller.backend());
-        });
+            poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+            assert!(events.iter().any(|e| e.token == 1 && e.readable));
+        }
+        // Draining silences it.
+        let mut sink = [0u8; 8];
+        let _ = b.read(&mut sink).unwrap();
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0, "{events:?}");
     }
 
     #[test]
     fn writable_interest_and_modify() {
-        each_backend(|mut poller| {
-            let (a, _b) = pair();
-            // A fresh socket with buffer space is immediately writable.
-            poller.add(a.as_raw_fd(), 2, Interest::WRITABLE).unwrap();
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert!(events.iter().any(|e| e.token == 2 && e.writable), "{events:?}");
+        let mut poller = Poller::new().unwrap();
+        let (a, _b) = pair();
+        // A fresh socket with buffer space is immediately writable.
+        poller.add(a.as_raw_fd(), 2, Interest::WRITABLE).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert!(events.iter().any(|e| e.token == 2 && e.writable), "{events:?}");
 
-            // Downgrade to read interest: writability stops reporting.
-            poller.modify(a.as_raw_fd(), 3, Interest::READABLE).unwrap();
-            events.clear();
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "{:?}: {events:?}", poller.backend());
-        });
+        // Downgrade to read interest: writability stops reporting.
+        poller.modify(a.as_raw_fd(), 3, Interest::READABLE).unwrap();
+        events.clear();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0, "{events:?}");
     }
 
     #[test]
     fn removed_fd_is_silent() {
-        each_backend(|mut poller| {
-            let (mut a, b) = pair();
-            poller.add(b.as_raw_fd(), 4, Interest::READABLE).unwrap();
-            poller.remove(b.as_raw_fd()).unwrap();
-            a.write_all(b"x").unwrap();
-            let mut events = Vec::new();
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "{:?}: {events:?}", poller.backend());
-        });
+        let mut poller = Poller::new().unwrap();
+        let (mut a, b) = pair();
+        poller.add(b.as_raw_fd(), 4, Interest::READABLE).unwrap();
+        poller.remove(b.as_raw_fd()).unwrap();
+        a.write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0, "{events:?}");
     }
 
     #[test]
     fn waker_wakes_and_drains() {
-        each_backend(|mut poller| {
-            let mut waker = Waker::new(&mut poller, 9).unwrap();
-            let handle = waker.handle();
-            let thread = std::thread::spawn(move || handle.wake());
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-            assert!(events.iter().any(|e| e.token == 9 && e.readable), "{events:?}");
-            thread.join().unwrap();
-            waker.drain();
-            events.clear();
-            let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "waker not drained: {events:?}");
-        });
-    }
-
-    #[test]
-    fn env_override_selects_poll_backend() {
-        assert_eq!(backend_for(Some("poll")), Backend::Poll);
-        assert_eq!(backend_for(Some("epoll")), Backend::native());
-        assert_eq!(backend_for(None), Backend::native());
+        let mut poller = Poller::new().unwrap();
+        let mut waker = Waker::new(&mut poller, 9).unwrap();
+        let handle = waker.handle();
+        let thread = std::thread::spawn(move || handle.wake());
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert!(events.iter().any(|e| e.token == 9 && e.readable), "{events:?}");
+        thread.join().unwrap();
+        waker.drain();
+        events.clear();
+        let n = poller.wait(&mut events, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0, "waker not drained: {events:?}");
     }
 }

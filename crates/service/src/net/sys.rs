@@ -1,267 +1,37 @@
-//! OS readiness backends for the [`Poller`](crate::net::Poller):
-//! `epoll(7)` on Linux, `kqueue(2)` on the BSD family (including macOS),
-//! and a portable `poll(2)` fallback everywhere else on Unix.
+//! The OS readiness backend behind [`Poller`](crate::net::Poller):
+//! `epoll(7)` on Linux and Android, `kqueue(2)` on 64-bit macOS, iOS,
+//! OpenBSD and DragonFly. Exactly one compiles per target — the crate's
+//! build script names it as `cfg(poller = "…")` — and [`Native`] is
+//! that one.
 //!
 //! The workspace builds with no registry access, so there is no `libc`
 //! crate to lean on: the handful of syscall wrappers each backend needs
 //! are declared here as `extern "C"` prototypes against the platform's
 //! C library (which `std` already links). Every struct layout and
-//! constant is the kernel ABI for the targets it is compiled on — the
-//! `cfg` gates are the audit trail.
+//! constant is the kernel ABI for the targets it is compiled on, and a
+//! `const` size assertion beside each FFI struct fails the build when
+//! a declaration drifts from it.
 //!
-//! All backends expose the same level-triggered contract:
+//! Both backends keep the same level-triggered contract:
 //!
-//! * [`Selector::add`] / [`Selector::modify`] / [`Selector::remove`]
-//!   manage `(fd, token, interest)` registrations;
-//! * [`Selector::wait`] blocks up to a timeout and appends one
+//! * `add` / `modify` / `remove` manage `(fd, token, interest)`
+//!   registrations;
+//! * `wait` blocks up to a timeout and appends one
 //!   [`Event`](crate::net::Event) per ready registration;
 //! * readiness is *level*-triggered: an fd with unread input (or free
 //!   send-buffer space under write interest) keeps reporting ready, so
 //!   a frontend that processes a bounded amount per wake never loses
 //!   events.
-//!
-//! On Linux the `poll(2)` fallback compiles too (the syscall is
-//! universal), so tests exercise the portable path on the same host
-//! that runs epoll — see `BLITZ_TEST_POLLER` in [`crate::net`].
 
-use crate::net::{Event, Interest};
-use std::io;
-use std::os::fd::RawFd;
-use std::time::Duration;
+#[cfg(poller = "epoll")]
+pub(crate) use epoll::Epoll as Native;
+#[cfg(poller = "kqueue")]
+pub(crate) use kqueue::Kqueue as Native;
 
-/// Which backend a [`Selector`] runs on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Linux `epoll(7)`.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    Epoll,
-    /// BSD-family `kqueue(2)`.
-    #[cfg(any(
-        target_os = "macos",
-        target_os = "ios",
-        target_os = "freebsd",
-        target_os = "netbsd",
-        target_os = "openbsd",
-        target_os = "dragonfly"
-    ))]
-    Kqueue,
-    /// Portable `poll(2)`.
-    Poll,
-}
-
-impl Backend {
-    /// The platform's preferred backend.
-    pub fn native() -> Backend {
-        #[cfg(any(target_os = "linux", target_os = "android"))]
-        {
-            Backend::Epoll
-        }
-        #[cfg(any(
-            target_os = "macos",
-            target_os = "ios",
-            target_os = "freebsd",
-            target_os = "netbsd",
-            target_os = "openbsd",
-            target_os = "dragonfly"
-        ))]
-        {
-            Backend::Kqueue
-        }
-        #[cfg(not(any(
-            target_os = "linux",
-            target_os = "android",
-            target_os = "macos",
-            target_os = "ios",
-            target_os = "freebsd",
-            target_os = "netbsd",
-            target_os = "openbsd",
-            target_os = "dragonfly"
-        )))]
-        {
-            Backend::Poll
-        }
-    }
-
-    /// Stable name for logs and tests.
-    pub fn name(&self) -> &'static str {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Backend::Epoll => "epoll",
-            #[cfg(any(
-                target_os = "macos",
-                target_os = "ios",
-                target_os = "freebsd",
-                target_os = "netbsd",
-                target_os = "openbsd",
-                target_os = "dragonfly"
-            ))]
-            Backend::Kqueue => "kqueue",
-            Backend::Poll => "poll",
-        }
-    }
-
-    /// Every backend this build can instantiate (the native one first).
-    pub fn available() -> Vec<Backend> {
-        let mut all = vec![Backend::native()];
-        if !all.contains(&Backend::Poll) {
-            all.push(Backend::Poll);
-        }
-        all
-    }
-}
-
-/// Backend dispatch. One variant per compiled backend; construction
-/// picks at runtime so the portable path stays testable on every host.
-pub enum Selector {
-    /// See [`Backend::Epoll`].
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    Epoll(epoll::Epoll),
-    /// See [`Backend::Kqueue`].
-    #[cfg(any(
-        target_os = "macos",
-        target_os = "ios",
-        target_os = "freebsd",
-        target_os = "netbsd",
-        target_os = "openbsd",
-        target_os = "dragonfly"
-    ))]
-    Kqueue(kqueue::Kqueue),
-    /// See [`Backend::Poll`].
-    Poll(pollfd::PollSet),
-}
-
-impl Selector {
-    /// Open a selector on `backend`.
-    pub fn new(backend: Backend) -> io::Result<Selector> {
-        match backend {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Backend::Epoll => Ok(Selector::Epoll(epoll::Epoll::new()?)),
-            #[cfg(any(
-                target_os = "macos",
-                target_os = "ios",
-                target_os = "freebsd",
-                target_os = "netbsd",
-                target_os = "openbsd",
-                target_os = "dragonfly"
-            ))]
-            Backend::Kqueue => Ok(Selector::Kqueue(kqueue::Kqueue::new()?)),
-            Backend::Poll => Ok(Selector::Poll(pollfd::PollSet::new())),
-        }
-    }
-
-    /// The backend this selector runs on.
-    pub fn backend(&self) -> Backend {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Selector::Epoll(_) => Backend::Epoll,
-            #[cfg(any(
-                target_os = "macos",
-                target_os = "ios",
-                target_os = "freebsd",
-                target_os = "netbsd",
-                target_os = "openbsd",
-                target_os = "dragonfly"
-            ))]
-            Selector::Kqueue(_) => Backend::Kqueue,
-            Selector::Poll(_) => Backend::Poll,
-        }
-    }
-
-    /// Register `fd` with `token` and `interest`.
-    pub fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Selector::Epoll(s) => s.add(fd, token, interest),
-            #[cfg(any(
-                target_os = "macos",
-                target_os = "ios",
-                target_os = "freebsd",
-                target_os = "netbsd",
-                target_os = "openbsd",
-                target_os = "dragonfly"
-            ))]
-            Selector::Kqueue(s) => s.add(fd, token, interest),
-            Selector::Poll(s) => s.add(fd, token, interest),
-        }
-    }
-
-    /// Change an existing registration's token or interest.
-    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Selector::Epoll(s) => s.modify(fd, token, interest),
-            #[cfg(any(
-                target_os = "macos",
-                target_os = "ios",
-                target_os = "freebsd",
-                target_os = "netbsd",
-                target_os = "openbsd",
-                target_os = "dragonfly"
-            ))]
-            Selector::Kqueue(s) => s.modify(fd, token, interest),
-            Selector::Poll(s) => s.modify(fd, token, interest),
-        }
-    }
-
-    /// Drop an fd's registration. Must be called *before* the fd is
-    /// closed (kernel-side interest tables key on the open file).
-    pub fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Selector::Epoll(s) => s.remove(fd),
-            #[cfg(any(
-                target_os = "macos",
-                target_os = "ios",
-                target_os = "freebsd",
-                target_os = "netbsd",
-                target_os = "openbsd",
-                target_os = "dragonfly"
-            ))]
-            Selector::Kqueue(s) => s.remove(fd),
-            Selector::Poll(s) => s.remove(fd),
-        }
-    }
-
-    /// Block until at least one registration is ready or `timeout`
-    /// elapses (`None` waits forever), appending events to `out`.
-    /// Returns the number of events appended; 0 means the timeout hit.
-    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        match self {
-            #[cfg(any(target_os = "linux", target_os = "android"))]
-            Selector::Epoll(s) => s.wait(out, timeout),
-            #[cfg(any(
-                target_os = "macos",
-                target_os = "ios",
-                target_os = "freebsd",
-                target_os = "netbsd",
-                target_os = "openbsd",
-                target_os = "dragonfly"
-            ))]
-            Selector::Kqueue(s) => s.wait(out, timeout),
-            Selector::Poll(s) => s.wait(out, timeout),
-        }
-    }
-}
-
-/// A `timeout` as whole milliseconds for `epoll_wait`/`poll`, rounded
-/// *up* so sub-millisecond waits don't spin, clamped to `i32::MAX`
-/// (`None` maps to the kernels' "wait forever" sentinel, −1).
-fn timeout_millis(timeout: Option<Duration>) -> i32 {
-    match timeout {
-        None => -1,
-        Some(d) => {
-            let ms = d.as_millis();
-            let rounded = if d.subsec_nanos() % 1_000_000 != 0 { ms + 1 } else { ms };
-            i32::try_from(rounded).unwrap_or(i32::MAX)
-        }
-    }
-}
-
-#[cfg(any(target_os = "linux", target_os = "android"))]
-pub mod epoll {
+#[cfg(poller = "epoll")]
+mod epoll {
     //! Linux `epoll(7)` backend.
 
-    use super::timeout_millis;
     use crate::net::{Event, Interest};
     use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -270,20 +40,17 @@ pub mod epoll {
     // Kernel ABI (see `linux/eventpoll.h`). On x86 the struct is packed
     // (a 12-byte layout the kernel keeps for compatibility); every other
     // architecture uses natural alignment (16 bytes, data at offset 8).
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    #[repr(C, packed)]
-    #[derive(Copy, Clone)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
     #[repr(C)]
+    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(packed))]
     #[derive(Copy, Clone)]
     struct EpollEvent {
         events: u32,
         data: u64,
     }
+    const _: () = assert!(
+        std::mem::size_of::<EpollEvent>()
+            == if cfg!(any(target_arch = "x86", target_arch = "x86_64")) { 12 } else { 16 }
+    );
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLL_CTL_ADD: i32 = 1;
@@ -311,15 +78,29 @@ pub mod epoll {
         mask
     }
 
+    /// A `timeout` as whole milliseconds for `epoll_wait`, rounded *up*
+    /// so sub-millisecond waits don't spin, clamped to `i32::MAX`
+    /// (`None` maps to the kernel's "wait forever" sentinel, −1).
+    fn timeout_millis(timeout: Option<Duration>) -> i32 {
+        match timeout {
+            None => -1,
+            Some(d) => {
+                let ms = d.as_millis();
+                let rounded = if d.subsec_nanos() % 1_000_000 != 0 { ms + 1 } else { ms };
+                i32::try_from(rounded).unwrap_or(i32::MAX)
+            }
+        }
+    }
+
     /// One epoll instance. The fd is an [`OwnedFd`], so `std` closes it
     /// on drop — no `close(2)` prototype needed.
-    pub struct Epoll {
+    pub(crate) struct Epoll {
         epfd: OwnedFd,
         buf: Vec<EpollEvent>,
     }
 
     impl Epoll {
-        pub(super) fn new() -> io::Result<Epoll> {
+        pub(crate) fn new() -> io::Result<Epoll> {
             // SAFETY: epoll_create1 takes no pointers; a non-negative
             // return is a fresh fd this process owns exclusively, so
             // wrapping it in OwnedFd transfers that ownership once.
@@ -344,12 +125,12 @@ pub mod epoll {
             Ok(())
         }
 
-        pub(super) fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub(crate) fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
             let ev = EpollEvent { events: interest_mask(interest), data: token as u64 };
             self.ctl(EPOLL_CTL_ADD, fd, Some(ev))
         }
 
-        pub(super) fn modify(
+        pub(crate) fn modify(
             &mut self,
             fd: RawFd,
             token: usize,
@@ -359,11 +140,11 @@ pub mod epoll {
             self.ctl(EPOLL_CTL_MOD, fd, Some(ev))
         }
 
-        pub(super) fn remove(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn remove(&mut self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, None)
         }
 
-        pub(super) fn wait(
+        pub(crate) fn wait(
             &mut self,
             out: &mut Vec<Event>,
             timeout: Option<Duration>,
@@ -403,17 +184,15 @@ pub mod epoll {
     }
 }
 
-#[cfg(any(
-    target_os = "macos",
-    target_os = "ios",
-    target_os = "freebsd",
-    target_os = "netbsd",
-    target_os = "openbsd",
-    target_os = "dragonfly"
-))]
-pub mod kqueue {
-    //! BSD-family `kqueue(2)` backend. Read and write interest are
-    //! separate kernel filters, registered and deleted independently.
+#[cfg(poller = "kqueue")]
+mod kqueue {
+    //! `kqueue(2)` backend. Read and write interest are separate kernel
+    //! filters, registered and deleted independently.
+    //!
+    //! Only targets whose `struct kevent` is the 32-byte layout below
+    //! compile it. FreeBSD ≥ 12 (whose default `kevent` symbol takes a
+    //! 64-byte struct with `ext[4]`) and NetBSD (a different struct and
+    //! prototype) are deliberately left out.
 
     use crate::net::{Event, Interest};
     use std::collections::HashMap;
@@ -426,9 +205,11 @@ pub mod kqueue {
         tv_sec: i64,
         tv_nsec: i64,
     }
+    const _: () = assert!(std::mem::size_of::<Timespec>() == 16);
 
-    // The 64-bit BSD/macOS `struct kevent` layout (ident and udata are
-    // pointer-sized; data is pointer-sized and signed).
+    // The 64-bit `struct kevent` of macOS/iOS, OpenBSD and DragonFly
+    // (ident and udata are pointer-sized; data is pointer-sized and
+    // signed).
     #[repr(C)]
     #[derive(Copy, Clone)]
     struct KEvent {
@@ -439,6 +220,7 @@ pub mod kqueue {
         data: isize,
         udata: usize,
     }
+    const _: () = assert!(std::mem::size_of::<KEvent>() == 32);
 
     const EVFILT_READ: i16 = -1;
     const EVFILT_WRITE: i16 = -2;
@@ -461,14 +243,14 @@ pub mod kqueue {
 
     /// One kqueue instance plus the userspace view of registrations
     /// (needed to diff interest on modify/remove).
-    pub struct Kqueue {
+    pub(crate) struct Kqueue {
         kq: OwnedFd,
         registered: HashMap<RawFd, (usize, Interest)>,
         buf: Vec<KEvent>,
     }
 
     impl Kqueue {
-        pub(super) fn new() -> io::Result<Kqueue> {
+        pub(crate) fn new() -> io::Result<Kqueue> {
             // SAFETY: kqueue takes no arguments; a non-negative return
             // is a fresh fd owned exclusively by this process.
             let raw = unsafe { kqueue() };
@@ -521,16 +303,16 @@ pub mod kqueue {
             Ok(())
         }
 
-        pub(super) fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub(crate) fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
             self.apply(fd, token, interest, Interest::NONE)
         }
 
-        pub(super) fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
             let prior = self.registered.get(&fd).map(|(_, i)| *i).unwrap_or(Interest::NONE);
             self.apply(fd, token, interest, prior)
         }
 
-        pub(super) fn remove(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn remove(&mut self, fd: RawFd) -> io::Result<()> {
             if let Some((token, prior)) = self.registered.remove(&fd) {
                 self.apply(fd, token, Interest::NONE, prior)?;
                 self.registered.remove(&fd);
@@ -538,7 +320,7 @@ pub mod kqueue {
             Ok(())
         }
 
-        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+        pub(crate) fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
             let ts = timeout.map(|d| Timespec {
                 tv_sec: d.as_secs() as i64,
                 tv_nsec: d.subsec_nanos() as i64,
@@ -573,132 +355,6 @@ pub mod kqueue {
                 });
             }
             Ok(n as usize)
-        }
-    }
-}
-
-pub mod pollfd {
-    //! Portable `poll(2)` backend: a userspace registration table
-    //! rebuilt into a `pollfd` array per wait. O(n) per call, which is
-    //! the price of portability — the native backends exist for the
-    //! tens-of-thousands-of-sockets regime.
-
-    use super::timeout_millis;
-    use crate::net::{Event, Interest};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Copy, Clone)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const POLLNVAL: i16 = 0x020;
-
-    extern "C" {
-        // nfds_t is unsigned long on every supported libc.
-        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
-    }
-
-    /// The registration table plus a scratch `pollfd` array.
-    pub struct PollSet {
-        // (fd, token, interest); linear scans are fine at fallback scale.
-        registered: Vec<(RawFd, usize, Interest)>,
-        scratch: Vec<PollFd>,
-    }
-
-    impl PollSet {
-        pub(super) fn new() -> PollSet {
-            PollSet { registered: Vec::new(), scratch: Vec::new() }
-        }
-
-        pub(super) fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            if self.registered.iter().any(|&(f, _, _)| f == fd) {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered with the poll backend",
-                ));
-            }
-            self.registered.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub(super) fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            for entry in &mut self.registered {
-                if entry.0 == fd {
-                    *entry = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered with the poll backend"))
-        }
-
-        pub(super) fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            let before = self.registered.len();
-            self.registered.retain(|&(f, _, _)| f != fd);
-            if self.registered.len() == before {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "fd not registered with the poll backend",
-                ));
-            }
-            Ok(())
-        }
-
-        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-            self.scratch.clear();
-            for &(fd, _, interest) in &self.registered {
-                let mut events = 0;
-                if interest.readable {
-                    events |= POLLIN;
-                }
-                if interest.writable {
-                    events |= POLLOUT;
-                }
-                self.scratch.push(PollFd { fd, events, revents: 0 });
-            }
-            if self.scratch.is_empty() {
-                // Nothing registered: just honor the timeout.
-                if let Some(d) = timeout {
-                    std::thread::sleep(d);
-                }
-                return Ok(0);
-            }
-            let millis = timeout_millis(timeout);
-            // SAFETY: `scratch` is a live Vec; nfds equals its length,
-            // so the kernel reads and writes only within the allocation.
-            let n = unsafe {
-                poll(self.scratch.as_mut_ptr(), self.scratch.len() as std::ffi::c_ulong, millis)
-            };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(0);
-                }
-                return Err(err);
-            }
-            let mut appended = 0;
-            for (slot, &(_, token, _)) in self.scratch.iter().zip(&self.registered) {
-                if slot.revents == 0 {
-                    continue;
-                }
-                let broken = slot.revents & (POLLERR | POLLHUP | POLLNVAL) != 0;
-                out.push(Event {
-                    token,
-                    readable: slot.revents & POLLIN != 0 || broken,
-                    writable: slot.revents & POLLOUT != 0 || broken,
-                });
-                appended += 1;
-            }
-            Ok(appended)
         }
     }
 }

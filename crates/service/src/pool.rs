@@ -85,13 +85,6 @@ impl WorkerPool {
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
-
-    /// Jobs taken from another worker's queue. There is one shared
-    /// queue, so this is always 0; it stays for the `pool_steals`
-    /// metrics key.
-    pub fn steals(&self) -> u64 {
-        0
-    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -155,7 +148,6 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
         assert_eq!(ran.load(Ordering::SeqCst), 8);
-        assert_eq!(pool.steals(), 0);
     }
 
     #[test]

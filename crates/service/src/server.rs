@@ -181,18 +181,19 @@ impl Server {
     /// frontend — at most [`ServerOptions::max_connections`] connections
     /// at a time. Transient accept errors are counted in the service
     /// metrics and retried with backoff; only an unrecoverable listener
-    /// error returns. The loop needs the unix fd surface: elsewhere this
-    /// returns [`io::ErrorKind::Unsupported`].
-    #[cfg(unix)]
+    /// error returns. The loop needs a native poller (epoll or kqueue,
+    /// see [`crate::net`]): on targets without one this returns
+    /// [`io::ErrorKind::Unsupported`].
+    #[cfg(any(poller = "epoll", poller = "kqueue"))]
     pub fn run(self) -> io::Result<()> {
         crate::net::frontend::run(self)
     }
 
-    /// The readiness loop needs the unix fd surface.
-    #[cfg(not(unix))]
+    /// The readiness loop needs a native poller.
+    #[cfg(not(any(poller = "epoll", poller = "kqueue")))]
     pub fn run(self) -> io::Result<()> {
         drop(self);
-        Err(io::Error::new(io::ErrorKind::Unsupported, "the readiness loop needs unix"))
+        Err(io::Error::new(io::ErrorKind::Unsupported, "no native readiness poller on this target"))
     }
 
     /// Serve on a background thread; returns the bound address and the

@@ -8,20 +8,16 @@
 //! keyed by `(layout, n_rels)` and hand them to the next request of the
 //! same shape.
 //!
-//! The pool is deliberately simple: mutex-guarded maps of bounded
-//! vectors, sharded by key hash so concurrent workers recycling
-//! *different* query shapes never contend on one lock. The shard is a
-//! pure function of the `(layout, n_rels)` key — same shape, same
-//! shard — so recycling behavior is deterministic regardless of which
-//! worker thread takes or puts. One lock round-trip per take/put is
-//! noise next to the `O(3^n)` optimization the table is for, and the
-//! per-key bound keeps resident memory proportional to the
-//! *concurrency* of each query shape rather than its history.
+//! The pool is deliberately simple: one mutex-guarded map of bounded
+//! vectors. Only the service's DP workers take and put, and one lock
+//! round-trip per take/put is noise next to the `O(3^n)` optimization
+//! the table is for. The per-key bound keeps resident memory
+//! proportional to the *concurrency* of each query shape rather than
+//! its history.
 
 use crate::sync::lock;
 use blitz_core::{AosTable, HotColdTable, LayoutChoice, PlanArena, TableLayout};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
 /// Tables kept per `(layout, n_rels)` shelf. Matching the worker-pool
@@ -29,10 +25,6 @@ use std::sync::Mutex;
 /// covers the common case of back-to-back same-shape requests while an
 /// occasional burst just allocates.
 const SHELF_CAPACITY: usize = 2;
-
-/// Lock shards. A small fixed power of two: the pool's contention
-/// comes from a handful of worker threads, not from key cardinality.
-const SHARD_COUNT: usize = 8;
 
 /// A pooled table of any supported layout. The layout is part of the
 /// shelf key, so a [`TablePool::take`] for layout `L` only ever sees
@@ -84,7 +76,7 @@ impl PoolSlot for HotColdTable {
     }
 }
 
-/// One shard's shelves: finished tables keyed by `(layout, n_rels)`.
+/// Finished tables keyed by `(layout, n_rels)`.
 type Shelves = HashMap<(LayoutChoice, usize), Vec<AnyTable>>;
 
 /// Plan arenas kept on the free list. Arenas are tiny (tens of nodes)
@@ -93,35 +85,17 @@ type Shelves = HashMap<(LayoutChoice, usize), Vec<AnyTable>>;
 const ARENA_CAPACITY: usize = 32;
 
 /// The free list itself: shelves of finished tables keyed by
-/// `(layout, n_rels)`, each bounded to [`SHELF_CAPACITY`], spread over
-/// [`SHARD_COUNT`] hash-sharded locks — plus a single shelf of recycled
-/// [`PlanArena`]s (arenas are shape-independent: their backing storage
-/// grows to the largest plan seen and then serves any size).
+/// `(layout, n_rels)`, each bounded to [`SHELF_CAPACITY`], behind one
+/// lock — plus a single shelf of recycled [`PlanArena`]s (arenas are
+/// shape-independent: their backing storage grows to the largest plan
+/// seen and then serves any size).
+#[derive(Default)]
 pub struct TablePool {
-    shards: Vec<Mutex<Shelves>>,
+    shelves: Mutex<Shelves>,
     arenas: Mutex<Vec<PlanArena>>,
 }
 
-impl Default for TablePool {
-    fn default() -> TablePool {
-        TablePool {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect(),
-            arenas: Mutex::new(Vec::new()),
-        }
-    }
-}
-
 impl TablePool {
-    /// The lock shard owning `key`. `DefaultHasher::new()` uses fixed
-    /// keys, so the mapping is deterministic within (and across)
-    /// processes — a given query shape always recycles through the
-    /// same shard no matter the thread.
-    fn shard_for(&self, key: &(LayoutChoice, usize)) -> &Mutex<Shelves> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
     /// A table for `rels` relations in layout `L`, recycled when the
     /// shelf has one (`true`) or freshly allocated (`false`). Recycled
     /// tables are *not* cleared — the reusing optimizer entry points
@@ -129,7 +103,7 @@ impl TablePool {
     pub fn take<L: PoolSlot>(&self, rels: usize) -> (L, bool) {
         let key = (L::LAYOUT, rels);
         {
-            let mut shelves = lock(self.shard_for(&key));
+            let mut shelves = lock(&self.shelves);
             if let Some(shelf) = shelves.get_mut(&key) {
                 while let Some(any) = shelf.pop() {
                     if let Some(table) = L::reclaim(any) {
@@ -144,9 +118,8 @@ impl TablePool {
     /// Shelve a finished table for reuse; silently dropped when its
     /// shelf is full (bounded memory beats a perfect hit rate).
     pub fn put<L: PoolSlot>(&self, table: L) {
-        let key = (L::LAYOUT, table.rels());
-        let mut shelves = lock(self.shard_for(&key));
-        let shelf = shelves.entry(key).or_default();
+        let mut shelves = lock(&self.shelves);
+        let shelf = shelves.entry((L::LAYOUT, table.rels())).or_default();
         if shelf.len() < SHELF_CAPACITY {
             shelf.push(table.wrap());
         }
@@ -175,9 +148,9 @@ impl TablePool {
         lock(&self.arenas).len()
     }
 
-    /// Total tables currently shelved, across all keys and shards.
+    /// Total tables currently shelved, across all keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).values().map(Vec::len).sum::<usize>()).sum()
+        lock(&self.shelves).values().map(Vec::len).sum()
     }
 
     /// Whether the pool holds no tables at all.
@@ -220,19 +193,19 @@ mod tests {
         assert!(hit);
     }
 
-    /// Sharding must not change observable recycling: shapes spread
-    /// over many shards each keep their own shelf, and concurrent
+    /// Many shapes each keep their own shelf, and concurrent
     /// same-shape traffic still round-trips.
     #[test]
-    fn sharded_shelves_recycle_independently() {
+    fn shelves_recycle_independently() {
+        const SHAPES: usize = 16;
         let pool = Arc::new(TablePool::default());
-        for rels in 3..3 + 2 * SHARD_COUNT {
+        for rels in 3..3 + SHAPES {
             let (t, hit) = pool.take::<AosTable>(rels);
             assert!(!hit);
             pool.put(t);
         }
-        assert_eq!(pool.len(), 2 * SHARD_COUNT);
-        for rels in 3..3 + 2 * SHARD_COUNT {
+        assert_eq!(pool.len(), SHAPES);
+        for rels in 3..3 + SHAPES {
             let (t, hit) = pool.take::<AosTable>(rels);
             assert!(hit, "shape {rels} lost its shelf");
             assert_eq!(t.rels(), rels);

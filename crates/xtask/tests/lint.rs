@@ -270,7 +270,6 @@ fn workspace_semantic_analysis_is_clean_with_populated_graph() {
         "epoll_ctl",
         "epoll_wait",
         "kevent",
-        "poll",
     ] {
         assert!(
             summary.pointer_fns.iter().any(|q| q == want),
