@@ -52,7 +52,7 @@
 //!   their κ'' happen to be bitwise symmetric (IEEE `+`/`*`/`min`
 //!   commute exactly — pinned by a cost-model unit test).
 //! * **Fallback** (the default for models that declare nothing):
-//!   `Conv`/`Auto` transparently degrade to the split driver via
+//!   `Conv` transparently degrades to the split driver via
 //!   [`RowEngine::resolve`], and κ'' sees raw walk order.
 //!
 //! On a supported model the resulting **cost and cardinality columns are
@@ -72,15 +72,15 @@
 //!
 //! # Dispatch
 //!
-//! [`DriverChoice`] is the user-facing knob on [`crate::DriveOptions`]
-//! (env `BLITZ_TEST_DRIVER`, CLI `--driver`, service config/wire
-//! `driver=`): `Split` is the reference enumeration, `Conv` uses this
-//! driver wherever the model supports it (falling back otherwise), and
-//! `Auto` picks Conv only when the model supports it *and* the relation
-//! count is at least `CONV_AUTO_MIN_RELS` (6) — below the crossover the
-//! split loop's smaller per-row constant wins (see EXPERIMENTS.md).
-//! Resolution happens once per drive in [`RowEngine::resolve`]; the row
-//! path dispatches on a `Copy` token.
+//! [`DriverChoice`] is the knob on [`crate::DriveOptions`] (env
+//! `BLITZ_TEST_DRIVER`): `Split` is the reference enumeration and `Conv`
+//! uses this driver wherever the model supports it, falling back to
+//! `Split` otherwise. The service runs `Conv` at every size: below
+//! `n = 6`, where the split loop's smaller per-row setup could win,
+//! neither driver is consistently faster (a few hundred nanoseconds
+//! either way per optimization), and from `n = 6` conv is faster (see
+//! EXPERIMENTS.md). Resolution happens once per drive in
+//! [`RowEngine::resolve`]; the row path dispatches on a `Copy` token.
 //!
 //! [`RowEngine`] also owns the per-wave scalar-vs-vector kernel
 //! selection: rows of popcount `k` deposit `2^k − 2` (split) or
@@ -99,15 +99,6 @@ use crate::split::{find_best_split, DriveOptions};
 use crate::stats::Stats;
 use crate::table::TableLayout;
 
-/// Relation count at or above which `DriverChoice::Auto` prefers the
-/// convolution driver on a supporting model. Below the crossover the
-/// split loop's smaller per-row setup wins; the halving only pays once
-/// the `O(3^n)` loop body dominates. Measured on the hotpath bench
-/// host (see EXPERIMENTS.md): conv is at-or-ahead of the best split
-/// configuration from `n = 6` on all four workload topologies, and
-/// within noise at `n = 5`.
-const CONV_AUTO_MIN_RELS: usize = 6;
-
 /// Popcount below which [`RowEngine::run_row`] forces the scalar
 /// cascade: rows of popcount `k < 4` deposit at most `2^3 − 2 = 6`
 /// split candidates (conv: at most 7) — less than one [`LANES`](crate::kernel::LANES)-wide
@@ -115,11 +106,10 @@ const CONV_AUTO_MIN_RELS: usize = 6;
 const SCALAR_WAVE_FLOOR: usize = 4;
 
 /// Runtime name for the DP driver used to fill each table row,
-/// selectable per [`crate::DriveOptions`] (env `BLITZ_TEST_DRIVER`, CLI
-/// `--driver`, service config). On models where the convolution
-/// reduction is exact ([`CostModel::CONV_SUPPORT`] of `Native` or
-/// `Canonical`) the drivers are cost-bit-identical; elsewhere
-/// `Conv`/`Auto` silently run `Split`.
+/// selectable per [`crate::DriveOptions`] (env `BLITZ_TEST_DRIVER`). On
+/// models where the convolution reduction is exact
+/// ([`CostModel::CONV_SUPPORT`] of `Native` or `Canonical`) the drivers
+/// are cost-bit-identical; elsewhere `Conv` silently runs `Split`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum DriverChoice {
     /// The Vance–Maier split enumeration of [`crate::split`]: every
@@ -130,57 +120,34 @@ pub enum DriverChoice {
     /// unordered partition once. Falls back to `Split` on models whose
     /// `κ''` makes the halving inexact.
     Conv,
-    /// `Conv` when the model supports it and `n ≥` the measured
-    /// crossover (`CONV_AUTO_MIN_RELS` = 6); `Split` otherwise.
-    Auto,
 }
 
 impl DriverChoice {
     /// All selectable drivers, for ablation sweeps.
-    pub const ALL: [DriverChoice; 3] =
-        [DriverChoice::Split, DriverChoice::Conv, DriverChoice::Auto];
+    pub const ALL: [DriverChoice; 2] = [DriverChoice::Split, DriverChoice::Conv];
 
-    /// Stable lower-case name (`split` / `conv` / `auto`).
+    /// Stable lower-case name (`split` / `conv`).
     pub fn name(self) -> &'static str {
         match self {
             DriverChoice::Split => "split",
             DriverChoice::Conv => "conv",
-            DriverChoice::Auto => "auto",
         }
     }
 
     /// Inverse of [`name`](DriverChoice::name); `None` for unknown names.
     pub fn parse(s: &str) -> Option<DriverChoice> {
-        match s {
-            "split" => Some(DriverChoice::Split),
-            "conv" => Some(DriverChoice::Conv),
-            "auto" => Some(DriverChoice::Auto),
-            _ => None,
-        }
+        DriverChoice::ALL.into_iter().find(|d| d.name() == s)
     }
 
-    /// Resolve the user-facing choice against a model's capability and
-    /// the problem size, once per drive. Never returns `Auto`; `Conv` on
-    /// a [`ConvSupport::Fallback`] model degrades to `Split` (the
-    /// documented transparent fallback), so requesting `Conv` is always
-    /// safe.
-    pub fn resolve(self, support: ConvSupport, n: usize) -> DriverChoice {
-        match self {
-            DriverChoice::Split => DriverChoice::Split,
-            DriverChoice::Conv => {
-                if support.allows_conv() {
-                    DriverChoice::Conv
-                } else {
-                    DriverChoice::Split
-                }
-            }
-            DriverChoice::Auto => {
-                if support.allows_conv() && n >= CONV_AUTO_MIN_RELS {
-                    DriverChoice::Conv
-                } else {
-                    DriverChoice::Split
-                }
-            }
+    /// Resolve the choice against a model's capability, once per drive:
+    /// `Conv` on a [`ConvSupport::Fallback`] model degrades to `Split`
+    /// (the documented transparent fallback), so requesting `Conv` is
+    /// always safe.
+    pub fn resolve(self, support: ConvSupport) -> DriverChoice {
+        if support.allows_conv() {
+            self
+        } else {
+            DriverChoice::Split
         }
     }
 }
@@ -200,17 +167,16 @@ impl std::fmt::Display for DriverChoice {
 pub(crate) struct RowEngine {
     /// Resolved split kernel for rows at or above the floor.
     pub(crate) kernel: ResolvedKernel,
-    /// Resolved driver — `Split` or `Conv`, never `Auto`.
+    /// Resolved driver: `Conv` only on a model that supports it.
     pub(crate) driver: DriverChoice,
 }
 
 impl RowEngine {
-    /// Resolve a full [`DriveOptions`] policy against the model and
-    /// problem size.
-    pub(crate) fn resolve<M: CostModel>(options: DriveOptions, _model: &M, n: usize) -> RowEngine {
+    /// Resolve a full [`DriveOptions`] policy against the model.
+    pub(crate) fn resolve<M: CostModel>(options: DriveOptions, _model: &M) -> RowEngine {
         RowEngine {
             kernel: options.kernel.resolve(),
-            driver: options.driver.resolve(M::CONV_SUPPORT, n),
+            driver: options.driver.resolve(M::CONV_SUPPORT),
         }
     }
 
@@ -292,24 +258,16 @@ mod tests {
     }
 
     #[test]
-    fn resolution_respects_capability_and_crossover() {
+    fn resolution_respects_capability() {
         use crate::cost::ConvSupport::{Canonical, Fallback, Native};
-        let d = CONV_AUTO_MIN_RELS;
-        // Explicit choices: Split always sticks; Conv sticks iff the
-        // model's support tier allows the halving at all.
-        for n in [2, d, 20] {
-            for support in [Native, Canonical] {
-                assert_eq!(DriverChoice::Split.resolve(support, n), DriverChoice::Split);
-                assert_eq!(DriverChoice::Conv.resolve(support, n), DriverChoice::Conv);
-            }
-            assert_eq!(DriverChoice::Split.resolve(Fallback, n), DriverChoice::Split);
-            assert_eq!(DriverChoice::Conv.resolve(Fallback, n), DriverChoice::Split);
+        // Split always sticks; Conv sticks iff the model's support tier
+        // allows the halving at all.
+        for support in [Native, Canonical] {
+            assert_eq!(DriverChoice::Split.resolve(support), DriverChoice::Split);
+            assert_eq!(DriverChoice::Conv.resolve(support), DriverChoice::Conv);
         }
-        // Auto: conv only at/above the crossover, and only when allowed.
-        assert_eq!(DriverChoice::Auto.resolve(Native, d - 1), DriverChoice::Split);
-        assert_eq!(DriverChoice::Auto.resolve(Native, d), DriverChoice::Conv);
-        assert_eq!(DriverChoice::Auto.resolve(Canonical, d), DriverChoice::Conv);
-        assert_eq!(DriverChoice::Auto.resolve(Fallback, d + 4), DriverChoice::Split);
+        assert_eq!(DriverChoice::Split.resolve(Fallback), DriverChoice::Split);
+        assert_eq!(DriverChoice::Conv.resolve(Fallback), DriverChoice::Split);
     }
 
     #[test]

@@ -63,8 +63,8 @@
 ///   commute exactly — so the swap is also a no-op on the output bits of
 ///   the historical un-normalized split reference.)
 /// * [`Fallback`](ConvSupport::Fallback) — no bit-exactness argument is
-///   made; `Conv`/`Auto` transparently degrade to the split driver and
-///   κ'' sees operands in raw walk order, exactly as before.
+///   made; `Conv` transparently degrades to the split driver and κ''
+///   sees operands in raw walk order, exactly as before.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum ConvSupport {
     /// κ'' ≡ 0 (or intrinsically bit-symmetric): conv is exact as-is.

@@ -52,7 +52,7 @@ const CANCEL_CHECK_ROWS: u32 = 1 << 12;
 /// The default is read once per process from the environment —
 /// `BLITZ_TEST_THREADS` (unset or `1` ⇒ the serial driver),
 /// `BLITZ_TEST_LAYOUT` (`aos`/`hotcold`), `BLITZ_TEST_KERNEL`
-/// (`scalar`/`simd`) and `BLITZ_TEST_DRIVER` (`split`/`conv`/`auto`) —
+/// (`scalar`/`simd`) and `BLITZ_TEST_DRIVER` (`split`/`conv`) —
 /// which lets a CI job force every default-configured optimization in
 /// the workspace through the parallel rank-wave driver, the hot/cold
 /// table, the SIMD split kernel and/or the convolution driver without
@@ -76,11 +76,11 @@ pub struct DriveOptions {
     /// the hardware once per drive; all kernels produce bit-identical
     /// tables, plans and counters (see [`crate::kernel`]).
     pub kernel: KernelChoice,
-    /// DP driver filling each row: the reference split enumeration, the
-    /// anchored layered-convolution driver, or an automatic pick.
-    /// Resolved against the cost model's [`CostModel::CONV_SUPPORT`]
-    /// capability once per drive; on `Native`/`Canonical` models the
-    /// drivers are cost-bit-identical (see [`crate::conv`]).
+    /// DP driver filling each row: the reference split enumeration or
+    /// the anchored layered-convolution driver. Resolved against the
+    /// cost model's [`CostModel::CONV_SUPPORT`] capability once per
+    /// drive; on `Native`/`Canonical` models the drivers are
+    /// cost-bit-identical (see [`crate::conv`]).
     pub driver: DriverChoice,
 }
 
@@ -436,7 +436,7 @@ where
     // Resolve the kernel and driver once, before any row runs: feature
     // detection and the model capability probe stay off the row path and
     // every worker dispatches on the same `Copy` token.
-    let engine = RowEngine::resolve(options, model, n);
+    let engine = RowEngine::resolve(options, model);
     let threads = options.effective_parallelism();
     if threads >= 2 {
         if let Some(shared) = table.wave_table() {

@@ -133,13 +133,12 @@ pub struct LadderConfig {
     /// Optional wall-clock ceiling over the whole ladder (best-effort;
     /// see the module docs on determinism).
     pub wall_clock: Option<Duration>,
-    /// DP driver for the rung-1 exact step ([`DriverChoice::Split`],
-    /// [`DriverChoice::Conv`], or [`DriverChoice::Auto`]). Defaults to
-    /// whatever [`DriveOptions::default`] resolves (honoring the
-    /// process-wide `BLITZ_TEST_DRIVER` override), so ladder runs follow
-    /// the same driver policy as direct optimizations. Rung-2 block DPs
-    /// stay on the default driver: their windows sit below any sensible
-    /// conv crossover.
+    /// DP driver for the rung-1 exact step ([`DriverChoice::Split`] or
+    /// [`DriverChoice::Conv`]). Defaults to whatever
+    /// [`DriveOptions::default`] resolves (honoring the process-wide
+    /// `BLITZ_TEST_DRIVER` override), so ladder runs follow the same
+    /// driver policy as direct optimizations. Rung-2 block DPs stay on
+    /// the default driver.
     pub driver: DriverChoice,
 }
 

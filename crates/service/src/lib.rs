@@ -233,8 +233,8 @@ impl PlanSource {
 }
 
 /// Which DP driver actually ran an exact optimization, after
-/// [`DriverChoice`] resolution against the cost model and query size.
-/// Carried on [`Response`] (and cached plans) so clients can tell a
+/// [`DriverChoice`] resolution against the cost model. Carried on
+/// [`Response`] (and cached plans) so clients can tell a
 /// convolution-driven answer from a split-driven one without scraping
 /// metrics.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -250,23 +250,16 @@ pub enum ExactDriver {
     /// order. Distinct on the wire so a measured regression can be
     /// attributed to the orientation discipline, not the driver.
     ConvCanonical,
-    /// The request asked for [`DriverChoice::Conv`] but the cost model
-    /// declines the convolution reduction, so the split driver ran
-    /// instead. Distinct from [`ExactDriver::Split`] so the silent
-    /// fallback is visible on the wire (`source_detail=conv_fallback`).
-    ConvFallback,
 }
 
 impl ExactDriver {
     /// The `source_detail=` string for an exact response. Split keeps
-    /// the historical `exact` so existing wire consumers see no change
-    /// unless they opt into the conv driver.
+    /// the historical `exact`.
     pub fn detail(&self) -> &'static str {
         match self {
             ExactDriver::Split => "exact",
             ExactDriver::Conv => "conv",
             ExactDriver::ConvCanonical => "conv_canonical",
-            ExactDriver::ConvFallback => "conv_fallback",
         }
     }
 
@@ -277,32 +270,28 @@ impl ExactDriver {
     }
 }
 
-/// The service-boundary resolution of a request's DP-driver choice for
-/// one `(model, n, options)` triple. Every driver-dependent artifact —
-/// the cache fingerprint tag *and* the wire provenance — derives from
-/// this one value, so the two can never drift apart (they used to be
-/// assembled independently at the cache-key and exact-runner sites,
-/// which is exactly how a new provenance variant could ship without a
-/// matching cache namespace).
+/// The service-boundary resolution of a request's DP driver for one
+/// `(model, options, n)` triple. Every driver-dependent artifact — the
+/// cache fingerprint tag, the wire provenance and the DP's price in
+/// candidates — derives from this one value, so they can never drift
+/// apart.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DriverDisposition {
     model: ModelId,
-    /// The driver in effect, after any per-request override.
-    requested: DriverChoice,
-    /// Whether the request brought its own override (which gets its own
-    /// fingerprint namespace — see [`Request::driver`]).
-    overridden: bool,
+    /// The request's own driver, when it brought one: it gets its own
+    /// fingerprint namespace (see [`Request::driver`]).
+    overridden: Option<DriverChoice>,
     /// What actually runs, resolved exactly as the core resolves it.
-    resolved: DriverChoice,
-    support: ConvSupport,
+    driver: ExactDriver,
+    /// Relations in the query: with `driver`, the DP's size.
+    n: usize,
 }
 
 impl DriverDisposition {
-    /// Resolve against the options the optimization will run under.
-    /// `options.driver` must already include any per-request override;
-    /// the resolution mirrors the core's `RowEngine::resolve` (same
-    /// support and size inputs), which `run_exact` asserts in debug
-    /// builds.
+    /// Resolve against the options the optimization of `n` relations
+    /// will run under. `options.driver` must already include any
+    /// per-request override; the resolution mirrors the core's
+    /// `RowEngine::resolve`, which the exact job asserts in debug builds.
     pub fn new(
         model: ModelId,
         overridden: bool,
@@ -310,42 +299,38 @@ impl DriverDisposition {
         n: usize,
     ) -> DriverDisposition {
         let support = model.conv_support();
-        DriverDisposition {
-            model,
-            requested: options.driver,
-            overridden,
-            resolved: options.driver.resolve(support, n),
-            support,
-        }
+        let driver = match (options.driver.resolve(support), support) {
+            (DriverChoice::Split, _) => ExactDriver::Split,
+            (DriverChoice::Conv, ConvSupport::Canonical) => ExactDriver::ConvCanonical,
+            (DriverChoice::Conv, _) => ExactDriver::Conv,
+        };
+        let overridden = overridden.then_some(options.driver);
+        DriverDisposition { model, overridden, driver, n }
     }
 
     /// The model tag the query fingerprint is keyed by. Overridden
-    /// requests get their own `+driver=` namespace so a `driver=conv`
-    /// answer (with conv provenance) is never served from a
-    /// split-cached entry, and vice versa.
+    /// requests get their own `+driver=` namespace so an overridden
+    /// answer (with its own provenance) is never served from an entry
+    /// the configured driver cached, and vice versa.
     pub fn fingerprint_tag(&self) -> std::borrow::Cow<'static, str> {
-        if self.overridden {
-            std::borrow::Cow::Owned(format!(
-                "{}+driver={}",
-                self.model.name(),
-                self.requested.name()
-            ))
-        } else {
-            std::borrow::Cow::Borrowed(self.model.name())
+        match self.overridden {
+            Some(d) => format!("{}+driver={}", self.model.name(), d.name()).into(),
+            None => self.model.name().into(),
         }
     }
 
     /// The provenance an exact response reports (`source_detail=`).
     pub fn exact_driver(&self) -> ExactDriver {
-        if self.resolved == DriverChoice::Conv {
-            match self.support {
-                ConvSupport::Canonical => ExactDriver::ConvCanonical,
-                _ => ExactDriver::Conv,
-            }
-        } else if self.requested == DriverChoice::Conv {
-            ExactDriver::ConvFallback
+        self.driver
+    }
+
+    /// The DP's candidate count — the work unit of deadline admission
+    /// (see [`Metrics::ns_per_candidate`]).
+    pub(crate) fn candidates(&self) -> f64 {
+        if self.driver.is_conv() {
+            Counters::conv_candidates(self.n)
         } else {
-            ExactDriver::Split
+            Counters::split_candidates(self.n)
         }
     }
 }
@@ -387,10 +372,11 @@ pub struct Request {
     /// Give up waiting after this long and answer greedily; `None`
     /// waits until the optimization finishes.
     pub deadline: Option<Duration>,
-    /// Per-request DP-driver override for the exact path; `None` uses
-    /// [`ServiceConfig::driver`]. Overridden requests are fingerprinted
-    /// separately, so a `driver=conv` answer is never served from a
-    /// split-cached entry (and vice versa).
+    /// Per-request DP-driver override for the exact path; `None` (what
+    /// the wire protocol always sends) uses [`ServiceConfig::driver`].
+    /// Overridden requests are fingerprinted separately, so an
+    /// overridden answer is never served from an entry the configured
+    /// driver cached (and vice versa).
     pub driver: Option<DriverChoice>,
 }
 
@@ -406,12 +392,17 @@ impl Request {
     /// exposed to arbitrary clients must reject them: an expanding
     /// "selectivity" silently inflates every downstream cardinality.
     pub fn validate(&self) -> Result<(), RequestError> {
-        for (i, j, sel) in self.spec.edges() {
-            if !(sel > 0.0 && sel <= 1.0) {
-                return Err(RequestError::SelectivityOutOfRange { i, j, sel });
-            }
-        }
-        Ok(())
+        validate_selectivities(self.spec.edges())
+    }
+}
+
+/// Reject the first selectivity outside `(0, 1]` among `edges`.
+fn validate_selectivities(
+    edges: impl IntoIterator<Item = (usize, usize, f64)>,
+) -> Result<(), RequestError> {
+    match edges.into_iter().find(|&(_, _, sel)| !(sel > 0.0 && sel <= 1.0)) {
+        Some((i, j, sel)) => Err(RequestError::SelectivityOutOfRange { i, j, sel }),
+        None => Ok(()),
     }
 }
 
@@ -519,12 +510,7 @@ impl BigRequest {
 
     /// Service-boundary validation, mirroring [`Request::validate`].
     pub fn validate(&self) -> Result<(), RequestError> {
-        for (i, j, sel) in self.spec.edges() {
-            if !(sel > 0.0 && sel <= 1.0) {
-                return Err(RequestError::SelectivityOutOfRange { i, j, sel });
-            }
-        }
-        Ok(())
+        validate_selectivities(self.spec.edges())
     }
 }
 
@@ -570,13 +556,13 @@ pub struct ServiceConfig {
     /// bit-identical to it — the kernel-equivalence suite enforces
     /// this), so it too is purely a perf knob.
     pub kernel: KernelChoice,
-    /// DP driver for the exact path. Defaults to [`DriverChoice::Auto`],
-    /// which picks the layered-convolution driver when the cost model
-    /// supports the reduction exactly and the query is large enough to
-    /// benefit, and the split driver otherwise. Cost columns are
-    /// bit-identical either way (the driver-equivalence suite enforces
-    /// this), so this is purely a perf knob; requests can still override
-    /// it per query via [`Request::driver`].
+    /// DP driver for the exact path. Defaults to [`DriverChoice::Conv`],
+    /// the layered-convolution driver, which every [`ModelId`] supports
+    /// exactly; below 6 relations neither driver is consistently faster
+    /// (see EXPERIMENTS.md). Cost columns are bit-identical either way (the
+    /// driver-equivalence suite enforces this), so this is purely a perf
+    /// knob. Programmatic callers can override it per query via
+    /// [`Request::driver`]; the wire protocol cannot.
     pub driver: DriverChoice,
     /// Anytime-ladder settings for queries over
     /// [`max_exact_rels`](ServiceConfig::max_exact_rels). `None` (the
@@ -638,7 +624,7 @@ impl Default for ServiceConfig {
             parallel_min_rels: 15,
             layout: LayoutChoice::HotCold,
             kernel: KernelChoice::Simd,
-            driver: DriverChoice::Auto,
+            driver: DriverChoice::Conv,
             ladder: None,
         }
     }
@@ -746,17 +732,16 @@ impl OptimizerService {
             return None;
         }
         let (options, disposition) = self.exact_options(req);
-        self.estimate(req.spec.n(), &options, &disposition)
+        self.estimate(&options, &disposition)
     }
 
     fn estimate(
         &self,
-        n: usize,
         options: &DriveOptions,
         disposition: &DriverDisposition,
     ) -> Option<Duration> {
         let ns_per_candidate = self.metrics.ns_per_candidate()?;
-        let ns = exact_candidates(n, disposition.exact_driver()) * ns_per_candidate
+        let ns = disposition.candidates() * ns_per_candidate
             / options.effective_parallelism() as f64;
         Some(Duration::try_from_secs_f64(ns / 1e9).unwrap_or(Duration::MAX))
     }
@@ -793,7 +778,7 @@ impl OptimizerService {
         // never started: no slot is reserved and no job queued.
         if let Some(deadline) = req.deadline {
             let left = deadline.saturating_sub(start.elapsed());
-            if self.estimate(req.spec.n(), &options, &disposition).is_some_and(|e| e > left) {
+            if self.estimate(&options, &disposition).is_some_and(|e| e > left) {
                 if let Some(cp) = self.cache.get(canon.fingerprint()) {
                     self.metrics.cache_hits.fetch_add(1, Relaxed);
                     return Begun::Done(self.respond_from(&canon, &cp, CacheOutcome::Hit, start));
@@ -980,7 +965,7 @@ impl OptimizerService {
         let canon = canon.clone();
         let metrics = Arc::clone(&self.metrics);
         let tables = Arc::clone(&self.tables);
-        let driver = disposition.exact_driver();
+        let (driver, candidates) = (disposition.exact_driver(), disposition.candidates());
         let submitted = Instant::now();
         Box::new(move || {
             metrics.queue_wait.record(submitted.elapsed());
@@ -1008,7 +993,7 @@ impl OptimizerService {
                 &counters,
                 passes,
                 started.elapsed(),
-                exact_candidates(spec.n(), driver),
+                candidates,
                 options.effective_parallelism(),
             );
             reservation.fulfill_cached(ComputedPlan {
@@ -1261,16 +1246,6 @@ fn greedy_response(
     }
 }
 
-/// The driver's DP candidate count for `n` relations — the work unit
-/// of deadline admission (see [`Metrics::ns_per_candidate`]).
-fn exact_candidates(n: usize, driver: ExactDriver) -> f64 {
-    if driver.is_conv() {
-        Counters::conv_candidates(n)
-    } else {
-        Counters::split_candidates(n)
-    }
-}
-
 /// What a finished exact job hands back: plan, cost, cardinality,
 /// threshold passes and the §3.3 counters.
 type ExactRun = (Plan, f32, f64, u32, Counters);
@@ -1307,8 +1282,7 @@ impl ExactJob<'_> {
         // hand — assert it matches what the core itself will resolve
         // from the same inputs before trusting it for metrics.
         debug_assert_eq!(
-            options.driver.resolve(model.conv_support(), spec.n())
-                == DriverChoice::Conv,
+            options.driver.resolve(model.conv_support()) == DriverChoice::Conv,
             self.driver.is_conv(),
             "service disposition disagrees with core driver resolution"
         );
@@ -1373,46 +1347,49 @@ mod tests {
         assert_eq!(ModelId::SmDnl.conv_support(), SmDnl::default().conv_support());
     }
 
-    /// One disposition value yields both the cache tag and the wire
-    /// provenance, for every (model capability × request) combination.
+    /// One disposition value yields the cache tag, the wire provenance
+    /// and the DP's price, for every (model capability × request)
+    /// combination.
     #[test]
-    fn driver_disposition_derives_tag_and_provenance_together() {
+    fn driver_disposition_derives_tag_provenance_and_price_together() {
         let at = |model: ModelId, driver: Option<DriverChoice>, n: usize| {
-            // Mirror the service default (`ServiceConfig::driver: Auto`)
-            // and then the per-request override, as `optimize` does.
-            let mut options = DriveOptions::serial().with_driver(DriverChoice::Auto);
+            // Mirror the service default and then the per-request
+            // override, as `optimize` does.
+            let mut options = DriveOptions::serial().with_driver(ServiceConfig::default().driver);
             if let Some(d) = driver {
                 options = options.with_driver(d);
             }
             DriverDisposition::new(model, driver.is_some(), &options, n)
         };
 
-        // Auto on a Native model: conv above the crossover, split below.
-        let big = at(ModelId::Kappa0, None, 16);
-        assert_eq!(big.exact_driver(), ExactDriver::Conv);
-        assert_eq!(big.fingerprint_tag(), "k0");
-        let small = at(ModelId::Kappa0, None, 3);
-        assert_eq!(small.exact_driver(), ExactDriver::Split);
+        // The default on a Native model: conv at every size, priced in
+        // conv candidates.
+        for n in [2, 3, 5, 16] {
+            let d = at(ModelId::Kappa0, None, n);
+            assert_eq!(d.exact_driver(), ExactDriver::Conv, "n={n}");
+            assert_eq!(d.fingerprint_tag(), "k0");
+            assert_eq!(d.candidates(), Counters::conv_candidates(n));
+        }
 
-        // Auto on a Canonical model reports the canonical variant —
-        // conv runs natively, no fallback.
+        // On a Canonical model it reports the canonical variant.
         let sm = at(ModelId::SortMerge, None, 16);
         assert_eq!(sm.exact_driver(), ExactDriver::ConvCanonical);
         assert!(sm.exact_driver().is_conv());
         assert_eq!(sm.exact_driver().detail(), "conv_canonical");
         assert_eq!(sm.fingerprint_tag(), "sm");
 
-        // A forced-conv request is namespaced and keeps its provenance
-        // even below the Auto crossover.
+        // A forced-conv request is namespaced and keeps its provenance.
         let forced = at(ModelId::SmDnl, Some(DriverChoice::Conv), 3);
         assert_eq!(forced.exact_driver(), ExactDriver::ConvCanonical);
         assert_eq!(forced.fingerprint_tag(), "smdnl+driver=conv");
 
-        // Forced split is namespaced too and reports plain `exact`.
+        // Forced split is namespaced too, reports plain `exact` and is
+        // priced in split candidates.
         let split = at(ModelId::SortMerge, Some(DriverChoice::Split), 16);
         assert_eq!(split.exact_driver(), ExactDriver::Split);
         assert_eq!(split.exact_driver().detail(), "exact");
         assert_eq!(split.fingerprint_tag(), "sm+driver=split");
+        assert_eq!(split.candidates(), Counters::split_candidates(16));
     }
 
     /// With the canonical-orientation reduction every shipped model
@@ -1479,10 +1456,9 @@ mod tests {
     fn large_requests_take_the_parallel_exact_path() {
         // 16 relations ≥ parallel_min_rels: must still answer exactly
         // (not greedily) and agree with the serial optimizer on cost
-        // bit-for-bit. At this size the default `driver: Auto` picks the
-        // convolution driver (κ₀ supports it), whose cost-equal plan may
-        // break ties differently from split — so the plan itself is
-        // checked by re-costing, not by shape.
+        // bit-for-bit. The service runs the convolution driver, whose
+        // cost-equal plan may break ties differently from split — so the
+        // plan itself is checked by re-costing, not by shape.
         let n = 16;
         let cards: Vec<f64> = (0..n).map(|i| 10.0 + i as f64).collect();
         let edges: Vec<(usize, usize, f64)> =
@@ -1496,7 +1472,7 @@ mod tests {
         assert!(service.drive_options(n).effective_parallelism() >= 2);
         let resp = service.optimize(&Request::new(spec.clone()));
         assert_eq!(resp.source, PlanSource::Exact);
-        assert_eq!(resp.driver, Some(ExactDriver::Conv), "Auto must pick conv at n=16 on κ₀");
+        assert_eq!(resp.driver, Some(ExactDriver::Conv), "the service runs conv on κ₀");
         let direct = blitz_core::optimize_join_threshold_with(
             &spec,
             &Kappa0,

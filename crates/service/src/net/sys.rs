@@ -270,7 +270,7 @@ mod kqueue {
             })
         }
 
-        fn change(&mut self, fd: RawFd, filter: i16, flags: u16, token: usize) -> io::Result<()> {
+        fn change(&self, fd: RawFd, filter: i16, flags: u16, token: usize) -> io::Result<()> {
             let change = KEvent {
                 ident: fd as usize,
                 filter,
@@ -288,7 +288,17 @@ mod kqueue {
             Ok(())
         }
 
-        fn apply(&mut self, fd: RawFd, token: usize, interest: Interest, prior: Interest) -> io::Result<()> {
+        /// Move `fd`'s kernel filters from `prior` to `interest`. The
+        /// kernel only: callers update `registered` once every change
+        /// has succeeded, so the map never drops an fd the kernel still
+        /// reports.
+        fn filters(
+            &self,
+            fd: RawFd,
+            token: usize,
+            interest: Interest,
+            prior: Interest,
+        ) -> io::Result<()> {
             if interest.readable {
                 self.change(fd, EVFILT_READ, EV_ADD, token)?;
             } else if prior.readable {
@@ -299,22 +309,25 @@ mod kqueue {
             } else if prior.writable {
                 self.change(fd, EVFILT_WRITE, EV_DELETE, token)?;
             }
-            self.registered.insert(fd, (token, interest));
             Ok(())
         }
 
         pub(crate) fn add(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.apply(fd, token, interest, Interest::NONE)
+            self.filters(fd, token, interest, Interest::NONE)?;
+            self.registered.insert(fd, (token, interest));
+            Ok(())
         }
 
         pub(crate) fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            let prior = self.registered.get(&fd).map(|(_, i)| *i).unwrap_or(Interest::NONE);
-            self.apply(fd, token, interest, prior)
+            let prior = self.registered.get(&fd).map_or(Interest::NONE, |&(_, i)| i);
+            self.filters(fd, token, interest, prior)?;
+            self.registered.insert(fd, (token, interest));
+            Ok(())
         }
 
         pub(crate) fn remove(&mut self, fd: RawFd) -> io::Result<()> {
-            if let Some((token, prior)) = self.registered.remove(&fd) {
-                self.apply(fd, token, Interest::NONE, prior)?;
+            if let Some(&(token, prior)) = self.registered.get(&fd) {
+                self.filters(fd, token, Interest::NONE, prior)?;
                 self.registered.remove(&fd);
             }
             Ok(())

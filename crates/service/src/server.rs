@@ -5,8 +5,7 @@
 //!
 //! ```text
 //! OPTIMIZE cards=10,20,30 preds=0:1:0.1;1:2:0.2 [model=k0|sm|dnl|smdnl]
-//!          [threshold=T | threshold=init,factor,passes] [deadline_ms=N]
-//!          [driver=split|conv|auto]
+//!          [deadline_ms=N]
 //! METRICS
 //! PING
 //! QUIT
@@ -18,8 +17,14 @@
 //!
 //! ```text
 //! OK cost=2.410000e5 card=2.400000e4 passes=1 source=exact \
-//!    source_detail=exact cache=miss micros=412 plan=((R0 x R1) x R2)
+//!    source_detail=conv cache=miss micros=412 plan=((R0 x R1) x R2)
 //! ```
+//!
+//! Every exact answer comes from one DP configuration, the service's
+//! ([`crate::ServiceConfig`]): the wire picks no driver and no threshold
+//! schedule. `source_detail=` names the driver that ran (`conv` on κ₀,
+//! `conv_canonical` on the κ″ models), and `passes=` counts the
+//! threshold passes the default schedule took.
 //!
 //! Queries with more than `MAX_RELS` relations are accepted too: they
 //! bypass the cache and run the anytime ladder (when configured),
@@ -40,7 +45,7 @@ use crate::{
     Begun, BigRequest, BigSpec, CacheOutcome, ModelId, OptimizerService, PlanSource, Request,
     Response,
 };
-use blitz_core::{DriverChoice, JoinSpec, ThresholdSchedule, MAX_RELS};
+use blitz_core::{JoinSpec, MAX_RELS};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering::Relaxed;
@@ -224,15 +229,11 @@ pub(crate) fn start_line(service: &OptimizerService, line: &str) -> Started {
         "PING" => "OK pong".to_string(),
         "METRICS" => format!("OK {}", service.snapshot().to_line()),
         "OPTIMIZE" => {
-            let begun = parse_optimize(rest).and_then(|wire| match wire {
-                WireRequest::Small(req) => {
-                    req.validate().map_err(|e| e.to_string())?;
-                    Ok(service.begin(&req))
-                }
-                WireRequest::Big(req) => {
-                    req.validate().map_err(|e| e.to_string())?;
-                    Ok(service.begin_big(&req))
-                }
+            // `parse_optimize` has already rejected every selectivity
+            // `Request::validate` would.
+            let begun = parse_optimize(rest).map(|wire| match wire {
+                WireRequest::Small(req) => service.begin(&req),
+                WireRequest::Big(req) => service.begin_big(&req),
             });
             match begun {
                 Ok(begun) => return Started::Optimize(begun),
@@ -271,9 +272,7 @@ pub fn parse_optimize(args: &str) -> Result<WireRequest, String> {
     let mut cards: Option<Vec<f64>> = None;
     let mut preds: Vec<(usize, usize, f64)> = Vec::new();
     let mut model = ModelId::Kappa0;
-    let mut schedule: Option<ThresholdSchedule> = None;
     let mut deadline: Option<Duration> = None;
-    let mut driver: Option<DriverChoice> = None;
 
     for token in args.split_whitespace() {
         let (key, value) =
@@ -305,42 +304,9 @@ pub fn parse_optimize(args: &str) -> Result<WireRequest, String> {
                 model = ModelId::parse(value)
                     .ok_or_else(|| format!("unknown model {value:?} (expected k0|sm|dnl|smdnl)"))?;
             }
-            "threshold" => {
-                let parts: Vec<&str> = value.split(',').collect();
-                schedule = Some(match parts.as_slice() {
-                    [t] => {
-                        let t: f32 =
-                            t.parse().map_err(|_| format!("bad threshold {value:?}"))?;
-                        if !(t.is_finite() && t > 0.0) {
-                            return Err("threshold must be positive and finite".to_string());
-                        }
-                        ThresholdSchedule::new(t, 1e5, 6)
-                    }
-                    [i, f, p] => {
-                        let initial: f32 =
-                            i.parse().map_err(|_| format!("bad threshold initial {i:?}"))?;
-                        let factor: f32 =
-                            f.parse().map_err(|_| format!("bad threshold factor {f:?}"))?;
-                        let passes: u32 =
-                            p.parse().map_err(|_| format!("bad threshold passes {p:?}"))?;
-                        if !(initial.is_finite() && initial > 0.0) || factor <= 1.0 || passes == 0 {
-                            return Err(
-                                "threshold needs initial>0, factor>1, passes>=1".to_string()
-                            );
-                        }
-                        ThresholdSchedule::new(initial, factor, passes)
-                    }
-                    _ => return Err(format!("bad threshold {value:?} (T or init,factor,passes)")),
-                });
-            }
             "deadline_ms" => {
                 let ms: u64 = value.parse().map_err(|_| format!("bad deadline_ms {value:?}"))?;
                 deadline = Some(Duration::from_millis(ms));
-            }
-            "driver" => {
-                driver = Some(DriverChoice::parse(value).ok_or_else(|| {
-                    format!("unknown driver {value:?} (expected split|conv|auto)")
-                })?);
             }
             other => return Err(format!("unknown key {other:?}")),
         }
@@ -354,7 +320,9 @@ pub fn parse_optimize(args: &str) -> Result<WireRequest, String> {
     // library deliberately admits selectivities above 1 and duplicate
     // predicates (whose selectivities multiply), but from an untrusted
     // client both are almost certainly mistakes that poison every
-    // downstream cardinality estimate.
+    // downstream cardinality estimate. This is the wire's one
+    // selectivity check: it covers `Request::validate` and
+    // `BigRequest::validate`.
     let mut seen = std::collections::HashSet::new();
     for &(i, j, sel) in &preds {
         if i == j {
@@ -371,22 +339,12 @@ pub fn parse_optimize(args: &str) -> Result<WireRequest, String> {
     if cards.len() > MAX_RELS {
         // Beyond the bit-set cap: the cached exact path can't represent
         // the query, so it goes to the big path (ladder or flagged
-        // greedy). Threshold schedules only apply to the exact DP.
-        if schedule.is_some() {
-            return Err(format!(
-                "threshold= applies to the exact path only (queries over {MAX_RELS} relations)"
-            ));
-        }
-        if driver.is_some() {
-            return Err(format!(
-                "driver= applies to the exact path only (queries over {MAX_RELS} relations)"
-            ));
-        }
+        // greedy).
         let spec = BigSpec::new(&cards, &preds).map_err(|e| e.to_string())?;
         return Ok(WireRequest::Big(BigRequest { spec, model, deadline }));
     }
     let spec = JoinSpec::new(&cards, &preds).map_err(|e| e.to_string())?;
-    Ok(WireRequest::Small(Request { spec, model, schedule, deadline, driver }))
+    Ok(WireRequest::Small(Request { spec, model, schedule: None, deadline, driver: None }))
 }
 
 /// Render a [`Response`] as an `OK` protocol line. `source_detail=`
@@ -397,9 +355,8 @@ pub fn parse_optimize(args: &str) -> Result<WireRequest, String> {
 pub fn format_response(resp: &Response) -> String {
     use std::fmt::Write as _;
     // Exact responses report the resolved DP driver as their detail
-    // (`exact` for split — the historical value — `conv`, or
-    // `conv_fallback` when a conv request ran on split); every other
-    // source keeps its own detail string.
+    // (`exact` for split — the historical value — `conv` or
+    // `conv_canonical`); every other source keeps its own detail string.
     let detail = match resp.driver {
         Some(d) if resp.source == PlanSource::Exact => d.detail(),
         _ => resp.source.detail(),
@@ -494,19 +451,6 @@ pub fn format_optimize_request(
     model: ModelId,
     deadline: Option<Duration>,
 ) -> String {
-    format_optimize_request_with_driver(cards, preds, model, deadline, None)
-}
-
-/// As [`format_optimize_request`], plus an explicit per-request DP
-/// driver override — serialized as the wire's `driver=` key, which the
-/// server folds into the plan-cache fingerprint.
-pub fn format_optimize_request_with_driver(
-    cards: &[f64],
-    preds: &[(usize, usize, f64)],
-    model: ModelId,
-    deadline: Option<Duration>,
-    driver: Option<DriverChoice>,
-) -> String {
     use std::fmt::Write as _;
     let mut line = String::from("OPTIMIZE cards=");
     for (i, c) in cards.iter().enumerate() {
@@ -527,9 +471,6 @@ pub fn format_optimize_request_with_driver(
     let _ = write!(line, " model={}", model.name());
     if let Some(d) = deadline {
         let _ = write!(line, " deadline_ms={}", d.as_millis());
-    }
-    if let Some(d) = driver {
-        let _ = write!(line, " driver={}", d.name());
     }
     line
 }
@@ -591,43 +532,24 @@ mod tests {
         assert_eq!(response_field(&resp2, "cost"), response_field(&resp, "cost"));
     }
 
-    /// A `driver=` override travels the whole wire path: conv requests
-    /// on a natively-supporting model report `source_detail=conv`, on a
-    /// canonical-orientation model `conv_canonical`, and both cost
-    /// exactly what the default split answer costs. Cache entries are
-    /// driver-scoped, so the conv request after a default one is a
-    /// miss, not a hit.
+    /// The service runs one DP driver at every size: 2–5-relation κ₀
+    /// requests answer `source_detail=conv` and count in `driver_conv`,
+    /// and a κ″ model says `conv_canonical`.
     #[test]
-    fn driver_override_round_trips() {
+    fn small_requests_run_the_conv_driver() {
         let s = service();
-        let base = "OPTIMIZE cards=10,20,30,40 preds=0:1:0.1;1:2:0.2;2:3:0.05";
-        let default = handle_line(&s, base);
-        assert_eq!(response_field(&default, "source_detail"), Some("exact"));
-
-        let conv = handle_line(&s, &format!("{base} driver=conv"));
-        assert!(conv.starts_with("OK "), "{conv}");
-        assert_eq!(response_field(&conv, "source"), Some("exact"));
-        assert_eq!(response_field(&conv, "source_detail"), Some("conv"));
-        assert_eq!(response_field(&conv, "cache"), Some("miss"), "driver-scoped fingerprint");
-        assert_eq!(response_field(&conv, "cost"), response_field(&default, "cost"));
-
-        // Same override again: a hit that preserves the provenance.
-        let again = handle_line(&s, &format!("{base} driver=conv"));
-        assert_eq!(response_field(&again, "cache"), Some("hit"));
-        assert_eq!(response_field(&again, "source_detail"), Some("conv"));
-
-        // Sort-merge has a split-dependent κ'' evaluated on the
-        // canonical operand orientation: conv runs (no more fallback)
-        // and says so distinctly on the wire.
-        let canonical = handle_line(&s, &format!("{base} model=sm driver=conv"));
-        assert_eq!(response_field(&canonical, "source_detail"), Some("conv_canonical"));
-        let sm = handle_line(&s, &format!("{base} model=sm"));
-        assert_eq!(response_field(&canonical, "cost"), response_field(&sm, "cost"));
-
-        // An explicit split override is wire-identical to the default.
-        let split = handle_line(&s, &format!("{base} driver=split"));
-        assert_eq!(response_field(&split, "source_detail"), Some("exact"));
-        assert_eq!(response_field(&split, "cost"), response_field(&default, "cost"));
+        for n in 2..=5 {
+            let cards: Vec<f64> = (0..n).map(|i| 10.0 * (i + 1) as f64).collect();
+            let preds: Vec<(usize, usize, f64)> = (0..n - 1).map(|i| (i, i + 1, 0.1)).collect();
+            let line = format_optimize_request(&cards, &preds, ModelId::Kappa0, None);
+            let resp = handle_line(&s, &line);
+            assert_eq!(response_field(&resp, "source"), Some("exact"), "{resp}");
+            assert_eq!(response_field(&resp, "source_detail"), Some("conv"), "{resp}");
+        }
+        let sm = handle_line(&s, "OPTIMIZE cards=10,20,30 preds=0:1:0.1;1:2:0.2 model=sm");
+        assert_eq!(response_field(&sm, "source_detail"), Some("conv_canonical"), "{sm}");
+        let snap = s.snapshot();
+        assert_eq!((snap.driver_conv, snap.driver_split), (5, 0));
     }
 
     #[test]
@@ -638,11 +560,15 @@ mod tests {
             "OPTIMIZE cards=abc",
             "OPTIMIZE cards=10,20 preds=0:1",
             "OPTIMIZE cards=10,20 model=quantum",
+            "OPTIMIZE cards=10,20 frobs=1",
+            "OPTIMIZE cards=10,20 preds=0:9:0.5",
+            // The wire picks neither the DP driver nor the threshold
+            // schedule: both keys are unknown, whatever their value.
+            "OPTIMIZE cards=10,20 driver=conv",
+            "OPTIMIZE cards=10,20 driver=quantum",
+            "OPTIMIZE cards=10,20 threshold=1e9",
             "OPTIMIZE cards=10,20 threshold=-1",
             "OPTIMIZE cards=10,20 threshold=1,2,3,4",
-            "OPTIMIZE cards=10,20 frobs=1",
-            "OPTIMIZE cards=10,20 driver=quantum",
-            "OPTIMIZE cards=10,20 preds=0:9:0.5",
         ] {
             let resp = handle_line(&s, bad);
             assert!(resp.starts_with("ERR "), "{bad:?} → {resp}");
@@ -884,20 +810,26 @@ mod tests {
         assert_eq!(req.spec.n(), 2);
         assert_eq!(req.model, ModelId::SortMerge);
         assert_eq!(req.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(req.driver, None, "no driver= key means no override");
+        assert_eq!((req.schedule, req.driver), (None, None), "the wire sets neither");
+    }
 
-        let line = format_optimize_request_with_driver(
-            &[10.0, 20.0],
-            &[(0, 1, 0.5)],
-            ModelId::SortMerge,
-            None,
-            Some(DriverChoice::Conv),
+    /// The request line's exact bytes: the benchmark's pool digest hashes
+    /// them, so a formatting change must show up here first.
+    #[test]
+    fn request_line_bytes_are_pinned() {
+        let line = format_optimize_request(
+            &[10.0, 2500.0, 0.5, 1e6],
+            &[(0, 1, 0.5), (1, 2, 1e-3), (3, 0, 1.0)],
+            ModelId::SmDnl,
+            Some(Duration::from_millis(25)),
         );
-        let req = match parse_optimize(line.strip_prefix("OPTIMIZE ").unwrap()).unwrap() {
-            WireRequest::Small(req) => req,
-            WireRequest::Big(req) => panic!("2-relation request parsed as big: {req:?}"),
-        };
-        assert_eq!(req.driver, Some(DriverChoice::Conv));
+        assert_eq!(
+            line,
+            "OPTIMIZE cards=10,2500,0.5,1000000 preds=0:1:0.5;1:2:0.001;3:0:1 model=smdnl \
+             deadline_ms=25"
+        );
+        let bare = format_optimize_request(&[7.0], &[], ModelId::Kappa0, None);
+        assert_eq!(bare, "OPTIMIZE cards=7 model=k0");
     }
 
     /// A request over `MAX_RELS` relations parses to the big path and
@@ -917,11 +849,11 @@ mod tests {
         assert_eq!(response_field(&resp, "source"), Some("greedy_over_limit"));
         assert_eq!(response_field(&resp, "source_detail"), Some("over_limit"));
         assert_eq!(response_field(&resp, "cache"), Some("bypass"));
-        // Threshold schedules and driver overrides are exact-path knobs.
+        // `threshold=` and `driver=` are unknown keys on the big path too.
         let with_threshold = format!("{line} threshold=100");
-        assert!(handle_line(&s, &with_threshold).starts_with("ERR "));
+        assert!(handle_line(&s, &with_threshold).starts_with("ERR unknown key"));
         let with_driver = format!("{line} driver=conv");
-        assert!(handle_line(&s, &with_driver).starts_with("ERR "));
+        assert!(handle_line(&s, &with_driver).starts_with("ERR unknown key"));
     }
 
     #[test]

@@ -2,23 +2,24 @@
 //!
 //! ```text
 //! blitzsplit optimize --cards 10,20,30,40 --pred 0:1:0.1 --pred 0:2:0.2 \
-//!                     [--model k0|sm|dnl|smdnl] [--threshold 1e9] [--threads N] \
-//!                     [--layout aos|hotcold] [--kernel scalar|simd] \
-//!                     [--driver split|conv|auto] [--dot]
+//!                     [--model k0|sm|dnl|smdnl] [--threshold 1e9] [--threads N] [--dot]
 //! blitzsplit optimize --ladder --cards ... [--pred i:j:sel]... [--budget-ms N] \
 //!                     [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S]
 //! blitzsplit sql "SELECT * FROM sales s, customer c WHERE s.custkey = c.custkey"
 //! blitzsplit workload --topology chain|cycle3|star|clique --n 15 --mu 100 --var 0.5 [--time]
 //! blitzsplit serve  [--addr 127.0.0.1:7878] [--max-conns N] \
 //!                   [--workers N] [--cache N] [--max-rels N] [--threads N] \
-//!                   [--layout aos|hotcold] [--kernel scalar|simd] \
-//!                   [--driver split|conv|auto] \
 //!                   [--ladder] [--budget-ms N] [--refine-steps N] [--dp-window K] \
 //!                   [--dp-rounds R] [--seed S]
 //! blitzsplit client --addr HOST:PORT --cards 10,20,30 [--pred i:j:sel]... [--model ...] \
-//!                   [--deadline-ms N] [--driver split|conv|auto]
+//!                   [--deadline-ms N]
 //! blitzsplit client --addr HOST:PORT --metrics
 //! ```
+//!
+//! Every exact optimization runs the service's DP configuration (the
+//! table layout, kernel and driver of `ServiceConfig::default()`), so a
+//! one-shot answer is the server's answer. A subcommand answers any
+//! flag it does not take with an error.
 //!
 //! `optimize` takes an explicit problem; with `--ladder` it runs the
 //! anytime optimality ladder (exact → block DP → stochastic under a
@@ -34,14 +35,14 @@
 use blitzsplit::catalog::{demo_retail_catalog, parse_query, Topology, Workload};
 use blitzsplit::core::{CostModel, MAX_RELS};
 use blitzsplit::ladder::{optimize_ladder, BigSpec, LadderConfig};
-use blitzsplit::service::server::{format_optimize_request_with_driver, response_field};
+use blitzsplit::service::server::{format_optimize_request, response_field};
 use blitzsplit::service::{
     Client, LadderSettings, ModelId, OptimizerService, Server, ServerOptions,
     ServiceConfig,
 };
 use blitzsplit::{
-    optimize_join_threshold_with, optimize_join_with, DiskNestedLoops, DriveOptions, DriverChoice,
-    JoinSpec, Kappa0, KernelChoice, LayoutChoice, SmDnl, SortMerge, ThresholdSchedule,
+    optimize_join_threshold_with, optimize_join_with, DiskNestedLoops, DriveOptions, JoinSpec,
+    Kappa0, SmDnl, SortMerge, ThresholdSchedule,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -51,26 +52,45 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!();
     eprintln!("usage:");
     eprintln!("  blitzsplit optimize --cards C1,C2,... [--pred i:j:sel]... \\");
-    eprintln!("             [--model k0|sm|dnl|smdnl] [--threshold T] [--threads N] \\");
-    eprintln!("             [--layout aos|hotcold] [--kernel scalar|simd] \\");
-    eprintln!("             [--driver split|conv|auto] [--dot]");
+    eprintln!("             [--model k0|sm|dnl|smdnl] [--threshold T] [--threads N] [--dot]");
     eprintln!("  blitzsplit optimize --ladder --cards C1,C2,... [--pred i:j:sel]... \\");
     eprintln!("             [--model ...] [--budget-ms N] [--refine-steps N] \\");
     eprintln!("             [--dp-window K] [--dp-rounds R] [--seed S] [--max-rels N]");
-    eprintln!("  blitzsplit sql \"SELECT ...\" [--model ...] [--dot]");
+    eprintln!("  blitzsplit sql \"SELECT ...\" [--model ...] [--threshold T] \\");
+    eprintln!("             [--threads N] [--dot]");
     eprintln!("  blitzsplit workload --topology chain|cycle3|star|clique \\");
-    eprintln!("             --n N [--mu M] [--var V] [--model ...] [--threads N] [--time]");
+    eprintln!("             --n N [--mu M] [--var V] [--model ...] [--threshold T] \\");
+    eprintln!("             [--threads N] [--time] [--dot]");
     eprintln!("  blitzsplit serve [--addr 127.0.0.1:7878] [--max-conns N] \\");
-    eprintln!("             [--workers N] [--cache N] \\");
-    eprintln!("             [--max-rels N] [--threads N] [--layout aos|hotcold] \\");
-    eprintln!("             [--kernel scalar|simd] [--driver split|conv|auto] \\");
+    eprintln!("             [--workers N] [--cache N] [--max-rels N] [--threads N] \\");
     eprintln!("             [--ladder] [--budget-ms N] \\");
     eprintln!("             [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S]");
     eprintln!("  blitzsplit client --addr HOST:PORT (--metrics | --cards C1,C2,... \\");
-    eprintln!("             [--pred i:j:sel]... [--model ...] [--deadline-ms N] \\");
-    eprintln!("             [--driver split|conv|auto])");
+    eprintln!("             [--pred i:j:sel]... [--model ...] [--deadline-ms N])");
     ExitCode::FAILURE
 }
+
+/// The flags each subcommand takes, switches included. Any other flag
+/// is an error, so a misspelt or removed flag is never ignored silently.
+const FLAGS: &[(&str, &[&str])] = &[
+    (
+        "optimize",
+        &[
+            "cards", "pred", "model", "threshold", "threads", "dot", "ladder", "budget-ms",
+            "refine-steps", "dp-window", "dp-rounds", "seed", "max-rels",
+        ],
+    ),
+    ("sql", &["model", "threshold", "threads", "dot"]),
+    ("workload", &["topology", "n", "mu", "var", "model", "threshold", "threads", "time", "dot"]),
+    (
+        "serve",
+        &[
+            "addr", "max-conns", "workers", "cache", "max-rels", "threads", "ladder", "budget-ms",
+            "refine-steps", "dp-window", "dp-rounds", "seed",
+        ],
+    ),
+    ("client", &["addr", "cards", "pred", "model", "deadline-ms", "metrics"]),
+];
 
 /// Minimal flag parser: `--key value` pairs plus repeatable `--pred`.
 struct Args {
@@ -115,6 +135,11 @@ impl Args {
 
     fn has(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
+    }
+
+    /// Every flag and switch given, without the leading `--`.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.flags.iter().map(|(k, _)| k.as_str()).chain(self.switches.iter().map(String::as_str))
     }
 }
 
@@ -297,6 +322,11 @@ fn main() -> ExitCode {
         return fail("missing subcommand");
     };
     let args = Args::parse(&argv[1..]);
+    if let Some((_, takes)) = FLAGS.iter().find(|(name, _)| *name == cmd) {
+        if let Some(flag) = args.names().find(|f| !takes.contains(f)) {
+            return fail(&format!("{cmd} does not take --{flag}"));
+        }
+    }
     let model = args.get("model").unwrap_or("k0").to_string();
     let threshold = match args.get("threshold").map(|t| t.parse::<f32>()) {
         None => None,
@@ -304,39 +334,18 @@ fn main() -> ExitCode {
         Some(_) => return fail("--threshold must be a positive number"),
     };
     let dot = args.has("dot");
+    // The service's DP configuration, so a one-shot answer is the
+    // server's answer.
+    let service = ServiceConfig::default();
     let drive_options = match args.get("threads").map(|t| t.parse::<usize>()) {
         None => DriveOptions::default(),
         // 0 = auto-detect, 1 = serial, N = that many wave workers.
         Some(Ok(t)) => DriveOptions::parallel(t),
         Some(Err(_)) => return fail("--threads must be a non-negative integer"),
-    };
-    let layout = match args.get("layout").map(LayoutChoice::parse) {
-        None => None,
-        Some(Some(l)) => Some(l),
-        Some(None) => return fail("--layout must be one of aos|hotcold"),
-    };
-    let drive_options = match layout {
-        Some(l) => drive_options.with_layout(l),
-        None => drive_options,
-    };
-    let kernel = match args.get("kernel").map(KernelChoice::parse) {
-        None => None,
-        Some(Some(k)) => Some(k),
-        Some(None) => return fail("--kernel must be one of scalar|simd"),
-    };
-    let drive_options = match kernel {
-        Some(k) => drive_options.with_kernel(k),
-        None => drive_options,
-    };
-    let driver = match args.get("driver").map(DriverChoice::parse) {
-        None => None,
-        Some(Some(d)) => Some(d),
-        Some(None) => return fail("--driver must be one of split|conv|auto"),
-    };
-    let drive_options = match driver {
-        Some(d) => drive_options.with_driver(d),
-        None => drive_options,
-    };
+    }
+    .with_layout(service.layout)
+    .with_kernel(service.kernel)
+    .with_driver(service.driver);
 
     match cmd.as_str() {
         "optimize" => {
@@ -415,7 +424,7 @@ fn main() -> ExitCode {
         }
         "serve" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
-            let mut config = ServiceConfig::default();
+            let mut config = service;
             if let Some(w) = args.get("workers") {
                 match w.parse::<usize>() {
                     Ok(w) if w >= 1 => config.workers = w,
@@ -439,15 +448,6 @@ fn main() -> ExitCode {
                     Ok(t) => config.parallelism = t,
                     _ => return fail("--threads must be a non-negative integer"),
                 }
-            }
-            if let Some(l) = layout {
-                config.layout = l;
-            }
-            if let Some(k) = kernel {
-                config.kernel = k;
-            }
-            if let Some(d) = driver {
-                config.driver = d;
             }
             if args.has("ladder") {
                 let lc = match parse_ladder_flags(&args) {
@@ -519,7 +519,7 @@ fn main() -> ExitCode {
                 Some(Ok(ms)) => Some(std::time::Duration::from_millis(ms)),
                 Some(Err(_)) => return fail("--deadline-ms must be an integer"),
             };
-            let line = format_optimize_request_with_driver(&cards, &preds, model_id, deadline, driver);
+            let line = format_optimize_request(&cards, &preds, model_id, deadline);
             let resp = match client.request(&line) {
                 Ok(r) => r,
                 Err(e) => return fail(&format!("request failed: {e}")),

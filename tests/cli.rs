@@ -163,4 +163,17 @@ fn errors_are_reported_cleanly() {
     let (ok, _, stderr) = run(&["sql", "SELECT * FROM nonexistent"]);
     assert!(!ok);
     assert!(stderr.contains("unknown name"), "{stderr}");
+
+    // A flag the subcommand does not take is an error, not ignored: a
+    // typo, a removed flag, and a flag of another subcommand.
+    for (args, flag) in [
+        (&["optimize", "--cards", "10,20", "--thread", "4"][..], "optimize does not take --thread"),
+        (&["serve", "--addr", "127.0.0.1:0", "--layout", "aos"], "serve does not take --layout"),
+        (&["optimize", "--cards", "10,20", "--driver", "conv"], "optimize does not take --driver"),
+        (&["client", "--addr", "127.0.0.1:1", "--metrics", "--dot"], "client does not take --dot"),
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} succeeded: {stdout}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
 }

@@ -366,9 +366,11 @@ fn source_detail_distinguishes_queue_full_from_deadline_on_the_wire() {
     assert_eq!(response_field(&resp, "source"), Some("greedy_deadline"));
     assert_eq!(response_field(&resp, "source_detail"), Some("deadline"));
 
-    // The exact path names itself too.
+    // The exact path names itself too, by the driver that ran: the
+    // service runs conv at every size.
     let resp = handle_line(&slow, "OPTIMIZE cards=10,20 preds=0:1:0.5");
-    assert_eq!(response_field(&resp, "source_detail"), Some("exact"));
+    assert_eq!(response_field(&resp, "source"), Some("exact"));
+    assert_eq!(response_field(&resp, "source_detail"), Some("conv"));
 
     // Over budget: with a completed job behind it, the service prices a
     // zero deadline out before any DP starts.
