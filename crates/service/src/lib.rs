@@ -630,6 +630,31 @@ impl Default for ServiceConfig {
     }
 }
 
+impl ServiceConfig {
+    /// The [`DriveOptions`] an exact optimization of `n` relations runs
+    /// under: the rank-wave parallel driver for large tables on a layout
+    /// that [runs waves](LayoutChoice::runs_waves), the serial driver
+    /// otherwise, always on this configuration's layout, kernel and
+    /// driver. The service runs every exact DP under these options (so
+    /// its deadline estimate divides by the threads that really run),
+    /// and so does the one-shot CLI, whose answer is then the server's.
+    ///
+    /// Always config-driven, never env-driven: a configuration that is
+    /// serial (`parallelism == 1`) — and every query below
+    /// `parallel_min_rels` — stays serial even when the process-wide
+    /// `BLITZ_TEST_THREADS` override (honored by
+    /// [`DriveOptions::default`]) is set.
+    pub fn drive_options(&self, n: usize) -> DriveOptions {
+        let waves = self.layout.runs_waves();
+        let options = if waves && n >= self.parallel_min_rels && self.parallelism != 1 {
+            DriveOptions::parallel(self.parallelism)
+        } else {
+            DriveOptions::serial()
+        };
+        options.with_layout(self.layout).with_kernel(self.kernel).with_driver(self.driver)
+    }
+}
+
 /// The concurrent optimizer service: cache + pool + metrics behind one
 /// synchronous [`optimize`](OptimizerService::optimize) call.
 pub struct OptimizerService {
@@ -681,31 +706,6 @@ impl OptimizerService {
         Ok(self.optimize(req))
     }
 
-    /// The [`DriveOptions`] an exact optimization of `n` relations runs
-    /// under: the rank-wave parallel driver for large tables on a layout
-    /// that [runs waves](LayoutChoice::runs_waves), the serial driver
-    /// otherwise — so the deadline estimate divides by the threads that
-    /// really run.
-    ///
-    /// Always config-driven, never env-driven: a service configured
-    /// serial (`parallelism == 1`) — and every query below
-    /// `parallel_min_rels` — must stay serial even when the process-wide
-    /// `BLITZ_TEST_THREADS` override (honored by
-    /// [`DriveOptions::default`]) is set.
-    fn drive_options(&self, n: usize) -> DriveOptions {
-        let waves = self.config.layout.runs_waves();
-        let options = if waves && n >= self.config.parallel_min_rels && self.config.parallelism != 1
-        {
-            DriveOptions::parallel(self.config.parallelism)
-        } else {
-            DriveOptions::serial()
-        };
-        options
-            .with_layout(self.config.layout)
-            .with_kernel(self.config.kernel)
-            .with_driver(self.config.driver)
-    }
-
     /// The drive options an exact optimization of `req` runs under
     /// (per-request driver override included) and the driver
     /// disposition derived from them. One disposition drives both the
@@ -713,7 +713,7 @@ impl OptimizerService {
     /// them from separate sites is how the two once could drift.
     fn exact_options(&self, req: &Request) -> (DriveOptions, DriverDisposition) {
         let n = req.spec.n();
-        let mut options = self.drive_options(n);
+        let mut options = self.config.drive_options(n);
         if let Some(d) = req.driver {
             options = options.with_driver(d);
         }
@@ -1453,6 +1453,22 @@ mod tests {
     }
 
     #[test]
+    fn drive_options_keep_small_queries_serial() {
+        let config = ServiceConfig { parallelism: 2, ..Default::default() };
+        let serial = DriveOptions::serial()
+            .with_layout(config.layout)
+            .with_kernel(config.kernel)
+            .with_driver(config.driver);
+        for n in [2, 8, config.parallel_min_rels - 1] {
+            assert_eq!(config.drive_options(n), serial, "n = {n}");
+        }
+        let n = config.parallel_min_rels;
+        assert_eq!(config.drive_options(n), DriveOptions { parallelism: 2, ..serial });
+        let one = ServiceConfig { parallelism: 1, ..config };
+        assert_eq!(one.drive_options(n), serial);
+    }
+
+    #[test]
     fn large_requests_take_the_parallel_exact_path() {
         // 16 relations ≥ parallel_min_rels: must still answer exactly
         // (not greedily) and agree with the serial optimizer on cost
@@ -1469,7 +1485,7 @@ mod tests {
             parallelism: 2,
             ..Default::default()
         });
-        assert!(service.drive_options(n).effective_parallelism() >= 2);
+        assert!(service.config().drive_options(n).effective_parallelism() >= 2);
         let resp = service.optimize(&Request::new(spec.clone()));
         assert_eq!(resp.source, PlanSource::Exact);
         assert_eq!(resp.driver, Some(ExactDriver::Conv), "the service runs conv on κ₀");

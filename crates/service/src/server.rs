@@ -538,16 +538,28 @@ mod tests {
     #[test]
     fn small_requests_run_the_conv_driver() {
         let s = service();
-        for n in 2..=5 {
-            let cards: Vec<f64> = (0..n).map(|i| 10.0 * (i + 1) as f64).collect();
-            let preds: Vec<(usize, usize, f64)> = (0..n - 1).map(|i| (i, i + 1, 0.1)).collect();
-            let line = format_optimize_request(&cards, &preds, ModelId::Kappa0, None);
-            let resp = handle_line(&s, &line);
-            assert_eq!(response_field(&resp, "source"), Some("exact"), "{resp}");
-            assert_eq!(response_field(&resp, "source_detail"), Some("conv"), "{resp}");
+        let mut lines: Vec<(String, &str)> = (2..=5)
+            .map(|n| {
+                let cards: Vec<f64> = (0..n).map(|i| 10.0 * (i + 1) as f64).collect();
+                let preds: Vec<(usize, usize, f64)> =
+                    (0..n - 1).map(|i| (i, i + 1, 0.1)).collect();
+                (format_optimize_request(&cards, &preds, ModelId::Kappa0, None), "conv")
+            })
+            .collect();
+        lines.push((
+            "OPTIMIZE cards=10,20,30 preds=0:1:0.1;1:2:0.2 model=sm".to_string(),
+            "conv_canonical",
+        ));
+        // The second round is all cache hits, which must keep the
+        // provenance of the DP that filled the entry.
+        for cache in ["miss", "hit"] {
+            for (line, detail) in &lines {
+                let resp = handle_line(&s, line);
+                assert_eq!(response_field(&resp, "cache"), Some(cache), "{resp}");
+                assert_eq!(response_field(&resp, "source"), Some("exact"), "{resp}");
+                assert_eq!(response_field(&resp, "source_detail"), Some(*detail), "{resp}");
+            }
         }
-        let sm = handle_line(&s, "OPTIMIZE cards=10,20,30 preds=0:1:0.1;1:2:0.2 model=sm");
-        assert_eq!(response_field(&sm, "source_detail"), Some("conv_canonical"), "{sm}");
         let snap = s.snapshot();
         assert_eq!((snap.driver_conv, snap.driver_split), (5, 0));
     }

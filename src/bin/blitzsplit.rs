@@ -16,10 +16,12 @@
 //! blitzsplit client --addr HOST:PORT --metrics
 //! ```
 //!
-//! Every exact optimization runs the service's DP configuration (the
-//! table layout, kernel and driver of `ServiceConfig::default()`), so a
-//! one-shot answer is the server's answer. A subcommand answers any
-//! flag it does not take with an error.
+//! Every exact optimization runs under `ServiceConfig::drive_options`,
+//! as the server's do (the table layout, kernel and driver of
+//! `ServiceConfig::default()`, and the parallel driver only on large
+//! queries; `--threads` sets its thread count), so a one-shot answer is
+//! the server's answer. A subcommand answers any flag it does not take
+//! with an error.
 //!
 //! `optimize` takes an explicit problem; with `--ladder` it runs the
 //! anytime optimality ladder (exact → block DP → stochastic under a
@@ -41,8 +43,8 @@ use blitzsplit::service::{
     ServiceConfig,
 };
 use blitzsplit::{
-    optimize_join_threshold_with, optimize_join_with, DiskNestedLoops, DriveOptions, JoinSpec,
-    Kappa0, SmDnl, SortMerge, ThresholdSchedule,
+    optimize_join_threshold_with, optimize_join_with, DiskNestedLoops, JoinSpec, Kappa0, SmDnl,
+    SortMerge, ThresholdSchedule,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -172,9 +174,10 @@ fn report<M: CostModel + Sync>(
     spec: &JoinSpec,
     model: &M,
     threshold: Option<f32>,
-    options: DriveOptions,
+    service: &ServiceConfig,
     dot: bool,
 ) -> ExitCode {
+    let options = service.drive_options(spec.n());
     let (optimized, passes) = match threshold {
         Some(t) => {
             match optimize_join_threshold_with(spec, model, ThresholdSchedule::new(t, 1e5, 6), options)
@@ -304,14 +307,14 @@ fn with_model(
     name: &str,
     spec: &JoinSpec,
     threshold: Option<f32>,
-    options: DriveOptions,
+    service: &ServiceConfig,
     dot: bool,
 ) -> Result<ExitCode, String> {
     match name {
-        "k0" => Ok(report(spec, &Kappa0, threshold, options, dot)),
-        "sm" => Ok(report(spec, &SortMerge, threshold, options, dot)),
-        "dnl" => Ok(report(spec, &DiskNestedLoops::default(), threshold, options, dot)),
-        "smdnl" => Ok(report(spec, &SmDnl::default(), threshold, options, dot)),
+        "k0" => Ok(report(spec, &Kappa0, threshold, service, dot)),
+        "sm" => Ok(report(spec, &SortMerge, threshold, service, dot)),
+        "dnl" => Ok(report(spec, &DiskNestedLoops::default(), threshold, service, dot)),
+        "smdnl" => Ok(report(spec, &SmDnl::default(), threshold, service, dot)),
         other => Err(format!("unknown cost model {other:?} (expected k0|sm|dnl|smdnl)")),
     }
 }
@@ -334,18 +337,16 @@ fn main() -> ExitCode {
         Some(_) => return fail("--threshold must be a positive number"),
     };
     let dot = args.has("dot");
-    // The service's DP configuration, so a one-shot answer is the
-    // server's answer.
-    let service = ServiceConfig::default();
-    let drive_options = match args.get("threads").map(|t| t.parse::<usize>()) {
-        None => DriveOptions::default(),
+    // The service's configuration: a one-shot optimization runs the
+    // DP the server would run, so its answer is the server's answer.
+    let mut service = ServiceConfig::default();
+    if let Some(t) = args.get("threads") {
         // 0 = auto-detect, 1 = serial, N = that many wave workers.
-        Some(Ok(t)) => DriveOptions::parallel(t),
-        Some(Err(_)) => return fail("--threads must be a non-negative integer"),
+        match t.parse::<usize>() {
+            Ok(t) => service.parallelism = t,
+            _ => return fail("--threads must be a non-negative integer"),
+        }
     }
-    .with_layout(service.layout)
-    .with_kernel(service.kernel)
-    .with_driver(service.driver);
 
     match cmd.as_str() {
         "optimize" => {
@@ -375,7 +376,7 @@ fn main() -> ExitCode {
                 Ok(s) => s,
                 Err(e) => return fail(&e.to_string()),
             };
-            with_model(&model, &spec, threshold, drive_options, dot).unwrap_or_else(|e| fail(&e))
+            with_model(&model, &spec, threshold, &service, dot).unwrap_or_else(|e| fail(&e))
         }
         "sql" => {
             let Some(query) = args.positional.first() else {
@@ -392,7 +393,7 @@ fn main() -> ExitCode {
                 Ok(s) => s,
                 Err(e) => return fail(&e.to_string()),
             };
-            with_model(&model, &spec, threshold, drive_options, dot).unwrap_or_else(|e| fail(&e))
+            with_model(&model, &spec, threshold, &service, dot).unwrap_or_else(|e| fail(&e))
         }
         "workload" => {
             let topo = match args.get("topology").unwrap_or("chain") {
@@ -417,10 +418,10 @@ fn main() -> ExitCode {
             let spec = Workload::new(n, topo, mu, var).spec();
             if args.has("time") {
                 let start = std::time::Instant::now();
-                let _ = optimize_join_with(&spec, &Kappa0, drive_options);
+                let _ = optimize_join_with(&spec, &Kappa0, service.drive_options(n));
                 println!("optimization time (k0): {:?}", start.elapsed());
             }
-            with_model(&model, &spec, threshold, drive_options, dot).unwrap_or_else(|e| fail(&e))
+            with_model(&model, &spec, threshold, &service, dot).unwrap_or_else(|e| fail(&e))
         }
         "serve" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();
@@ -441,12 +442,6 @@ fn main() -> ExitCode {
                 match m.parse::<usize>() {
                     Ok(m) if m >= 1 => config.max_exact_rels = m,
                     _ => return fail("--max-rels must be a positive integer"),
-                }
-            }
-            if let Some(t) = args.get("threads") {
-                match t.parse::<usize>() {
-                    Ok(t) => config.parallelism = t,
-                    _ => return fail("--threads must be a non-negative integer"),
                 }
             }
             if args.has("ladder") {
