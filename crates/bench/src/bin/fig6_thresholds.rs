@@ -11,6 +11,11 @@
 //!   a threshold and re-optimization passes kick in — the `passes`
 //!   column makes the ripples visible.
 //!
+//! Each panel also has a "GOO cap" column: the certified schedule the
+//! service runs ([`ThresholdSchedule::certified`]), one pass capped just
+//! above greedy GOO's plan cost, timed with the GOO run. It needs no
+//! guessed threshold, so it takes one pass where the guess ripples.
+//!
 //! Also verifies the §6.4 footnote-10 claim on chains: with thresholds in
 //! place, the per-query κ'' execution count drops toward/below `n³/3`
 //! while the `2^n` `T_subset` term persists.
@@ -45,12 +50,22 @@ fn panel(
         schedule.initial,
         schedule.factor
     );
-    let mut table =
-        Table::new(["mean card", "unthresholded", "thresholded", "speedup", "passes", "plan cost"]);
+    let mut table = Table::new([
+        "mean card",
+        "unthresholded",
+        "thresholded",
+        "speedup",
+        "passes",
+        "GOO cap",
+        "cap passes",
+        "plan cost",
+    ]);
     for &mu in &mus {
         let spec = Workload::new(n, topo, mu, variability).spec();
         let base = model.time(&spec, f32::INFINITY, cfg).as_secs_f64();
-        let (t, passes, cost) = model.time_thresholded(&spec, schedule, cfg);
+        let (t, passes, cost) = model.time_thresholded(&spec, Some(schedule), cfg);
+        let (capped, cap_passes, cap_cost) = model.time_thresholded(&spec, None, cfg);
+        assert_eq!(cap_cost.to_bits(), cost.to_bits(), "the certified pass changed the optimum");
         let t = t.as_secs_f64();
         table.row([
             format!("{mu:.3e}"),
@@ -58,6 +73,8 @@ fn panel(
             fmt_secs(t),
             format!("{:.2}x", base / t.max(1e-12)),
             passes.to_string(),
+            fmt_secs(capped.as_secs_f64()),
+            cap_passes.to_string(),
             fmt_num(cost as f64),
         ]);
     }

@@ -6,8 +6,9 @@ use crate::timing::{time_avg, TimingConfig};
 use blitz_core::{
     optimize_join_into, optimize_join_threshold_with, AosTable, CostModel, Counters,
     DiskNestedLoops, DriveOptions, JoinSpec, Kappa0, NoStats, SortMerge, Stats, TableLayout,
-    ThresholdSchedule,
+    ThresholdOutcome, ThresholdSchedule,
 };
+use blitz_service::certified_schedule;
 use std::time::Duration;
 
 /// Dynamic selector over the paper's three cost models.
@@ -75,28 +76,34 @@ impl Model {
         )
     }
 
-    /// Run a thresholded (multi-pass) optimization; returns
+    /// Run a thresholded (multi-pass) optimization under `schedule`, or
+    /// under the service's certified schedule when `None` (greedy GOO's
+    /// plan caps one pass, and the GOO run is timed with it); returns
     /// `(average time, passes, final cost)`.
     pub fn time_thresholded(
         self,
         spec: &JoinSpec,
-        schedule: ThresholdSchedule,
+        schedule: Option<ThresholdSchedule>,
         cfg: TimingConfig,
     ) -> (Duration, u32, f32) {
+        fn go<M: CostModel + Sync>(
+            spec: &JoinSpec,
+            model: &M,
+            schedule: Option<ThresholdSchedule>,
+        ) -> ThresholdOutcome {
+            let schedule = schedule.unwrap_or_else(|| certified_schedule(spec, model));
+            optimize_join_threshold_with(spec, model, schedule, DriveOptions::serial())
+                .expect("grid specs fit the table")
+        }
         let mut passes = 0;
         let mut cost = f32::INFINITY;
         let d = time_avg(
             || {
-                let serial = DriveOptions::serial();
                 let out = match self {
-                    Model::K0 => optimize_join_threshold_with(spec, &Kappa0, schedule, serial),
-                    Model::Sm => optimize_join_threshold_with(spec, &SortMerge, schedule, serial),
-                    Model::Dnl => {
-                        let dnl = DiskNestedLoops::default();
-                        optimize_join_threshold_with(spec, &dnl, schedule, serial)
-                    }
-                }
-                .expect("grid specs fit the table");
+                    Model::K0 => go(spec, &Kappa0, schedule),
+                    Model::Sm => go(spec, &SortMerge, schedule),
+                    Model::Dnl => go(spec, &DiskNestedLoops::default(), schedule),
+                };
                 passes = out.passes;
                 cost = out.optimized.cost;
             },
@@ -128,8 +135,13 @@ mod tests {
         let spec = Workload::new(8, Topology::Chain, 100.0, 0.0).spec();
         let cfg = TimingConfig { min_total: std::time::Duration::from_millis(1), max_reps: 5 };
         let (_, passes, cost) =
-            Model::K0.time_thresholded(&spec, ThresholdSchedule::new(1e9, 1e5, 4), cfg);
+            Model::K0.time_thresholded(&spec, Some(ThresholdSchedule::new(1e9, 1e5, 4)), cfg);
         assert!(passes >= 1);
         assert!(cost.is_finite());
+        for m in Model::ALL {
+            let (_, passes, certified) = m.time_thresholded(&spec, None, cfg);
+            assert_eq!(passes, 1, "{}", m.name());
+            assert_eq!(certified.to_bits(), m.optimize(&spec, f32::INFINITY).to_bits());
+        }
     }
 }

@@ -61,7 +61,46 @@ impl ThresholdSchedule {
     pub fn single(threshold: f32) -> ThresholdSchedule {
         ThresholdSchedule::new(threshold, 2.0, 1)
     }
+
+    /// The *certified* schedule: one pass capped just above
+    /// `known_cost`, the cost of a plan already in hand (the service
+    /// takes greedy GOO's), then the uncapped fallback. When
+    /// `known_cost` is not finite, or the cap overflows `f32`, it is one
+    /// uncapped pass.
+    ///
+    /// Precondition: every `κ ≥ 0`, which every threshold pass already
+    /// relies on (`sort_term`'s clamp keeps all four shipped models
+    /// nonnegative). Then a plan's cost is at least each of its
+    /// subplans' (f32 addition is monotone), and the optimum costs no
+    /// more than the known plan. So every row of the optimum stays under
+    /// the cap, and a row the cap prunes — its `κ'(S)` or best split
+    /// reached the cap — could have been in no plan cheaper than the
+    /// cap. The one pass succeeds and returns the uncapped cost, card
+    /// and plan bits.
+    ///
+    /// The cap is `known_cost × (1 + 10⁻⁵)`, rounded up to the next
+    /// f32, rather than `known_cost` itself or the known plan re-costed
+    /// through the DP's row arithmetic. [`crate::Plan::cost`] multiplies
+    /// `lc·rc·π_span` and adds `lcost + rcost + κ`; the DP takes its
+    /// cards from the fan recurrence and sums in another order. So the
+    /// two costs of one plan can differ in their low bits, by at most
+    /// about `2n` roundings of `2⁻²⁴` (≈ 3.4·10⁻⁶ at `n = 28`), well
+    /// inside the margin. Were the margin ever too small, the pass
+    /// would fail and the fallback pass would still return the right
+    /// bits; only the speed would be lost.
+    pub fn certified(known_cost: f32) -> ThresholdSchedule {
+        let cap = (known_cost * (1.0 + CERTIFIED_MARGIN)).next_up();
+        if cap.is_finite() && cap > 0.0 {
+            ThresholdSchedule { initial: cap, factor: 2.0, max_passes: 1 }
+        } else {
+            ThresholdSchedule::UNCAPPED
+        }
+    }
 }
+
+/// Relative slack [`ThresholdSchedule::certified`] leaves above the
+/// known plan's cost.
+const CERTIFIED_MARGIN: f32 = 1e-5;
 
 impl Default for ThresholdSchedule {
     /// The paper's Figure 6 uses thresholds like `10^9` (κ0) and
@@ -439,6 +478,44 @@ mod tests {
             capped.loop_iters,
             uncapped.loop_iters
         );
+    }
+
+    #[test]
+    fn certified_caps_one_pass_just_above_the_known_cost() {
+        let s = ThresholdSchedule::certified(1000.0);
+        assert_eq!(s.max_passes, 1);
+        assert!(s.initial > 1000.0 * (1.0 + CERTIFIED_MARGIN), "{}", s.initial);
+        assert!(s.initial < 1000.0 * (1.0 + 2.0 * CERTIFIED_MARGIN), "{}", s.initial);
+        // A plan that costs nothing still leaves a positive cap.
+        assert!(ThresholdSchedule::certified(0.0).initial > 0.0);
+        // No finite cap above the known cost: one uncapped pass.
+        for known in [f32::INFINITY, f32::NAN, f32::MAX] {
+            assert_eq!(ThresholdSchedule::certified(known), ThresholdSchedule::UNCAPPED);
+        }
+    }
+
+    #[test]
+    fn certified_pass_returns_the_uncapped_bits() {
+        let spec = chain_spec(10, 100.0, 0.01);
+        let uncapped = optimize_join(&spec, &Kappa0).unwrap();
+        let mut arena = PlanArena::new();
+        let vine = arena.left_deep_vine(spec.n());
+        let vine = arena.to_plan(vine);
+        // Certified by the optimum itself (the cap one margin above it),
+        // by a worse plan, and by a cost below the optimum, which is no
+        // certificate: its pass fails and the uncapped fallback runs.
+        let (_, optimum) = uncapped.plan.cost(&spec, &Kappa0);
+        let (_, worse) = vine.cost(&spec, &Kappa0);
+        for (known, passes) in [(optimum, 1), (worse, 1), (optimum / 2.0, 2)] {
+            let out =
+                optimize_join_threshold(&spec, &Kappa0, ThresholdSchedule::certified(known))
+                    .unwrap();
+            assert_eq!(out.passes, passes, "known cost {known}");
+            assert_eq!(out.final_cap.is_finite(), passes == 1);
+            assert_eq!(out.optimized.cost.to_bits(), uncapped.cost.to_bits());
+            assert_eq!(out.optimized.card.to_bits(), uncapped.card.to_bits());
+            assert_eq!(out.optimized.plan.canonical(), uncapped.plan.canonical());
+        }
     }
 
     #[test]

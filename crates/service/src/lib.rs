@@ -159,8 +159,8 @@ pub enum FallbackReason {
     /// discarded (service shutdown or a dropped queue-full job).
     Abandoned,
     /// The exact DP's estimated time — its candidate count times the
-    /// measured cost per candidate — exceeded the time left before the
-    /// request's deadline, so none was started.
+    /// measured cost per executed split-loop iteration — exceeded the
+    /// time left before the request's deadline, so none was started.
     OverBudget,
 }
 
@@ -324,8 +324,9 @@ impl DriverDisposition {
         self.driver
     }
 
-    /// The DP's candidate count — the work unit of deadline admission
-    /// (see [`Metrics::ns_per_candidate`]).
+    /// The DP's candidate count: its split-loop iterations on an
+    /// unpruned pass, the work deadline admission prices a request at
+    /// (see [`Metrics::ns_per_loop_iter`]).
     pub(crate) fn candidates(&self) -> f64 {
         if self.driver.is_conv() {
             Counters::conv_candidates(self.n)
@@ -367,7 +368,11 @@ pub struct Request {
     pub spec: JoinSpec,
     /// Cost model to optimize under.
     pub model: ModelId,
-    /// Threshold schedule; `None` uses [`ServiceConfig::default_schedule`].
+    /// Threshold schedule the request's cache key is folded with;
+    /// `None` uses [`ServiceConfig::default_schedule`]. It no longer
+    /// steers the DP: every exact DP runs [`certified_schedule`], and
+    /// plans are bit-identical under every schedule. Kept because the
+    /// service benchmark's replay reads it.
     pub schedule: Option<ThresholdSchedule>,
     /// Give up waiting after this long and answer greedily; `None`
     /// waits until the optimization finishes.
@@ -533,7 +538,10 @@ pub struct ServiceConfig {
     /// (≤ 18) on deployments configured serial (`parallelism == 1`),
     /// where no rank-wave fan-out absorbs the growth.
     pub max_exact_rels: usize,
-    /// Schedule for requests that do not bring their own.
+    /// Schedule folded into the cache key of requests that do not bring
+    /// their own. It no longer steers the DP: every exact DP runs
+    /// [`certified_schedule`]. Kept because the service benchmark's
+    /// replay reads it.
     pub default_schedule: ThresholdSchedule,
     /// Worker threads for the rank-wave parallel DP driver on large
     /// queries (`0` = auto-detect, `1` = always serial).
@@ -723,10 +731,13 @@ impl OptimizerService {
 
     /// How long `req`'s exact DP would take if it started now: the
     /// driver's candidate count for the query's size times the measured
-    /// CPU cost per candidate, spread over its wave threads. This is the
-    /// estimate deadline admission compares with the time left. `None`
-    /// until some exact job has completed (a cold service admits
-    /// everything) and for queries over the exact-path limit.
+    /// CPU cost per executed split-loop iteration, spread over its wave
+    /// threads. This is the estimate deadline admission compares with
+    /// the time left. It is an upper bound: a capped pass executes at
+    /// most the candidate count, and the rows it prunes still cost time,
+    /// which the rate charges to the iterations that ran. `None` until
+    /// some exact job has completed (a cold service admits everything)
+    /// and for queries over the exact-path limit.
     pub fn exact_estimate(&self, req: &Request) -> Option<Duration> {
         if req.spec.n() > self.config.max_exact_rels {
             return None;
@@ -740,8 +751,8 @@ impl OptimizerService {
         options: &DriveOptions,
         disposition: &DriverDisposition,
     ) -> Option<Duration> {
-        let ns_per_candidate = self.metrics.ns_per_candidate()?;
-        let ns = disposition.candidates() * ns_per_candidate
+        let ns_per_loop_iter = self.metrics.ns_per_loop_iter()?;
+        let ns = disposition.candidates() * ns_per_loop_iter
             / options.effective_parallelism() as f64;
         Some(Duration::try_from_secs_f64(ns / 1e9).unwrap_or(Duration::MAX))
     }
@@ -802,7 +813,7 @@ impl OptimizerService {
             Lookup::Reserved(reservation) => {
                 self.metrics.cache_misses.fetch_add(1, Relaxed);
                 let slot = reservation.slot();
-                let job = self.make_job(req, &canon, schedule, options, &disposition, reservation);
+                let job = self.make_job(req, &canon, options, &disposition, reservation);
                 if self.pool.submit(job).is_err() {
                     // Queue full: drop the job (waking any waiters
                     // empty-handed via the reservation's Drop) and
@@ -955,7 +966,6 @@ impl OptimizerService {
         &self,
         req: &Request,
         canon: &CanonicalQuery,
-        schedule: ThresholdSchedule,
         options: DriveOptions,
         disposition: &DriverDisposition,
         reservation: Reservation,
@@ -965,7 +975,7 @@ impl OptimizerService {
         let canon = canon.clone();
         let metrics = Arc::clone(&self.metrics);
         let tables = Arc::clone(&self.tables);
-        let (driver, candidates) = (disposition.exact_driver(), disposition.candidates());
+        let driver = disposition.exact_driver();
         let submitted = Instant::now();
         Box::new(move || {
             metrics.queue_wait.record(submitted.elapsed());
@@ -976,7 +986,6 @@ impl OptimizerService {
             } else {
                 let job = ExactJob {
                     spec: &spec,
-                    schedule,
                     options,
                     driver,
                     cancel,
@@ -993,7 +1002,6 @@ impl OptimizerService {
                 &counters,
                 passes,
                 started.elapsed(),
-                candidates,
                 options.effective_parallelism(),
             );
             reservation.fulfill_cached(ComputedPlan {
@@ -1246,6 +1254,17 @@ fn greedy_response(
     }
 }
 
+/// The threshold schedule of every exact DP the service runs, and of the
+/// one-shot CLI's: greedy `goo`'s plan of `spec` under `model`
+/// certifies a cap ([`ThresholdSchedule::certified`]). The optimum
+/// costs no more than that plan, so the one capped pass succeeds and
+/// returns the uncapped cost, card and plan bits, after pruning every
+/// row that reaches the cap. `goo` costs `O(n³)` time, microseconds at
+/// exact-path sizes.
+pub fn certified_schedule<M: CostModel>(spec: &JoinSpec, model: &M) -> ThresholdSchedule {
+    ThresholdSchedule::certified(goo(spec, model).1)
+}
+
 /// What a finished exact job hands back: plan, cost, cardinality,
 /// threshold passes and the §3.3 counters.
 type ExactRun = (Plan, f32, f64, u32, Counters);
@@ -1253,7 +1272,6 @@ type ExactRun = (Plan, f32, f64, u32, Counters);
 /// One exact job's inputs, on the worker that runs it.
 struct ExactJob<'a> {
     spec: &'a JoinSpec,
-    schedule: ThresholdSchedule,
     options: DriveOptions,
     driver: ExactDriver,
     cancel: &'a AtomicBool,
@@ -1286,6 +1304,9 @@ impl ExactJob<'_> {
             self.driver.is_conv(),
             "service disposition disagrees with core driver resolution"
         );
+        // One pass capped by greedy GOO's plan: it prunes every row the
+        // cap rules out and returns the uncapped bits.
+        let schedule = certified_schedule(spec, model);
         let (mut table, recycled) = self.tables.take::<L>(spec.n());
         let counter =
             if recycled { &metrics.table_pool_hits } else { &metrics.table_pool_misses };
@@ -1297,14 +1318,15 @@ impl ExactJob<'_> {
             &mut arena,
             spec,
             model,
-            self.schedule,
+            schedule,
             options,
             self.cancel,
             &mut counters,
         );
-        // The one allocation left on a warm hot path: the owned plan the
-        // cache keeps across requests. It happens once per cache miss;
-        // the optimize-and-extract work itself is allocation-free (the
+        // The allocations left on a warm hot path: GOO's plan, which
+        // certifies the cap, and the owned plan the cache keeps across
+        // requests. Both happen once per cache miss; the
+        // optimize-and-extract work itself is allocation-free (the
         // `no_alloc` suite pins that).
         let run =
             out.map(|out| (arena.to_plan(out.root), out.cost, out.card, out.passes, counters));

@@ -200,13 +200,14 @@ pub struct Metrics {
     work_rate: Mutex<WorkRate>,
 }
 
-/// Exponentially decayed sums of completed exact jobs' CPU time and DP
-/// candidates. Their ratio is a cost per candidate in which large jobs
-/// dominate and small jobs' fixed per-job cost washes out.
+/// Exponentially decayed sums of completed exact jobs' CPU time and
+/// executed split-loop iterations. Their ratio is a cost per iteration
+/// in which large jobs dominate and small jobs' fixed per-job cost
+/// washes out.
 #[derive(Debug, Default)]
 struct WorkRate {
     cpu_ns: f64,
-    candidates: f64,
+    loop_iters: f64,
 }
 
 /// Weight the work-rate sums keep per completed job: a job's influence
@@ -215,16 +216,14 @@ const WORK_RATE_DECAY: f64 = 0.9;
 
 impl Metrics {
     /// Fold one exact optimization's instrumentation into the registry.
-    /// `candidates` is the driver's candidate count for the query's size
-    /// (`Counters::split_candidates`/`conv_candidates`) and `threads`
-    /// the wave threads it ran on; both feed the work rate
-    /// ([`Metrics::ns_per_candidate`]).
+    /// `threads` is the wave threads it ran on; with `elapsed` and the
+    /// split-loop iterations it executed (`counters.loop_iters`) it
+    /// feeds the work rate ([`Metrics::ns_per_loop_iter`]).
     pub fn record_optimization(
         &self,
         counters: &Counters,
         passes: u32,
         elapsed: Duration,
-        candidates: f64,
         threads: usize,
     ) {
         self.optimizations.fetch_add(1, Relaxed);
@@ -234,15 +233,21 @@ impl Metrics {
         self.optimize_latency.record(elapsed);
         let mut rate = sync::lock(&self.work_rate);
         rate.cpu_ns = rate.cpu_ns * WORK_RATE_DECAY + elapsed.as_nanos() as f64 * threads as f64;
-        rate.candidates = rate.candidates * WORK_RATE_DECAY + candidates;
+        rate.loop_iters = rate.loop_iters * WORK_RATE_DECAY + counters.loop_iters as f64;
     }
 
-    /// Measured CPU nanoseconds per DP candidate over recent exact jobs
-    /// (wave threads × wall time, per candidate); `None` until a job
-    /// has completed.
-    pub fn ns_per_candidate(&self) -> Option<f64> {
+    /// Measured CPU nanoseconds per *executed* split-loop iteration over
+    /// recent exact jobs (wave threads × wall time, per iteration);
+    /// `None` until a job that iterated has completed.
+    ///
+    /// On an unpruned pass the iterations equal the driver's closed-form
+    /// candidate count, which deadline admission prices every request
+    /// at. A capped pass runs fewer iterations but still pays for the
+    /// rows it prunes, so a pruned job can only raise this rate: the
+    /// price stays an upper bound on an unpruned DP.
+    pub fn ns_per_loop_iter(&self) -> Option<f64> {
         let rate = sync::lock(&self.work_rate);
-        (rate.candidates > 0.0).then(|| rate.cpu_ns / rate.candidates)
+        (rate.loop_iters > 0.0).then(|| rate.cpu_ns / rate.loop_iters)
     }
 
     /// Fold one anytime-ladder run into the registry. `rung` is the
@@ -579,8 +584,8 @@ mod tests {
     fn record_optimization_accumulates() {
         let m = Metrics::default();
         let c = Counters { loop_iters: 100, loops_skipped: 7, ..Counters::default() };
-        m.record_optimization(&c, 2, Duration::from_micros(50), 100.0, 1);
-        m.record_optimization(&c, 1, Duration::from_micros(70), 100.0, 1);
+        m.record_optimization(&c, 2, Duration::from_micros(50), 1);
+        m.record_optimization(&c, 1, Duration::from_micros(70), 1);
         m.table_pool_hits.fetch_add(1, Relaxed);
         m.table_pool_misses.fetch_add(1, Relaxed);
         m.driver_conv.fetch_add(1, Relaxed);
@@ -605,23 +610,57 @@ mod tests {
         assert!(format!("{s}").contains("exact optimizations: 2"));
     }
 
-    /// The work rate is a ratio of decayed sums: a big job's per-candidate
-    /// cost outweighs many small jobs' fixed overheads, and wave threads
-    /// multiply wall time into CPU time.
+    /// The work rate is a ratio of decayed sums: a big job's
+    /// per-iteration cost outweighs many small jobs' fixed overheads,
+    /// and wave threads multiply wall time into CPU time.
     #[test]
     fn work_rate_is_weighted_by_job_size() {
         let m = Metrics::default();
-        assert_eq!(m.ns_per_candidate(), None, "cold start: no rate yet");
-        let c = Counters::default();
-        // 1M candidates in 1 ms on 2 threads: 2 ns per candidate.
-        m.record_optimization(&c, 1, Duration::from_millis(1), 1e6, 2);
-        assert_eq!(m.ns_per_candidate(), Some(2.0));
-        // Ten tiny jobs at 100 ns per candidate barely move it.
+        assert_eq!(m.ns_per_loop_iter(), None, "cold start: no rate yet");
+        let iters = |loop_iters| Counters { loop_iters, ..Counters::default() };
+        // 1M iterations in 1 ms on 2 threads: 2 ns per iteration.
+        m.record_optimization(&iters(1_000_000), 1, Duration::from_millis(1), 2);
+        assert_eq!(m.ns_per_loop_iter(), Some(2.0));
+        // Ten tiny jobs at 100 ns per iteration barely move it.
         for _ in 0..10 {
-            m.record_optimization(&c, 1, Duration::from_micros(5), 50.0, 1);
+            m.record_optimization(&iters(50), 1, Duration::from_micros(5), 1);
         }
-        let rate = m.ns_per_candidate().unwrap();
+        let rate = m.ns_per_loop_iter().unwrap();
         assert!((2.0..2.2).contains(&rate), "{rate}");
+    }
+
+    /// A capped pass that prunes most rows runs far fewer iterations
+    /// than the closed form but still pays for every row. Charged per
+    /// executed iteration, such a job raises the price of an unpruned
+    /// request and never lowers it — where a rate per closed-form
+    /// candidate would have fallen and admitted DPs that miss their
+    /// deadline.
+    #[test]
+    fn pruned_jobs_never_lower_the_unpruned_price() {
+        let n = 14;
+        let candidates = Counters::conv_candidates(n);
+        let rows = (1u64 << n) as f64;
+        // A job's time: 40 ns per row plus 2 ns per iteration it ran.
+        let job = |loop_iters: f64| {
+            let c = Counters { loop_iters: loop_iters as u64, ..Counters::default() };
+            let ns = 40.0 * rows + 2.0 * loop_iters;
+            (c, Duration::from_nanos(ns as u64))
+        };
+        let m = Metrics::default();
+        let (unpruned, took) = job(candidates);
+        m.record_optimization(&unpruned, 1, took, 1);
+        let mut price = candidates * m.ns_per_loop_iter().unwrap();
+        for share in [0.5, 0.1, 0.01, 0.001] {
+            let (pruned, took) = job(candidates * share);
+            m.record_optimization(&pruned, 1, took, 1);
+            let next = candidates * m.ns_per_loop_iter().unwrap();
+            assert!(next >= price, "a job at {share} of the closed form lowered the price");
+            price = next;
+        }
+        // The pruned jobs raised the unpruned request's price above its
+        // true time.
+        let (_, took) = job(candidates);
+        assert!(price > took.as_nanos() as f64, "{price} ns vs {took:?}");
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //! Every exact answer comes from one DP configuration, the service's
 //! ([`crate::ServiceConfig`]): the wire picks no driver and no threshold
 //! schedule. `source_detail=` names the driver that ran (`conv` on κ₀,
-//! `conv_canonical` on the κ″ models), and `passes=` counts the
-//! threshold passes the default schedule took.
+//! `conv_canonical` on the κ″ models). `passes=` counts the threshold
+//! passes the DP took: every exact DP runs one pass capped just above
+//! the cost of greedy GOO's plan ([`crate::certified_schedule`]), so an
+//! exact answer reads `passes=1`, or `2` should that cap ever fail and
+//! the uncapped fallback pass run. Greedy answers read `passes=0`.
 //!
 //! Queries with more than `MAX_RELS` relations are accepted too: they
 //! bypass the cache and run the anytime ladder (when configured),

@@ -20,8 +20,11 @@
 //! as the server's do (the table layout, kernel and driver of
 //! `ServiceConfig::default()`, and the parallel driver only on large
 //! queries; `--threads` sets its thread count), so a one-shot answer is
-//! the server's answer. A subcommand answers any flag it does not take
-//! with an error.
+//! the server's answer. Without `--threshold` it also runs the server's
+//! threshold schedule, one pass capped by greedy GOO's plan
+//! (`certified_schedule`); `--threshold T` runs the paper's schedule
+//! from `T` instead. Every exact run prints its `passes:`. A subcommand
+//! answers any flag it does not take with an error.
 //!
 //! `optimize` takes an explicit problem; with `--ladder` it runs the
 //! anytime optimality ladder (exact → block DP → stochastic under a
@@ -39,12 +42,12 @@ use blitzsplit::core::{CostModel, MAX_RELS};
 use blitzsplit::ladder::{optimize_ladder, BigSpec, LadderConfig};
 use blitzsplit::service::server::{format_optimize_request, response_field};
 use blitzsplit::service::{
-    Client, LadderSettings, ModelId, OptimizerService, Server, ServerOptions,
-    ServiceConfig,
+    certified_schedule, Client, LadderSettings, ModelId, OptimizerService, Server,
+    ServerOptions, ServiceConfig,
 };
 use blitzsplit::{
-    optimize_join_threshold_with, optimize_join_with, DiskNestedLoops, JoinSpec, Kappa0, SmDnl,
-    SortMerge, ThresholdSchedule,
+    optimize_join_threshold_with, DiskNestedLoops, JoinSpec, Kappa0, SmDnl, SortMerge,
+    ThresholdSchedule,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -170,33 +173,35 @@ fn parse_preds(args: &Args) -> Result<Vec<(usize, usize, f64)>, String> {
     Ok(preds)
 }
 
+/// Optimize `spec` exactly and print the answer: under the paper's
+/// schedule from `--threshold T`, else under the certified schedule the
+/// server runs. With `time`, the run's wall time is printed first (the
+/// certificate's greedy plan included); with `dot`, the plan as
+/// Graphviz last.
 fn report<M: CostModel + Sync>(
     spec: &JoinSpec,
     model: &M,
     threshold: Option<f32>,
     service: &ServiceConfig,
-    dot: bool,
+    (dot, time): (bool, bool),
 ) -> ExitCode {
-    let options = service.drive_options(spec.n());
-    let (optimized, passes) = match threshold {
-        Some(t) => {
-            match optimize_join_threshold_with(spec, model, ThresholdSchedule::new(t, 1e5, 6), options)
-            {
-                Ok(out) => (out.optimized, out.passes),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => match optimize_join_with(spec, model, options) {
-            Ok(o) => (o, 1),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let start = std::time::Instant::now();
+    let schedule = match threshold {
+        Some(t) => ThresholdSchedule::new(t, 1e5, 6),
+        None => certified_schedule(spec, model),
     };
+    let options = service.drive_options(spec.n());
+    let out = match optimize_join_threshold_with(spec, model, schedule, options) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if time {
+        println!("optimization time ({}): {:?}", model.name(), start.elapsed());
+    }
+    let (optimized, passes) = (out.optimized, out.passes);
     println!("model:          {}", model.name());
     println!("relations:      {}", spec.n());
     println!("predicates:     {}", spec.edge_count());
@@ -205,9 +210,7 @@ fn report<M: CostModel + Sync>(
     println!("result rows:    {:.6e}", optimized.card);
     println!("bushy:          {}", !optimized.plan.is_left_deep());
     println!("uses product:   {}", optimized.plan.contains_cartesian_product(spec));
-    if threshold.is_some() {
-        println!("passes:         {passes}");
-    }
+    println!("passes:         {passes}");
     if dot {
         println!("\n{}", optimized.plan.to_dot());
     }
@@ -308,13 +311,13 @@ fn with_model(
     spec: &JoinSpec,
     threshold: Option<f32>,
     service: &ServiceConfig,
-    dot: bool,
+    flags: (bool, bool),
 ) -> Result<ExitCode, String> {
     match name {
-        "k0" => Ok(report(spec, &Kappa0, threshold, service, dot)),
-        "sm" => Ok(report(spec, &SortMerge, threshold, service, dot)),
-        "dnl" => Ok(report(spec, &DiskNestedLoops::default(), threshold, service, dot)),
-        "smdnl" => Ok(report(spec, &SmDnl::default(), threshold, service, dot)),
+        "k0" => Ok(report(spec, &Kappa0, threshold, service, flags)),
+        "sm" => Ok(report(spec, &SortMerge, threshold, service, flags)),
+        "dnl" => Ok(report(spec, &DiskNestedLoops::default(), threshold, service, flags)),
+        "smdnl" => Ok(report(spec, &SmDnl::default(), threshold, service, flags)),
         other => Err(format!("unknown cost model {other:?} (expected k0|sm|dnl|smdnl)")),
     }
 }
@@ -337,6 +340,8 @@ fn main() -> ExitCode {
         Some(_) => return fail("--threshold must be a positive number"),
     };
     let dot = args.has("dot");
+    // The output switches of an exact run: `--dot` and `--time`.
+    let flags = (dot, args.has("time"));
     // The service's configuration: a one-shot optimization runs the
     // DP the server would run, so its answer is the server's answer.
     let mut service = ServiceConfig::default();
@@ -376,7 +381,7 @@ fn main() -> ExitCode {
                 Ok(s) => s,
                 Err(e) => return fail(&e.to_string()),
             };
-            with_model(&model, &spec, threshold, &service, dot).unwrap_or_else(|e| fail(&e))
+            with_model(&model, &spec, threshold, &service, flags).unwrap_or_else(|e| fail(&e))
         }
         "sql" => {
             let Some(query) = args.positional.first() else {
@@ -393,7 +398,7 @@ fn main() -> ExitCode {
                 Ok(s) => s,
                 Err(e) => return fail(&e.to_string()),
             };
-            with_model(&model, &spec, threshold, &service, dot).unwrap_or_else(|e| fail(&e))
+            with_model(&model, &spec, threshold, &service, flags).unwrap_or_else(|e| fail(&e))
         }
         "workload" => {
             let topo = match args.get("topology").unwrap_or("chain") {
@@ -416,12 +421,7 @@ fn main() -> ExitCode {
                 _ => return fail("--var must be in [0,1]"),
             };
             let spec = Workload::new(n, topo, mu, var).spec();
-            if args.has("time") {
-                let start = std::time::Instant::now();
-                let _ = optimize_join_with(&spec, &Kappa0, service.drive_options(n));
-                println!("optimization time (k0): {:?}", start.elapsed());
-            }
-            with_model(&model, &spec, threshold, &service, dot).unwrap_or_else(|e| fail(&e))
+            with_model(&model, &spec, threshold, &service, flags).unwrap_or_else(|e| fail(&e))
         }
         "serve" => {
             let addr = args.get("addr").unwrap_or("127.0.0.1:7878").to_string();

@@ -58,6 +58,29 @@ fn optimize_with_threshold_reports_passes() {
     assert!(stdout.contains("passes:"), "{stdout}");
 }
 
+/// Without `--threshold` an exact run takes the server's certified
+/// pass: one pass, capped by greedy GOO's plan, even where the paper's
+/// schedule from 10⁹ needs a second (this clique's optimum costs more
+/// than 10⁹). Both print the same cost.
+#[test]
+fn exact_runs_take_one_certified_pass() {
+    let query = ["workload", "--topology", "clique", "--n", "10", "--mu", "1e5", "--time"];
+    let (ok, certified, _) = run(&query);
+    assert!(ok);
+    assert!(certified.contains("passes:         1\n"), "{certified}");
+    assert!(certified.starts_with("optimization time (kappa0): "), "{certified}");
+    let (ok, paper, _) = run(&[&query[..], &["--threshold", "1e9"]].concat());
+    assert!(ok);
+    assert!(paper.contains("passes:         2\n"), "{paper}");
+    let cost = |out: &str| out.lines().find(|l| l.starts_with("cost:")).map(str::to_owned);
+    assert_eq!(cost(&certified), cost(&paper));
+    assert!(cost(&certified).is_some());
+
+    let (ok, stdout, _) = run(&["optimize", "--cards", "10,20,30,40"]);
+    assert!(ok);
+    assert!(stdout.contains("passes:         1\n"), "{stdout}");
+}
+
 #[test]
 fn sql_subcommand_optimizes_demo_catalog_queries() {
     let (ok, stdout, _) = run(&[

@@ -11,7 +11,7 @@ use blitzsplit::service::{
     CacheOutcome, Client, ComputedPlan, FallbackReason, LadderSettings, Lookup, ModelId,
     OptimizerService, PlanCache, PlanSource, Request, Server, ServerOptions, ServiceConfig,
 };
-use blitzsplit::{optimize_join, JoinSpec, Kappa0};
+use blitzsplit::{optimize_join, optimize_join_threshold, JoinSpec, Kappa0, ThresholdSchedule};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -506,6 +506,34 @@ fn tcp_server_returns_one_shot_costs() {
     assert_eq!(response_field(&resp2, "cache"), Some("hit"));
     let metrics = other.metrics().unwrap();
     assert!(metrics.contains("cache_hits=1"), "{metrics}");
+}
+
+/// Every exact DP runs one pass capped by greedy GOO's plan. A κ₀
+/// clique whose optimum costs more than 10⁹ takes two passes under the
+/// default schedule (its first cap is 10⁹), which the service ran until
+/// the certified cap replaced it; it now answers in one pass, with the
+/// same cost.
+#[test]
+fn an_expensive_optimum_takes_one_certified_pass() {
+    let spec = Workload::new(10, Topology::Clique, 1e5, 0.5).spec();
+    let direct = optimize_join(&spec, &Kappa0).unwrap();
+    assert!(direct.cost > 1e9, "{}", direct.cost);
+    let paper = optimize_join_threshold(&spec, &Kappa0, ThresholdSchedule::default()).unwrap();
+    assert_eq!(paper.passes, 2, "the default schedule's first cap must fail");
+    assert_eq!(paper.optimized.cost, direct.cost);
+
+    let service =
+        Arc::new(OptimizerService::new(ServiceConfig { workers: 1, ..ServiceConfig::default() }));
+    let addr = spawn_server(Arc::clone(&service), ServerOptions::default());
+    let mut wire = Wire::connect(addr);
+    wire.send(&[optimize_line(&spec, None)]);
+    let resp = wire.recv();
+    assert_eq!(outcome(&resp), (Some("exact"), Some("miss")), "{resp}");
+    assert_eq!(response_field(&resp, "passes"), Some("1"), "{resp}");
+    let cost = format!("{:.6e}", direct.cost);
+    assert_eq!(response_field(&resp, "cost"), Some(cost.as_str()), "{resp}");
+    let snap = service.snapshot();
+    assert_eq!((snap.optimizations, snap.threshold_passes), (1, 1));
 }
 
 /// Regression for the fatal accept-path crash: a burst of transient
