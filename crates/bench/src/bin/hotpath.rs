@@ -4,11 +4,13 @@
 //! Times the κ0 join optimizer across the four workload topologies:
 //!
 //! * **serial AoS × scalar** — the paper's array-of-structs table and
-//!   split loop, the reference every other configuration is verified
-//!   against and the baseline every speed-up is reported against (AoS
-//!   is serial-only: a parallel request on it runs this same driver);
-//! * **hot/cold × scalar** — the cache-conscious layout alone, in the
-//!   serial driver and the rank-wave parallel driver (chunked waves);
+//!   split loop in integer order, the reference every other
+//!   configuration is verified against and the baseline every speed-up
+//!   is reported against (AoS is serial-only: a parallel request on it
+//!   runs this same fill);
+//! * **hot/cold × scalar** — the cache-conscious layout alone, filled in
+//!   popcount waves by one worker (`serial`, the calling thread) and by
+//!   `BLITZ_THREADS` workers (`parallel`, chunked waves);
 //! * **hot/cold × SIMD** — plus the CPU-selected vector kernel, in both
 //!   modes;
 //!
@@ -58,7 +60,7 @@
 
 use blitz_bench::json::Json;
 use blitz_bench::render::fmt_secs;
-use blitz_bench::timing::{env_usize, time_avg, TimingConfig};
+use blitz_bench::timing::{env_usize, min_over_rounds, rounds_from_env, time_avg, TimingConfig};
 use blitz_bench::Table;
 use blitz_catalog::{Topology, Workload};
 use blitz_core::{
@@ -66,10 +68,9 @@ use blitz_core::{
     DriveOptions, DriverChoice, JoinSpec, Kappa0, KernelChoice, LayoutChoice, Optimized, SmDnl,
     SortMerge, TableLayout,
 };
-use std::time::Duration;
 
 /// One timed configuration of the optimizer. `mode` is the execution
-/// mode (serial vs rank-wave parallel); `driver` is the DP recurrence
+/// mode (one worker vs several); `driver` is the DP recurrence
 /// driver (subset-split vs layered convolution) — two independent axes.
 #[derive(Copy, Clone)]
 struct Config {
@@ -82,7 +83,7 @@ struct Config {
 
 impl Config {
     fn options(&self) -> DriveOptions {
-        // `parallel(1)` is the serial driver.
+        // `parallel(1)` is one worker, the calling thread.
         DriveOptions::parallel(self.threads)
             .with_layout(self.layout)
             .with_kernel(self.kernel)
@@ -277,18 +278,15 @@ fn conv_model_row<M: CostModel + Sync>(
         topo.name()
     );
 
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..rounds {
-        for (i, opts) in [split_opts, conv_opts].into_iter().enumerate() {
-            let t = time_avg(
-                || {
-                    let _ = optimize_join_with(spec, model, opts).unwrap();
-                },
-                cfg,
-            );
-            best[i] = best[i].min(t.as_secs_f64());
-        }
-    }
+    let opts = [split_opts, conv_opts];
+    let best = min_over_rounds(2, rounds, |i| {
+        time_avg(
+            || {
+                let _ = optimize_join_with(spec, model, opts[i]).unwrap();
+            },
+            cfg,
+        )
+    });
     let (split_secs, conv_secs) = (best[0], best[1]);
     let speedup = split_secs / conv_secs;
     table.row(vec![
@@ -318,7 +316,7 @@ fn main() {
     let min_n = env_usize("BLITZ_MIN_N", 12);
     let max_n = env_usize("BLITZ_MAX_N", 16).min(20).max(min_n);
     let cfg = TimingConfig::from_env();
-    let rounds = env_usize("BLITZ_BENCH_ROUNDS", 5).max(1);
+    let rounds = rounds_from_env();
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let threads = threads_from_env(cores);
     let out_path =
@@ -405,30 +403,16 @@ fn main() {
                 continue;
             }
 
-            // Interleaved timing. A 1-core container sees multi-x
-            // wall-clock swings (CPU-credit throttling, noisy
-            // neighbours) on timescales of seconds, so timing config A
-            // start-to-finish and then config B confounds the A/B
-            // comparison with whatever the host happened to be doing in
-            // each window. Instead, each round times every
-            // configuration once (a `time_avg` over the per-point
-            // budget) and each configuration reports its *minimum*
-            // round: all configs sample the same noise windows, and the
-            // minimum converges on the code's true cost.
-            let time_config = |c: &Config| -> Duration {
+            // Interleaved rounds, each configuration's minimum: all
+            // configurations sample the same host-noise windows.
+            let best = min_over_rounds(configs.len(), rounds, |i| {
                 time_avg(
                     || {
-                        let _ = optimize_join_with(&spec, &Kappa0, c.options()).unwrap();
+                        let _ = optimize_join_with(&spec, &Kappa0, configs[i].options()).unwrap();
                     },
                     cfg,
                 )
-            };
-            let mut best = vec![f64::INFINITY; configs.len()];
-            for _ in 0..rounds {
-                for (i, c) in configs.iter().enumerate() {
-                    best[i] = best[i].min(time_config(c).as_secs_f64());
-                }
-            }
+            });
             let baseline_secs = best[0];
 
             let mut table = Table::new(["config", "time", "ns/subset", "vs serial aos"]);

@@ -36,7 +36,7 @@
 
 use blitz_bench::json::Json;
 use blitz_bench::render::fmt_secs;
-use blitz_bench::timing::{env_usize, time_avg, TimingConfig};
+use blitz_bench::timing::{min_over_rounds, rounds_from_env, time_avg, TimingConfig};
 use blitz_bench::Table;
 use blitz_catalog::{Topology, Workload};
 use blitz_core::{optimize_join_with, DriveOptions, Kappa0};
@@ -151,7 +151,7 @@ fn main() {
     let large = env_list("BLITZ_LADDER_LARGE", &[24, 40, 64, 100]);
     let budgets = env_budgets();
     let cfg = TimingConfig::from_env();
-    let rounds = env_usize("BLITZ_BENCH_ROUNDS", 5).max(1);
+    let rounds = rounds_from_env();
     let out_path =
         std::env::var("BLITZ_LADDER_OUT").unwrap_or_else(|_| "BENCH_ladder.json".to_string());
 
@@ -215,19 +215,15 @@ fn main() {
             }
 
             // Interleaved rounds, minimum per config: all configs sample
-            // the same host-noise windows (see the hotpath binary).
-            let mut best = vec![f64::INFINITY; sweep.len()];
-            for _ in 0..rounds {
-                for (i, c) in sweep.iter().enumerate() {
-                    let avg = time_avg(
-                        || {
-                            std::hint::black_box(optimize_ladder(&big, &Kappa0, &c.ladder));
-                        },
-                        cfg,
-                    );
-                    best[i] = best[i].min(avg.as_secs_f64());
-                }
-            }
+            // the same host-noise windows.
+            let best = min_over_rounds(sweep.len(), rounds, |i| {
+                time_avg(
+                    || {
+                        std::hint::black_box(optimize_ladder(&big, &Kappa0, &sweep[i].ladder));
+                    },
+                    cfg,
+                )
+            });
 
             let mut table =
                 Table::new(["config", "rung reached", "cost ratio", "vs greedy", "time"]);

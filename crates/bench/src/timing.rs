@@ -60,6 +60,36 @@ pub fn time_avg<F: FnMut()>(mut f: F, cfg: TimingConfig) -> Duration {
     }
 }
 
+/// Interleaved rounds per timing point for [`min_over_rounds`], from
+/// `BLITZ_BENCH_ROUNDS` (default 5, at least 1).
+pub fn rounds_from_env() -> usize {
+    env_usize("BLITZ_BENCH_ROUNDS", 5).max(1)
+}
+
+/// Time `count` workloads in `rounds` interleaved rounds — each round
+/// calls `time(i)` once per workload `i`, typically a [`time_avg`] over
+/// the per-point budget — and return each workload's minimum round, in
+/// seconds.
+///
+/// A small shared host swings by multiples on timescales of seconds
+/// (CPU-credit throttling, noisy neighbours), so timing workload A start
+/// to finish and then B confounds the comparison with whatever the host
+/// did in each window. Interleaved, every workload samples the same
+/// windows, and the minimum converges on the code's own cost.
+pub fn min_over_rounds(
+    count: usize,
+    rounds: usize,
+    mut time: impl FnMut(usize) -> Duration,
+) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; count];
+    for _ in 0..rounds {
+        for (i, b) in best.iter_mut().enumerate() {
+            *b = b.min(time(i).as_secs_f64());
+        }
+    }
+    best
+}
+
 /// Parse an environment variable as `usize` with a default — used by the
 /// figure binaries for `BLITZ_N`, grid resolutions, etc.
 pub fn env_usize(key: &str, default: usize) -> usize {
@@ -91,6 +121,18 @@ mod tests {
         let mut count = 0;
         let _ = time_avg(|| count += 1, cfg);
         assert_eq!(count, 3);
+    }
+
+    /// Rounds visit every workload in turn, and each keeps its minimum.
+    #[test]
+    fn rounds_interleave_and_keep_each_minimum() {
+        let mut calls = Vec::new();
+        let best = min_over_rounds(2, 3, |i| {
+            calls.push(i);
+            Duration::from_millis([[5, 9], [3, 8], [4, 7]][calls.len().div_ceil(2) - 1][i])
+        });
+        assert_eq!(calls, [0, 1, 0, 1, 0, 1]);
+        assert_eq!(best, [0.003, 0.007]);
     }
 
     #[test]

@@ -64,11 +64,11 @@ impl Problem for Products<'_> {
 /// returning the filled table. Most callers want [`optimize_products`]
 /// instead.
 ///
-/// When `options` resolves to two or more workers and `L` runs waves
-/// (only [`crate::HotColdTable`] does), the rank-wave parallel driver
-/// fills the table; otherwise the serial integer-order driver does.
-/// Both produce bit-identical tables (see [`crate::split`]);
-/// [`DriveOptions::serial`] is the paper's reference.
+/// When `L` runs waves (only [`crate::HotColdTable`] does), the table
+/// fills in popcount waves on `options`' worker count, the calling
+/// thread included; otherwise it fills in the paper's integer order on
+/// the calling thread. Both produce bit-identical tables (see
+/// [`crate::split`]); [`crate::AosTable`] is the paper's reference.
 ///
 /// # Panics
 /// Panics if `cards` is empty or longer than [`MAX_TABLE_RELS`].

@@ -1,4 +1,4 @@
-//! Shadow access checker for the rank-wave parallel driver.
+//! Shadow access checker for the rank-wave driver.
 //!
 //! The wave discipline — each table row written by exactly one worker of
 //! its own wave, reads confined to strictly-smaller-popcount rows of
@@ -89,7 +89,8 @@ pub(crate) struct WaveGuard {
     wave: Option<usize>,
     /// Colex rank bounds `[lo, hi)` of this worker's chunk within the
     /// wave's Gosper enumeration; `None` when one view owns the whole
-    /// wave (the degenerate single-worker fill and the seeded tests).
+    /// wave unclaimed (the seeded tests — the wave driver always claims
+    /// a chunk, the whole wave for a lone worker).
     chunk: Option<(u64, u64)>,
     #[cfg(blitz_check)]
     worker: usize,

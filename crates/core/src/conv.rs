@@ -7,8 +7,8 @@
 //!               cost[L] + cost[R] + κ''(S, L, R)
 //! ```
 //!
-//! Viewed one popcount layer at a time (as the rank-wave parallel driver
-//! already schedules it), the inner `min` over wave `k` is a (min,+)
+//! Viewed one popcount layer at a time (as the rank-wave driver already
+//! schedules every hot/cold fill), the inner `min` over wave `k` is a (min,+)
 //! **subset convolution** of the lower layers of the dense cost column
 //! with itself: `(cost ⊛ cost)[S] = min_{L ⊂ S} cost[L] + cost[S − L]`
 //! (DPconv's formulation of the join-ordering DP). Exact (min,+)
@@ -199,8 +199,8 @@ impl RowEngine {
     {
         // Per-wave kernel selection: a row's popcount is its wave, so
         // this one popcount test (s.len() is a single popcnt) applies
-        // the wave floor identically under the serial integer-order
-        // driver and the rank-wave parallel driver. The unpruned
+        // the wave floor identically in the wave driver and in the
+        // integer-order driver of the serial references. The unpruned
         // ablation evaluates κ'' on every candidate — there is no
         // cascade to shortcut, so it always runs the scalar reference.
         let kernel = if !PRUNE || s.len() < SCALAR_WAVE_FLOOR {
@@ -229,12 +229,13 @@ mod tests {
     use super::*;
     use crate::cost::{DiskNestedLoops, Kappa0, SmDnl, SortMerge};
     use crate::spec::JoinSpec;
-    use crate::split::{drive, NEVER_CANCELLED};
+    use crate::split::tests::fill_with_engine;
     use crate::stats::Counters;
     use crate::table::{AosTable, HotColdTable};
 
-    /// A fresh κ0 table for `spec`, filled by the serial driver on the
-    /// scalar cascade over `driver`'s walk.
+    /// A fresh κ0 table for `spec`, filled on one worker by the scalar
+    /// cascade over `driver`'s walk — in waves on hot/cold, in integer
+    /// order on AoS.
     fn scalar_fill<L: TableLayout, const PRUNE: bool>(
         spec: &JoinSpec,
         driver: DriverChoice,
@@ -242,8 +243,7 @@ mod tests {
     ) -> L {
         let mut table = L::with_rels(spec.n());
         let engine = RowEngine { kernel: ResolvedKernel::Scalar, driver };
-        let (cap, cancel) = (f32::INFINITY, &NEVER_CANCELLED);
-        drive::<L, _, _, _, PRUNE>(&mut table, spec, &Kappa0, cap, engine, cancel, counters);
+        fill_with_engine::<L, _, _, PRUNE>(&mut table, spec, &Kappa0, engine, counters);
         table
     }
 

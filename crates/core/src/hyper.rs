@@ -170,8 +170,9 @@ impl Problem for HyperSpec {
 }
 
 /// Run the hypergraph optimizer with full control; see
-/// [`optimize_hyper`] for the convenient form. Runs the serial
-/// integer-order driver.
+/// [`optimize_hyper`] for the convenient form. Runs on one worker, the
+/// calling thread: in integer order, or in popcount waves when `L` is
+/// [`crate::HotColdTable`].
 ///
 /// # Panics
 /// Panics if the problem exceeds [`MAX_TABLE_RELS`].

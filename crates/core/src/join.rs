@@ -71,11 +71,11 @@ impl Problem for JoinSpec {
 /// cost cap, pruning and execution policy, returning the filled table.
 /// Most callers want [`optimize_join`].
 ///
-/// When `options` resolves to two or more workers and `L` runs waves
-/// (only [`crate::HotColdTable`] does), the rank-wave parallel driver
-/// fills the table; otherwise the serial integer-order driver does.
-/// Both produce bit-identical tables (see [`crate::split`]);
-/// [`DriveOptions::serial`] is the paper's reference.
+/// When `L` runs waves (only [`crate::HotColdTable`] does), the table
+/// fills in popcount waves on `options`' worker count, the calling
+/// thread included; otherwise it fills in the paper's integer order on
+/// the calling thread. Both produce bit-identical tables (see
+/// [`crate::split`]); [`crate::AosTable`] is the paper's reference.
 ///
 /// # Panics
 /// Panics if `spec.n() > MAX_TABLE_RELS`.
@@ -110,8 +110,8 @@ pub fn optimize_join<M: CostModel + Sync>(
     optimize_join_with(spec, model, DriveOptions::default())
 }
 
-/// [`optimize_join`] with an explicit execution policy (worker-thread
-/// count for the rank-wave parallel driver; `1` = serial) and table
+/// [`optimize_join`] with an explicit execution policy (wave workers
+/// for a hot/cold table; `1` = the calling thread alone) and table
 /// layout ([`DriveOptions::layout`] picks the monomorphization). Every
 /// layout/driver combination produces bit-identical results.
 ///

@@ -669,7 +669,7 @@ mod tests {
     use crate::conv::{DriverChoice, RowEngine};
     use crate::cost::{DiskNestedLoops, Kappa0, SmDnl, SortMerge};
     use crate::spec::JoinSpec;
-    use crate::split::{drive, NEVER_CANCELLED};
+    use crate::split::tests::fill_with_engine;
     use crate::stats::Counters;
     use crate::table::{AosTable, HotColdTable};
 
@@ -696,9 +696,10 @@ mod tests {
     /// Every vector kernel × both layouts × both walks must reproduce the
     /// scalar AoS rows of the same walk, `best_lhs`, *and* counters
     /// bit-for-bit — including under a model with κ'' (the cascade's
-    /// third stage) and one with aux memos. The tables are filled by the
-    /// serial driver, so rows below the wave floor run the scalar
-    /// cascade here as they do in production.
+    /// third stage) and one with aux memos. The tables are filled on one
+    /// worker — hot/cold in waves, through the dense-column gathers, as
+    /// in production — so rows below the wave floor run the scalar
+    /// cascade here as they do there.
     #[test]
     fn kernels_are_bit_identical_to_scalar_reference() {
         let spec = JoinSpec::new(
@@ -734,15 +735,14 @@ mod tests {
     }
 
     fn check_spec_against_reference(spec: &JoinSpec) {
-        fn snapshot<L: TableLayout, M: CostModel>(
+        fn snapshot<L: TableLayout, M: CostModel + Sync>(
             spec: &JoinSpec,
             model: &M,
             engine: RowEngine,
         ) -> (Vec<(u64, u32, u32)>, Counters) {
             let mut counters = Counters::default();
             let mut table = L::with_rels(spec.n());
-            let (cap, cancel) = (f32::INFINITY, &NEVER_CANCELLED);
-            drive::<L, M, _, _, true>(&mut table, spec, model, cap, engine, cancel, &mut counters);
+            fill_with_engine::<L, M, _, true>(&mut table, spec, model, engine, &mut counters);
             let rows = (1u32..(1u32 << spec.n()))
                 .map(|b| {
                     let s = RelSet::from_bits(b);
@@ -751,7 +751,7 @@ mod tests {
                 .collect();
             (rows, counters)
         }
-        fn check_model<M: CostModel>(spec: &JoinSpec, model: &M) {
+        fn check_model<M: CostModel + Sync>(spec: &JoinSpec, model: &M) {
             for driver in [DriverChoice::Split, DriverChoice::Conv] {
                 let scalar = RowEngine { kernel: ResolvedKernel::Scalar, driver };
                 let reference = snapshot::<AosTable, M>(spec, model, scalar);

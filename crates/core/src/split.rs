@@ -16,9 +16,10 @@
 //!    the cost cap the loop is skipped entirely (Sections 6.3–6.4).
 //!
 //! Every exact optimization takes one path: an entry point allocates (or
-//! is handed) a table, [`fill`] initializes the singleton rows and runs
-//! the serial integer-order [`drive`] or the rank-wave
-//! [`drive_parallel`], and [`RowEngine::run_row`] fills each row with
+//! is handed) a table, [`fill`] runs the rank-wave [`drive_waves`] on a
+//! hot/cold table at every thread count or the integer-order [`drive`]
+//! on the serial reference layouts, each of which initializes the
+//! singleton rows, and [`RowEngine::run_row`] fills each row with
 //! one of two cascades — the scalar [`find_best_split`] or the batched
 //! [`crate::kernel::find_best_split_batched`] — over one of two *walks*
 //! (the sequence of candidate left operands a row visits; see [`walk`]).
@@ -36,35 +37,37 @@ use crate::table::{
     HotColdTable, LayoutChoice, SyncTable, SyncTableView, TableLayout, MAX_TABLE_RELS,
 };
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Barrier;
 
 /// A cancel flag nobody ever sets: what drives that cannot be cancelled
 /// pass to the cancellable drivers.
 pub(crate) static NEVER_CANCELLED: AtomicBool = AtomicBool::new(false);
 
-/// The serial driver polls its cancel flag once per block of this many
-/// rows (whenever the low bits of the row's set wrap to zero): one
-/// predictable branch per row, one relaxed load per 4096 rows.
+/// Both drivers poll their cancel flag once per block of this many rows
+/// — the integer-order driver whenever the low bits of the row's set
+/// wrap to zero, a wave worker whenever the row's rank in its wave does:
+/// one predictable branch per row, one relaxed load per 4096 rows.
 const CANCEL_CHECK_ROWS: u32 = 1 << 12;
 
 /// Execution options for the DP drivers — how much hardware to throw at
 /// one optimization, and how the DP table is laid out in memory.
 ///
 /// The default is read once per process from the environment —
-/// `BLITZ_TEST_THREADS` (unset or `1` ⇒ the serial driver),
+/// `BLITZ_TEST_THREADS` (unset or `1` ⇒ one worker),
 /// `BLITZ_TEST_LAYOUT` (`aos`/`hotcold`), `BLITZ_TEST_KERNEL`
 /// (`scalar`/`simd`) and `BLITZ_TEST_DRIVER` (`split`/`conv`) —
 /// which lets a CI job force every default-configured optimization in
-/// the workspace through the parallel rank-wave driver, the hot/cold
+/// the workspace through several wave workers, the hot/cold
 /// table, the SIMD split kernel and/or the convolution driver without
 /// touching call sites.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DriveOptions {
-    /// Worker threads for the rank-wave parallel driver. `1` is the
-    /// serial integer-order driver (today's default); `0` resolves to the
-    /// machine's available parallelism. Only [`HotColdTable`] runs
-    /// waves: on [`crate::AosTable`] and [`crate::CompactProductTable`],
-    /// the serial references, a parallel request runs the serial
-    /// integer-order driver (same bits, one thread).
+    /// Wave workers for a [`HotColdTable`] fill, the calling thread
+    /// included: `1` (the default) fills on the calling thread alone, `t`
+    /// spawns `t − 1` helpers (at most one per 16-row chunk of the widest
+    /// wave), `0` means the machine's available parallelism. The serial
+    /// references [`crate::AosTable`] and [`crate::CompactProductTable`]
+    /// fill in integer order on the calling thread whatever this says.
     pub parallelism: usize,
     /// Table layout used by the *non-generic* entry points
     /// ([`crate::join::optimize_join_with`] and friends), which dispatch
@@ -85,12 +88,12 @@ pub struct DriveOptions {
 }
 
 impl DriveOptions {
-    /// Explicit serial execution, ignoring any environment override.
+    /// One worker, the calling thread, ignoring any environment override.
     pub fn serial() -> DriveOptions {
         DriveOptions::parallel(1)
     }
 
-    /// Rank-wave parallel execution on `threads` workers (`0` = auto).
+    /// Execution on `threads` wave workers (`0` = auto).
     pub fn parallel(threads: usize) -> DriveOptions {
         DriveOptions {
             parallelism: threads,
@@ -241,7 +244,7 @@ where
 /// *first* minimum — the minimum-cost candidate with the lowest `lhs`
 /// bits. The choice therefore depends only on the rows of strict
 /// subsets of `s`, never on enumeration timing, which is what makes the
-/// serial and rank-wave parallel drivers produce bit-identical tables.
+/// integer-order and rank-wave drivers produce bit-identical tables.
 /// (The split walk records whichever orientation of the winning
 /// partition has the lower bits; the conv walk always records the
 /// orientation containing `min s` — see [`crate::conv`].)
@@ -391,11 +394,11 @@ where
 }
 
 /// The one fill behind every exact entry point: fill `table` for
-/// `problem` under the cost cap `cap` — on the rank-wave parallel driver
-/// when `options` asks for two or more workers and the layout runs waves
+/// `problem` under the cost cap `cap` — in rank waves on
+/// [`DriveOptions::parallelism`] workers when the layout runs waves
 /// (only [`HotColdTable`] does, see [`TableLayout::wave_table`] and
-/// [`LayoutChoice::runs_waves`]), on the serial integer-order driver
-/// otherwise. Both produce bit-identical tables.
+/// [`LayoutChoice::runs_waves`]), in integer order on the calling
+/// thread otherwise. Both produce bit-identical tables.
 ///
 /// The table is *not* cleared first, and doesn't need to be: both
 /// drivers re-initialize the singleton rows, and every non-singleton
@@ -409,7 +412,7 @@ where
 /// argument covers a table a cancelled fill left half-written.
 ///
 /// Returns `false` when `cancel` stopped the fill before every row was
-/// written (see [`drive`] and [`drive_parallel`] for where they poll it).
+/// written (see [`drive`] and [`drive_waves`] for where they poll it).
 ///
 /// # Panics
 /// Panics if `table.rels() != problem.rels()`, or if the layout's
@@ -437,15 +440,15 @@ where
     // detection and the model capability probe stay off the row path and
     // every worker dispatches on the same `Copy` token.
     let engine = RowEngine::resolve(options, model);
-    let threads = options.effective_parallelism();
-    if threads >= 2 {
-        if let Some(shared) = table.wave_table() {
-            return drive_parallel::<M, St, P, PRUNE>(
-                shared, problem, model, cap, engine, threads, cancel, stats,
-            );
+    match table.wave_table() {
+        Some(waves) => {
+            let threads = options.effective_parallelism();
+            drive_waves::<M, St, P, PRUNE>(
+                waves, problem, model, cap, engine, threads, cancel, stats,
+            )
         }
+        None => drive::<L, M, St, P, PRUNE>(table, problem, model, cap, engine, cancel, stats),
     }
-    drive::<L, M, St, P, PRUNE>(table, problem, model, cap, engine, cancel, stats)
 }
 
 /// Allocate a table for `problem` and [`fill`] it once under `cap` —
@@ -483,7 +486,7 @@ where
 /// filled (harmless: every run rewrites each row before reading it).
 /// Returns `true` when every row was filled.
 #[inline]
-pub(crate) fn drive<L, M, St, P, const PRUNE: bool>(
+fn drive<L, M, St, P, const PRUNE: bool>(
     table: &mut L,
     problem: &P,
     model: &M,
@@ -524,7 +527,7 @@ where
 /// The textbook form divides by `c = v & −v`; since `c` is always a
 /// power of two, the hardware divide (tens of cycles, unpipelined on
 /// most cores) is replaced by a shift by `c.trailing_zeros()` — this
-/// runs once per row per worker in every wave of the parallel driver.
+/// runs once per row in every wave of the wave driver.
 #[inline]
 fn same_popcount_successor(v: u64) -> u64 {
     let c = v & v.wrapping_neg();
@@ -549,8 +552,8 @@ pub(crate) fn binomial(n: usize, k: usize) -> u64 {
     acc as u64
 }
 
-/// Row count of the widest wave the parallel driver will run (waves are
-/// `k = 2..=n`); the useful upper bound on worker count.
+/// Row count of the widest wave the wave driver will run (waves are
+/// `k = 2..=n`); its count of aligned chunks bounds the worker count.
 fn widest_wave(n: usize) -> u64 {
     (2..=n).map(|k| binomial(n, k)).max().unwrap_or(0)
 }
@@ -605,41 +608,41 @@ const CHUNK_ALIGN_ROWS: u64 = 16;
 
 /// Initialize the singleton rows, then drive `compute_properties` + the
 /// row cascade over every non-singleton subset in **rank waves**: all
-/// subsets of cardinality `k` are processed (in parallel across
-/// `threads` workers) before any subset of cardinality `k + 1`.
+/// subsets of cardinality `k` are processed before any of cardinality
+/// `k + 1`. This is [`HotColdTable`]'s one fill order at every worker
+/// count; the other layouts are serial references that fill in integer
+/// order (see [`TableLayout::wave_table`]).
 ///
-/// This is valid because every table access for a set `S` either writes
-/// `S`'s own row or reads rows of strict subsets of `S` — which all have
-/// smaller popcount and were completed in earlier waves. Within a wave,
-/// each row is assigned to exactly one worker — a contiguous,
-/// alignment-rounded chunk of the wave's Gosper enumeration per worker
-/// (workers jump to their chunk with [`nth_same_popcount`]) — so writes
-/// are disjoint; a barrier separates waves. See [`SyncTable`] for the
-/// full safety argument.
+/// Valid because every table access for a set `S` either writes `S`'s
+/// own row or reads rows of strict subsets of `S` — smaller popcounts,
+/// completed in earlier waves. Within a wave each row belongs to exactly
+/// one worker — a contiguous, line-aligned chunk of the wave's Gosper
+/// enumeration, reached with [`nth_same_popcount`] — so writes are
+/// disjoint; a barrier separates waves. See [`SyncTable`] for the full
+/// safety argument.
 ///
-/// Only [`HotColdTable`] runs waves: its dense cost column is what the
-/// line-aligned chunks are cut for, and the other layouts are serial
-/// references (see [`TableLayout::wave_table`]).
+/// The calling thread is worker 0: one worker runs the waves alone — no
+/// scope, spawn, barrier or allocation — and `t` workers spawn `t − 1`
+/// helpers, clamped to the widest wave's count of
+/// [`CHUNK_ALIGN_ROWS`]-row chunks (a surplus worker could never be
+/// handed a row), so a table of at most 5 relations never spawns.
 ///
-/// The worker count is clamped to the widest wave's row count: surplus
-/// workers could never be handed a row and would only ever wait at
-/// barriers, so small-`n` tables on many-core hosts (`n = 4`,
-/// `threads = 16`) don't spawn 10 threads of pure synchronization.
+/// Bit-identical to [`drive`]'s table at every worker count: each row's
+/// computation is self-contained and deterministic (see the tie-break
+/// note in [`find_best_split`]) and reads only final rows, so which
+/// worker runs a row, and when, cannot be observed in the output bits.
 ///
-/// Produces a table bit-identical to [`drive`]'s under every worker
-/// count: each row's computation is self-contained and
-/// deterministic (see the tie-break note in [`find_best_split`]), and
-/// all drivers respect the same subset-before-superset dependency order
-/// — which rows run on which worker, and in what order within a wave,
-/// cannot be observed in the output bits.
-///
-/// Every worker polls `cancel` at the top of each wave. A worker that
-/// reads `true` skips its rows for the rest of the drive but still
-/// passes every remaining barrier, so no sibling is ever stranded. No
-/// worker reads a skipped row either: a worker that skips wave `k` read
-/// the flag before barrier `k`, so by read-read coherence every sibling
-/// reads `true` at the top of wave `k + 1`, the first wave that would
-/// read wave `k`'s rows. Returns `true` when no worker skipped a row.
+/// Every worker polls `cancel` at the top of each wave and every
+/// [`CANCEL_CHECK_ROWS`] rows of its chunk (when the row's rank in the
+/// wave is a multiple of it), the integer-order driver's cadence. A
+/// worker that reads `true` skips its rows for the rest of the drive,
+/// from mid-chunk if need be, but passes every remaining barrier, so no
+/// sibling is stranded. No worker reads a skipped row either: a worker
+/// that skips any row of wave `k` read the flag before barrier `k`, so
+/// by read-read coherence every sibling reads `true` at the top of wave
+/// `k + 1`, the first wave that reads wave `k`'s rows, and within wave
+/// `k` a worker reads only its own rows. Returns `true` when no worker
+/// skipped a row.
 ///
 /// # Panics
 /// Panics if `table.rels() != problem.rels()`. The views index the
@@ -648,7 +651,7 @@ const CHUNK_ALIGN_ROWS: u64 = 16;
 /// [`TableLayout::wave_table`] override that hands over a table of
 /// another size from writing out of bounds.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_parallel<M, St, P, const PRUNE: bool>(
+fn drive_waves<M, St, P, const PRUNE: bool>(
     table: &mut HotColdTable,
     problem: &P,
     model: &M,
@@ -663,79 +666,138 @@ where
     St: Stats + Default + Send,
     P: Problem,
 {
-    debug_assert!(threads >= 2, "use `drive` for serial execution");
     let n = problem.rels();
     assert_eq!(table.rels(), n, "wave table allocated for a different relation count");
-    let threads = threads.min(usize::try_from(widest_wave(n)).unwrap_or(usize::MAX));
-    if threads < 2 {
-        // Degenerate table (n ≤ 2: every wave is a single row): the
-        // serial driver fills it identically on this thread.
-        return drive::<HotColdTable, M, St, P, PRUNE>(
-            table, problem, model, cap, engine, cancel, stats,
-        );
-    }
+    let chunks = widest_wave(n).div_ceil(CHUNK_ALIGN_ROWS);
+    let threads = threads.min(usize::try_from(chunks).unwrap_or(usize::MAX)).max(1);
     init_singletons(table, problem, model);
     stats.pass();
     let shared = SyncTable::from_mut(table);
-    let barrier = std::sync::Barrier::new(threads);
-    let barrier = &barrier;
-    let mut completed = true;
+    // Worker `t`'s whole drive; `None` for the barrier when it runs alone.
+    let worker = |t: usize, mut view: SyncTableView, barrier: Option<&Barrier>, stats: &mut St| {
+        let mut skipping = false;
+        for k in 2..=n {
+            skipping = skipping || cancel.load(Relaxed);
+            let rows = binomial(n, k);
+            // Even deal, rounded up to whole cache lines of hot costs;
+            // trailing workers may come up empty on narrow waves.
+            let per = rows.div_ceil(threads as u64);
+            let chunk = per.div_ceil(CHUNK_ALIGN_ROWS) * CHUNK_ALIGN_ROWS;
+            let start = t as u64 * chunk;
+            let stop = (start + chunk).min(rows).max(start);
+            if !skipping && start < rows {
+                view.begin_wave(k, Some((start, stop)));
+                let mut bits = nth_same_popcount(k, start);
+                for rank in start..stop {
+                    if rank.is_multiple_of(CANCEL_CHECK_ROWS.into()) && cancel.load(Relaxed) {
+                        skipping = true;
+                        break;
+                    }
+                    let s = RelSet::from_wave_bits(bits);
+                    problem.properties(&mut view, model, s);
+                    engine.run_row::<SyncTableView, M, St, PRUNE>(&mut view, model, s, cap, stats);
+                    bits = same_popcount_successor(bits);
+                }
+            }
+            if let Some(barrier) = barrier {
+                barrier.wait();
+            }
+        }
+        !skipping
+    };
+    if threads == 1 {
+        // SAFETY: the only view, on the calling thread.
+        return worker(0, unsafe { shared.view() }, None, stats);
+    }
+    let barrier = Barrier::new(threads);
+    let (barrier, worker) = (&barrier, &worker);
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
+        let helpers: Vec<_> = (1..threads)
             .map(|t| {
                 // SAFETY: within each wave every row is handled by
                 // exactly one worker (disjoint chunk ranges), reads are
                 // confined to strictly-smaller-popcount rows from earlier
-                // waves, and a barrier separates waves — the SyncTable
-                // discipline.
-                let mut view = unsafe { shared.view() };
+                // waves or the worker's own rows, and a barrier separates
+                // waves — the SyncTable discipline.
+                let view = unsafe { shared.view() };
                 scope.spawn(move || {
                     let mut local = St::default();
-                    let mut skipping = false;
-                    for k in 2..=n {
-                        skipping = skipping || cancel.load(Relaxed);
-                        if skipping {
-                            barrier.wait();
-                            continue;
-                        }
-                        let rows = binomial(n, k);
-                        // Even deal, rounded up to whole cache lines of
-                        // hot costs; trailing workers may come up empty
-                        // on narrow waves.
-                        let per = rows.div_ceil(threads as u64);
-                        let chunk = per.div_ceil(CHUNK_ALIGN_ROWS) * CHUNK_ALIGN_ROWS;
-                        let start = t as u64 * chunk;
-                        let stop = (start + chunk).min(rows).max(start);
-                        view.begin_wave(k, Some((start, stop)));
-                        if start < rows {
-                            let mut bits = nth_same_popcount(k, start);
-                            for _ in start..stop {
-                                let s = RelSet::from_wave_bits(bits);
-                                problem.properties(&mut view, model, s);
-                                engine.run_row::<SyncTableView, M, St, PRUNE>(
-                                    &mut view, model, s, cap, &mut local,
-                                );
-                                bits = same_popcount_successor(bits);
-                            }
-                        }
-                        barrier.wait();
-                    }
-                    (local, skipping)
+                    let completed = worker(t, view, Some(barrier), &mut local);
+                    (local, completed)
                 })
             })
             .collect();
-        for worker in workers {
-            let (local, skipped) = worker.join().expect("wave worker panicked");
+        // SAFETY: as for the helpers' views; this one is worker 0's.
+        let mut completed = worker(0, unsafe { shared.view() }, Some(barrier), stats);
+        for helper in helpers {
+            let (local, done) = helper.join().expect("wave worker panicked");
             stats.absorb(local);
-            completed &= !skipped;
+            completed &= done;
         }
-    });
-    completed
+        completed
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cost::SortMerge;
+    use crate::kernel::ResolvedKernel;
+    use crate::spec::JoinSpec;
+    use crate::stats::Counters;
+    use crate::table::AosTable;
+
+    /// [`fill`] on one worker with an injected row engine and no cap — how
+    /// the unit tests pin one kernel and walk on every layout, hot/cold
+    /// through the wave driver as in production.
+    pub(crate) fn fill_with_engine<L, M, P, const PRUNE: bool>(
+        table: &mut L,
+        problem: &P,
+        model: &M,
+        engine: RowEngine,
+        stats: &mut Counters,
+    ) where
+        L: TableLayout,
+        M: CostModel + Sync,
+        P: Problem,
+    {
+        let (cap, cancel) = (f32::INFINITY, &NEVER_CANCELLED);
+        match table.wave_table() {
+            Some(waves) => {
+                drive_waves::<M, _, P, PRUNE>(waves, problem, model, cap, engine, 1, cancel, stats)
+            }
+            None => drive::<L, M, _, P, PRUNE>(table, problem, model, cap, engine, cancel, stats),
+        };
+    }
+
+    /// One wave worker fills on the calling thread through the same raw
+    /// views as a crew of them: every row and counter equals the AoS
+    /// integer-order fill's.
+    #[test]
+    fn one_worker_wave_fill_matches_integer_order() {
+        let spec = JoinSpec::new(
+            &[120.0, 7.0, 3300.0, 42.0, 9.0, 260.0],
+            &[(0, 1, 0.01), (1, 2, 0.5), (2, 3, 0.002), (3, 4, 0.9), (0, 5, 0.03)],
+        )
+        .unwrap();
+        for driver in DriverChoice::ALL {
+            let engine = RowEngine { kernel: ResolvedKernel::Scalar, driver };
+            let (mut aos, mut hot) = (AosTable::with_rels(6), HotColdTable::with_rels(6));
+            let (mut aos_counters, mut hot_counters) = (Counters::default(), Counters::default());
+            let model = &SortMerge;
+            fill_with_engine::<_, _, _, true>(&mut aos, &spec, model, engine, &mut aos_counters);
+            fill_with_engine::<_, _, _, true>(&mut hot, &spec, model, engine, &mut hot_counters);
+            assert_eq!(aos_counters, hot_counters, "{driver} counters");
+            for bits in 1u32..1 << 6 {
+                let s = RelSet::from_bits(bits);
+                assert_eq!(aos.cost(s).to_bits(), hot.cost(s).to_bits(), "{driver} cost {s:?}");
+                assert_eq!(aos.card(s).to_bits(), hot.card(s).to_bits(), "{driver} card {s:?}");
+                assert_eq!(aos.best_lhs(s), hot.best_lhs(s), "{driver} best_lhs {s:?}");
+                assert_eq!(aos.pi_fan(s).to_bits(), hot.pi_fan(s).to_bits(), "{driver} fan {s:?}");
+                assert_eq!(aos.aux(s).to_bits(), hot.aux(s).to_bits(), "{driver} aux {s:?}");
+            }
+        }
+    }
 
     /// The shift form of Gosper's successor must agree with the
     /// textbook divide form on every pattern it will ever see.

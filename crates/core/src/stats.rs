@@ -34,10 +34,11 @@ pub trait Stats {
     fn loop_skipped(&mut self);
     /// One full optimization pass (threshold re-optimization counts each).
     fn pass(&mut self);
-    /// Fold a per-thread sink back into this one. The parallel rank-wave
-    /// driver gives every worker thread a `Self::default()`-style private
-    /// sink and absorbs them after the waves complete, so the hot loop
-    /// never touches shared state.
+    /// Fold a per-thread sink back into this one. The rank-wave driver
+    /// gives every helper thread a `Self::default()`-style private sink
+    /// and absorbs them after the waves complete (the calling thread,
+    /// worker 0, counts into this sink itself), so the hot loop never
+    /// touches shared state.
     fn absorb(&mut self, child: Self)
     where
         Self: Sized;
@@ -232,7 +233,7 @@ mod tests {
         assert_eq!(parent.loop_iters, 12);
         assert_eq!(parent.subsets, 4);
         assert_eq!(parent.cond_hits, 1);
-        // NoStats absorb is a no-op but must exist for the parallel driver.
+        // NoStats absorb is a no-op but must exist for the wave driver.
         let mut n = NoStats;
         n.absorb(NoStats);
     }

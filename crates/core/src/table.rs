@@ -18,8 +18,8 @@
 //! every other configuration is checked against), [`HotColdTable`]
 //! (hot/cold split: a dense, 64-byte-aligned `cost` array feeds the
 //! pruning cascade at 4 bytes per probe, with every other column
-//! banished to cold arrays — the service's layout, and the only one the
-//! rank-wave parallel driver runs) and [`CompactProductTable`] (the
+//! banished to cold arrays — the service's layout, and the only one
+//! that fills in rank waves) and [`CompactProductTable`] (the
 //! paper's exact 16-byte product row, for the §4.1 ablation). The
 //! optimizer is generic over the layout and monomorphizes each;
 //! [`LayoutChoice`] names the first two for runtime dispatch at the
@@ -34,10 +34,11 @@ use std::marker::PhantomData;
 /// `*_into` functions ignore it — there the caller picks the layout as
 /// a type parameter.
 ///
-/// Only `HotCold` runs the rank-wave parallel driver (see
+/// Only `HotCold` fills in rank waves, at every thread count (see
 /// [`runs_waves`](LayoutChoice::runs_waves)). `Aos` is the paper's
-/// serial reference: a parallel [`crate::DriveOptions`] on it runs the
-/// serial integer-order driver, with the same bits.
+/// serial reference: it fills in integer order on the calling thread
+/// whatever [`crate::DriveOptions::parallelism`] says, with the same
+/// bits.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub enum LayoutChoice {
     /// [`AosTable`] — the paper's array-of-structs layout.
@@ -68,11 +69,12 @@ impl LayoutChoice {
         }
     }
 
-    /// Whether a parallel [`crate::DriveOptions`] on this layout runs the
-    /// rank-wave driver — whether its table's
-    /// [`TableLayout::wave_table`] is `Some`. Callers that size work by
-    /// thread count (the service's deadline estimate) ask this instead
-    /// of naming a layout.
+    /// Whether this layout fills in rank waves on
+    /// [`crate::DriveOptions::parallelism`] workers — whether its table's
+    /// [`TableLayout::wave_table`] is `Some` — rather than in integer
+    /// order on the calling thread. Callers that size work by thread
+    /// count (the service's deadline estimate) ask this instead of
+    /// naming a layout.
     pub fn runs_waves(self) -> bool {
         match self {
             LayoutChoice::Aos => false,
@@ -190,13 +192,15 @@ pub trait TableLayout {
         None
     }
 
-    /// This table as the rank-wave parallel driver shares it, or `None`
-    /// — the default — for layouts that fill serially only. Only
+    /// This table as the rank-wave driver shares it, or `None` — the
+    /// default — for layouts that fill in integer order. A `Some` table
+    /// fills in waves at every thread count, one included. Only
     /// [`HotColdTable`] runs waves: parallel [`AosTable`] lost to
     /// parallel hot/cold in every measured cell (see EXPERIMENTS.md), so
-    /// the array-of-structs and 16-byte layouts stay serial references,
-    /// and a parallel request on them runs the serial driver.
-    /// [`LayoutChoice::runs_waves`] gives the same answer by name.
+    /// the array-of-structs and 16-byte layouts stay serial references
+    /// and fill in integer order on the calling thread at any requested
+    /// thread count. [`LayoutChoice::runs_waves`] gives the same answer
+    /// by name.
     ///
     /// An override must return a table allocated for
     /// [`rels()`](TableLayout::rels) relations; the wave driver panics
@@ -525,9 +529,6 @@ pub struct HotColdTable {
 }
 
 impl TableLayout for HotColdTable {
-    // See `AosTable`: hints are real only on prefetch-capable targets.
-    const PREFETCHES: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
-
     fn with_rels(n: usize) -> Self {
         check_rels(n);
         let cap = 1usize << n;
@@ -596,24 +597,8 @@ impl TableLayout for HotColdTable {
         self.auxs[s.index()] = v;
     }
 
-    #[inline]
-    fn prefetch_cost(&self, s: RelSet) {
-        if s.index() < self.costs.len {
-            // SAFETY: in-bounds pointer arithmetic; the address is only
-            // used as a prefetch hint, never dereferenced.
-            prefetch_read(unsafe { self.costs.ptr.as_ptr().add(s.index()) });
-        }
-    }
-
-    // SAFETY: (implementor-side guarantee) the aligned buffer holds
-    // exactly `1 << n` initialized `f32`s and is never reallocated, so
-    // its base pointer is valid for the whole column while `self` is
-    // borrowed.
-    #[inline]
-    unsafe fn cost_base(&self) -> Option<*const f32> {
-        Some(self.costs.ptr.as_ptr())
-    }
-
+    // No `prefetch_cost` or `cost_base`: every fill reads this table
+    // through a `SyncTableView`, which has both.
     #[inline]
     fn wave_table(&mut self) -> Option<&mut HotColdTable> {
         Some(self)
@@ -632,9 +617,9 @@ struct Columns {
     auxs: *mut f32,
 }
 
-/// Shared-table handle for the rank-wave parallel driver: lets several
-/// worker threads hold mutable views of one [`HotColdTable`] at the
-/// same time.
+/// Shared-table handle for the rank-wave driver: lets its workers — the
+/// calling thread alone, or several threads — hold mutable views of one
+/// [`HotColdTable`] at the same time.
 ///
 /// # Why this is sound
 ///
@@ -663,7 +648,7 @@ struct Columns {
 /// materializing a `&mut HotColdTable` to the whole table on two
 /// threads — even to write disjoint rows — would be undefined behavior
 /// by itself, because exclusive references assert alias-freedom over all
-/// bytes they cover. So the parallel path never forms a reference into
+/// bytes they cover. So the wave driver never forms a reference into
 /// the table at all: [`SyncTable::from_mut`] captures the buffer base
 /// pointers while it holds the table `&mut` (and its `PhantomData`
 /// borrow keeps that exclusive borrow alive for the handle's whole
@@ -785,8 +770,8 @@ impl SyncTableView {
 unsafe impl Send for SyncTableView {}
 
 impl TableLayout for SyncTableView {
-    // Prefetch capability is a property of the underlying layout.
-    const PREFETCHES: bool = HotColdTable::PREFETCHES;
+    // See `AosTable`: hints are real only on prefetch-capable targets.
+    const PREFETCHES: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
 
     fn with_rels(_n: usize) -> Self {
         unreachable!("SyncTableView is a borrowed view; allocate a HotColdTable instead")
@@ -1017,9 +1002,6 @@ mod tests {
         // Prefetch is advisory: in-bounds sets prefetch, out-of-range
         // sets (possible on the safe `TableLayout` surface) are ignored.
         let t = AosTable::with_rels(3);
-        t.prefetch_cost(RelSet::from_bits(0b101));
-        t.prefetch_cost(RelSet::from_bits(u32::MAX));
-        let t = HotColdTable::with_rels(3);
         t.prefetch_cost(RelSet::from_bits(0b101));
         t.prefetch_cost(RelSet::from_bits(u32::MAX));
     }

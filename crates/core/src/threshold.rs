@@ -194,9 +194,9 @@ where
 
 /// [`optimize_join_threshold_arena_with`] that gives up when `cancel`
 /// is set — by another thread, at any time. The flag is checked before
-/// every threshold pass, and inside each pass by the drivers: at every
-/// wave of the rank-wave parallel driver, and every 4096 rows of the
-/// serial one. A cancelled run returns `None`; the arena is untouched
+/// every threshold pass, and inside each pass by the drivers: by every
+/// wave worker at the top of each wave and every 4096 rows of its
+/// chunk, and every 4096 rows of the integer-order fill. A cancelled run returns `None`; the arena is untouched
 /// and the table holds stale rows, which the next run on it overwrites
 /// before reading, so the table can go straight back to a pool.
 ///
@@ -340,7 +340,7 @@ pub fn optimize_join_threshold<M: CostModel + Sync>(
 }
 
 /// [`optimize_join_threshold`] with an explicit execution policy
-/// (worker-thread count for the rank-wave parallel driver; `1` = serial)
+/// (wave workers for a hot/cold table; `1` = the calling thread alone)
 /// and table layout ([`DriveOptions::layout`] picks the
 /// monomorphization). Every pass runs under the same policy; pass
 /// outcomes are bit-identical across policies. Callers that need the

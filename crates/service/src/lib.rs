@@ -535,28 +535,31 @@ pub struct ServiceConfig {
     ///
     /// The exact path is `O(3^n)`, so every relation added here costs
     /// roughly 3× more worst-case CPU per cache miss; keep this modest
-    /// (≤ 18) on deployments configured serial (`parallelism == 1`),
-    /// where no rank-wave fan-out absorbs the growth.
+    /// (≤ 18) on deployments with one wave worker (`parallelism == 1`),
+    /// where no helper threads absorb the growth.
     pub max_exact_rels: usize,
     /// Schedule folded into the cache key of requests that do not bring
     /// their own. It no longer steers the DP: every exact DP runs
     /// [`certified_schedule`]. Kept because the service benchmark's
     /// replay reads it.
     pub default_schedule: ThresholdSchedule,
-    /// Worker threads for the rank-wave parallel DP driver on large
-    /// queries (`0` = auto-detect, `1` = always serial).
+    /// Wave workers for the DP of large queries, the job's own thread
+    /// included (`0` = auto-detect, `1` = the job's thread alone). A
+    /// hot/cold table fills in popcount waves either way; this only
+    /// sets how many threads share each wave.
     pub parallelism: usize,
-    /// Queries with at least this many relations run through the
-    /// parallel driver (when [`ServiceConfig::parallelism`] allows);
-    /// smaller tables fill faster serially than the waves synchronize.
+    /// Queries with at least this many relations fill their waves on
+    /// [`ServiceConfig::parallelism`] workers; smaller tables fill on
+    /// the job's thread alone, faster than helpers synchronize.
     pub parallel_min_rels: usize,
     /// DP-table layout for the exact path. Defaults to
     /// [`LayoutChoice::HotCold`] — the cache-conscious hot/cold split —
     /// which is bit-identical to the AoS layout (the layout-
     /// equivalence suite enforces this), so it is purely a perf knob.
     /// Only a layout that [runs waves](LayoutChoice::runs_waves) —
-    /// hot/cold — runs the parallel driver: on AoS every query runs
-    /// serially whatever [`ServiceConfig::parallelism`] says.
+    /// hot/cold — takes helper threads: on AoS every query fills in
+    /// integer order on the job's thread whatever
+    /// [`ServiceConfig::parallelism`] says.
     pub layout: LayoutChoice,
     /// Split kernel for the exact path. Defaults to
     /// [`KernelChoice::Simd`], which resolves to the best kernel the
@@ -622,8 +625,8 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             cache_capacity: 1024,
             cache_shards: 8,
-            // On multi-core hosts the rank-wave parallel driver (default
-            // `parallelism: 0` = auto) absorbs the exact path's O(3^n)
+            // On multi-core hosts the wave helpers (default
+            // `parallelism: 0` = auto) absorb the exact path's O(3^n)
             // growth, so it stretches further before degrading to
             // greedy; a single-core host keeps the serial-era limit.
             max_exact_rels: if cores >= 2 { 20 } else { 18 },
@@ -640,16 +643,17 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// The [`DriveOptions`] an exact optimization of `n` relations runs
-    /// under: the rank-wave parallel driver for large tables on a layout
-    /// that [runs waves](LayoutChoice::runs_waves), the serial driver
-    /// otherwise, always on this configuration's layout, kernel and
-    /// driver. The service runs every exact DP under these options (so
+    /// under: [`ServiceConfig::parallelism`] wave workers for large
+    /// tables on a layout that [runs waves](LayoutChoice::runs_waves),
+    /// one worker — the job's thread — otherwise, always on this
+    /// configuration's layout, kernel and driver. A hot/cold table fills
+    /// in popcount waves at either count. The service runs every exact DP under these options (so
     /// its deadline estimate divides by the threads that really run),
     /// and so does the one-shot CLI, whose answer is then the server's.
     ///
-    /// Always config-driven, never env-driven: a configuration that is
-    /// serial (`parallelism == 1`) — and every query below
-    /// `parallel_min_rels` — stays serial even when the process-wide
+    /// Always config-driven, never env-driven: a configuration with one
+    /// worker (`parallelism == 1`) — and every query below
+    /// `parallel_min_rels` — stays on one worker even when the process-wide
     /// `BLITZ_TEST_THREADS` override (honored by
     /// [`DriveOptions::default`]) is set.
     pub fn drive_options(&self, n: usize) -> DriveOptions {

@@ -9,11 +9,12 @@
 //!   line), or a `# Safety` section in the doc comment for traits and
 //!   functions. `unsafe fn` items *inside* an `unsafe impl` body inherit
 //!   the trait's documented contract and are exempt.
-//! * **`whole-table-borrow`** — inside `drive_parallel`'s `thread::scope`
-//!   region (crates/core/src/split.rs) no worker may touch the whole
-//!   `table` binding; workers go through `SyncTableView` raw-pointer
-//!   views only, so that no `&`/`&mut` to the shared table is ever live
-//!   across threads.
+//! * **`whole-table-borrow`** — in `drive_waves` (crates/core/src/split.rs),
+//!   from `SyncTable::from_mut(table)` to the end of the function — the
+//!   worker closure, the lone worker's run and the helpers'
+//!   `thread::scope` — no code may touch the whole `table` binding;
+//!   workers go through `SyncTableView` raw-pointer views only, so that
+//!   no `&`/`&mut` to the shared table is ever live beside a view.
 //! * **`request-path-unwrap`** — non-test code in `crates/service/src`
 //!   and `crates/ladder/src` must not call `.unwrap()` or `.expect(`;
 //!   the serving path degrades with explicit errors, poison recovery
@@ -594,33 +595,39 @@ fn rule_whole_table_borrow(rel: &str, raw_lines: &[&str], san: &str, starts: &[u
             source_line: raw_lines.get(line.saturating_sub(1)).unwrap_or(&"").to_string(),
         }]
     };
-    let Some(fn_at) = san.find("fn drive_parallel") else {
-        return fail(1, "could not locate `fn drive_parallel` — rule anchor lost".into());
+    let Some(fn_at) = san.find("fn drive_waves") else {
+        return fail(1, "could not locate `fn drive_waves` — rule anchor lost".into());
     };
-    let Some(scope_rel) = san[fn_at..].find("thread::scope") else {
+    let Some(body) = san[fn_at..].find('{').map(|p| fn_at + p) else {
+        return fail(line_of(starts, fn_at), "could not locate the body of `drive_waves`".into());
+    };
+    let Some(end) = matching_close(san, body) else {
+        return fail(line_of(starts, body), "unbalanced `drive_waves` body".into());
+    };
+    const SHARE: &str = "SyncTable::from_mut";
+    let Some(open) = san[body..end].find(SHARE).map(|p| body + p + SHARE.len()) else {
         return fail(
-            line_of(starts, fn_at),
-            "could not locate `thread::scope` inside `drive_parallel`".into(),
+            line_of(starts, body),
+            "could not locate `SyncTable::from_mut` inside `drive_waves`".into(),
         );
     };
-    let scope_at = fn_at + scope_rel;
-    let Some(open) = san[scope_at..].find('(').map(|p| scope_at + p) else {
-        return fail(line_of(starts, scope_at), "malformed `thread::scope` call".into());
-    };
     let Some(close) = matching_close(san, open) else {
-        return fail(line_of(starts, open), "unbalanced `thread::scope` call".into());
+        return fail(line_of(starts, open), "unbalanced `SyncTable::from_mut` call".into());
     };
-    let region = &san[open..close];
+    // Everything after the table is shared — the worker closure, the
+    // lone worker's run and the helpers' `thread::scope` — must reach
+    // the table through its views alone.
+    let region = &san[close..end];
     word_offsets(region, "table")
         .into_iter()
         .map(|at| {
-            let line = line_of(starts, open + at);
+            let line = line_of(starts, close + at);
             Finding {
                 rule: "whole-table-borrow",
                 file: rel.to_string(),
                 line,
-                message: "reference to the whole `table` inside the `thread::scope` worker \
-                          region — workers must go through `SyncTableView` raw views only"
+                message: "reference to the whole `table` after `drive_waves` shared it — \
+                          wave workers must go through `SyncTableView` raw views only"
                     .to_string(),
                 source_line: raw_lines.get(line - 1).unwrap_or(&"").to_string(),
             }

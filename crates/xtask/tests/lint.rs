@@ -130,6 +130,31 @@ fn token_rules_see_constructs_split_across_lines() {
 // Semantic rules: seeded-violation fixtures
 // ---------------------------------------------------------------------------
 
+/// `whole-table-borrow` covers every wave worker of the real driver: a
+/// whole-table touch seeded into the worker closure (which the lone
+/// worker runs on the caller) or into the helpers' `thread::scope` is a
+/// finding, and so is a lost anchor.
+#[test]
+fn whole_table_borrow_covers_every_wave_worker() {
+    let rel = "crates/core/src/split.rs";
+    let src = std::fs::read_to_string(workspace_root().join(rel)).expect("split.rs");
+    let rules = |src: &str| -> Vec<&'static str> {
+        let findings = xtask::lint_source(rel, src);
+        findings.iter().filter(|f| f.rule == "whole-table-borrow").map(|f| f.rule).collect()
+    };
+    assert!(rules(&src).is_empty());
+    for (anchor, seeded) in [
+        ("let mut skipping = false;", "let mut skipping = table.rels() == 0;"),
+        ("let mut local = St::default();", "let mut local = St::default(); let _ = &table;"),
+    ] {
+        assert!(src.contains(anchor), "anchor `{anchor}` gone from split.rs");
+        let bad = src.replacen(anchor, seeded, 1);
+        assert_eq!(rules(&bad), ["whole-table-borrow"], "seeded `{seeded}`");
+    }
+    let renamed = src.replace("fn drive_waves", "fn drive_rows");
+    assert_eq!(rules(&renamed), ["whole-table-borrow"], "lost anchor");
+}
+
 fn analyze_fixture(rel: &str, name: &str) -> Vec<xtask::Finding> {
     let (findings, _) = xtask::analyze_sources(&[(rel.to_string(), fixture(name))]);
     findings
@@ -259,7 +284,6 @@ fn workspace_semantic_analysis_is_clean_with_populated_graph() {
     // functions the workspace happens to have.
     for want in [
         "cost_base",
-        "HotColdTable::cost_base",
         "SyncTableView::cost_base",
         "gather_mask_avx2",
         "gather_mask_avx512",

@@ -18,8 +18,8 @@
 //!
 //! Every exact optimization runs under `ServiceConfig::drive_options`,
 //! as the server's do (the table layout, kernel and driver of
-//! `ServiceConfig::default()`, and the parallel driver only on large
-//! queries; `--threads` sets its thread count), so a one-shot answer is
+//! `ServiceConfig::default()`, and wave helper threads only on large
+//! queries; `--threads` sets the wave worker count), so a one-shot answer is
 //! the server's answer. Without `--threshold` it also runs the server's
 //! threshold schedule, one pass capped by greedy GOO's plan
 //! (`certified_schedule`); `--threshold T` runs the paper's schedule

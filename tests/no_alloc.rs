@@ -90,9 +90,9 @@ fn warm_optimize_and_extract_is_allocation_free() {
     let mut table = HotColdTable::with_rels(n);
     let mut arena = PlanArena::new();
 
-    // Serial only: the rank-wave parallel driver spawns worker threads
-    // (scoped threads allocate stacks), which is out of scope for the
-    // per-request steady state this pins.
+    // One wave worker: helper threads allocate (scoped threads allocate
+    // stacks), which is out of scope for the per-request steady state
+    // this pins.
     for driver in [DriverChoice::Split, DriverChoice::Conv] {
         let options = DriveOptions::serial().with_driver(driver);
         let (_, warm_cost, _) = allocs_for_run(&mut table, &mut arena, &warmup, options);
@@ -109,4 +109,16 @@ fn warm_optimize_and_extract_is_allocation_free() {
         assert_eq!(cost, direct.cost);
         assert_eq!(arena.to_plan(root).canonical(), direct.plan.canonical());
     }
+
+    // Two workers requested on 5 relations: the widest wave (10 rows) is
+    // one 16-row chunk, so the caller fills the table alone and spawns
+    // no helper.
+    let mut small = HotColdTable::with_rels(5);
+    let options = DriveOptions::parallel(2);
+    let (_, warm_cost, _) = allocs_for_run(&mut small, &mut arena, &chain(5, 100.0, 0.01), options);
+    assert!(warm_cost.is_finite());
+    let (allocs, cost, _) =
+        allocs_for_run(&mut small, &mut arena, &chain(5, 500.0, 0.005), options);
+    assert_eq!(allocs, 0, "a warm 2-worker fill of 5 relations must not allocate, saw {allocs}");
+    assert!(cost.is_finite());
 }

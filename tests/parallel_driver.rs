@@ -9,9 +9,10 @@
 //! four paper topologies × three cost models, against the brute-force
 //! oracle, and through the multi-pass threshold schedule.
 //!
-//! Only `HotColdTable` runs waves, so every parallel run here is on
-//! hot/cold, checked against the serial `AosTable` reference; a parallel
-//! request on AoS runs the serial driver, which is pinned too.
+//! Only `HotColdTable` runs waves — at every thread count, one included —
+//! so every wave run here is on hot/cold, checked against the `AosTable`
+//! integer-order reference; a parallel request on AoS fills in integer
+//! order on the calling thread, which is pinned too.
 
 use blitzsplit::baselines::best_bushy;
 use blitzsplit::catalog::{Topology, Workload};
@@ -24,7 +25,8 @@ use blitzsplit::{
     optimize_join_threshold_with, optimize_join_with, CostModel, DiskNestedLoops, DriveOptions,
     DriverChoice, JoinSpec, Kappa0, LayoutChoice, SortMerge, ThresholdSchedule,
 };
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 use std::time::Duration;
 
 const TOPOLOGIES: [Topology; 4] =
@@ -124,7 +126,7 @@ fn oversubscribed_tiny_problem_clamps_and_matches_serial() {
         check_bit_identical(&spec, &SortMerge, 16);
     }
     // n=2 and n=3 collapse to a single useful worker (widest waves of
-    // 1 and 3 rows): the driver must degrade to the serial fill.
+    // 1 and 3 rows, one 16-row chunk): the caller fills them alone.
     for n in [2usize, 3] {
         let spec = Workload::new(n, Topology::Chain, 100.0, 0.5).spec();
         check_bit_identical(&spec, &Kappa0, 16);
@@ -205,7 +207,8 @@ fn threshold_schedule_agrees_at_four_threads() {
     assert_tables_bit_identical(spec.n(), &ts, &tp, "thresholded k0 n=10");
 }
 
-/// Split and conv, each on the serial and the rank-wave parallel driver.
+/// Split and conv, each on one wave worker (the calling thread) and on
+/// four.
 fn cancellable_configs() -> [(&'static str, DriveOptions); 4] {
     let (serial, parallel) = (DriveOptions::serial(), parallel(4));
     [
@@ -316,19 +319,33 @@ fn cancel_flag_set_mid_drive_stops_an_eighteen_relation_run() {
 
 /// Sets [`TRIPPED`] once a sink has seen [`TRIP_AFTER_ROWS`] rows, so a
 /// run cancels itself mid-table at a reproducible point (per worker on
-/// the parallel driver).
+/// the wave driver), and counts as `late` the rows a sink starts once it
+/// reads the flag set.
 #[derive(Default)]
 struct Tripwire {
     rows: u64,
+    late: u64,
 }
 
 static TRIPPED: AtomicBool = AtomicBool::new(false);
-const TRIP_AFTER_ROWS: u64 = 500;
+static TRIP_AFTER_ROWS: AtomicU64 = AtomicU64::new(u64::MAX);
+/// Held by each test that arms the tripwire, since they share its
+/// statics.
+static TRIPWIRE: Mutex<()> = Mutex::new(());
+
+/// Arm the tripwire for one run: clear [`TRIPPED`] and trip after `rows`.
+fn arm_tripwire(rows: u64) {
+    TRIP_AFTER_ROWS.store(rows, Relaxed);
+    TRIPPED.store(false, Relaxed);
+}
 
 impl Stats for Tripwire {
     fn subset(&mut self) {
+        if TRIPPED.load(Relaxed) {
+            self.late += 1;
+        }
         self.rows += 1;
-        if self.rows == TRIP_AFTER_ROWS {
+        if self.rows == TRIP_AFTER_ROWS.load(Relaxed) {
             TRIPPED.store(true, Relaxed);
         }
     }
@@ -340,6 +357,8 @@ impl Stats for Tripwire {
     fn pass(&mut self) {}
     fn absorb(&mut self, child: Tripwire) {
         self.rows += child.rows;
+        // Per worker: the bound holds for each, not for their sum.
+        self.late = self.late.max(child.late);
     }
 }
 
@@ -352,8 +371,9 @@ fn a_cancelled_runs_table_gives_bit_identical_results_next_time() {
     let cancelled_spec = JoinSpec::cartesian(&[3.0; 14]).unwrap();
     let spec = Workload::new(n, Topology::CyclePlus3, 100.0, 0.5).spec();
     let schedule = ThresholdSchedule::default();
+    let _armed = TRIPWIRE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     for (label, options) in cancellable_configs() {
-        TRIPPED.store(false, Relaxed);
+        arm_tripwire(500);
         let mut table = HotColdTable::with_rels(n);
         let mut arena = PlanArena::new();
         let cancelled = optimize_join_threshold_arena_cancellable::<HotColdTable, _, _, true>(
@@ -387,6 +407,44 @@ fn a_cancelled_runs_table_gives_bit_identical_results_next_time() {
         assert_outcomes_bit_identical((&reused, &arena), (&want, &fresh_arena), label);
         assert_eq!(counters, fresh_counters, "{label}: counters");
         assert_tables_bit_identical(n, &table, &fresh, label);
+    }
+}
+
+/// Every wave worker polls the cancel flag every 4096 rows of its chunk,
+/// not only at wave tops. Tripped about 1000 rows into the widest wave of
+/// an 18-relation fill — C(18, 9) = 48620 rows, 24310 a worker on two —
+/// no worker may start more than 4096 rows once it reads the flag set.
+/// A cap of 1 is below every row's κ′, so each row skips its loop and
+/// the fill is cheap.
+#[test]
+fn cancel_flag_stops_a_wave_worker_mid_chunk() {
+    fn binomial(n: u64, k: u64) -> u64 {
+        (0..k).fold(1, |acc, i| acc * (n - i) / (i + 1))
+    }
+    let n = 18;
+    let spec = JoinSpec::cartesian(&[2.0; 18]).unwrap();
+    let before_widest: u64 = (2..9).map(|k| binomial(n, k)).sum();
+    let _armed = TRIPWIRE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    for (threads, options) in [(1u64, DriveOptions::serial()), (2, parallel(2))] {
+        for driver in DriverChoice::ALL {
+            let label = format!("{driver} threads={threads}");
+            // A worker's share of the earlier waves is within 16 rows a
+            // wave of an even split, so every worker trips in wave 9.
+            arm_tripwire(before_widest / threads + 1000);
+            let mut sink = Tripwire::default();
+            let out = optimize_join_threshold_arena_cancellable::<HotColdTable, _, _, true>(
+                &mut HotColdTable::with_rels(n as usize),
+                &mut PlanArena::new(),
+                &spec,
+                &Kappa0,
+                ThresholdSchedule::single(1.0),
+                options.with_driver(driver),
+                &TRIPPED,
+                &mut sink,
+            );
+            assert!(out.is_none(), "{label}: the tripwire must stop the run");
+            assert!(sink.late <= 4096, "{label}: {} rows started after the flag", sink.late);
+        }
     }
 }
 
@@ -453,27 +511,30 @@ fn mis_sized_wave_table_panics_instead_of_writing_out_of_bounds() {
             Err(p) => p.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
         }
     };
-    let into = std::panic::catch_unwind(|| {
-        let _: MisSizedWaves = optimize_join_into::<_, _, _, true>(
-            &spec,
-            &Kappa0,
-            f32::INFINITY,
-            DriveOptions::parallel(2),
-            &mut NoStats,
-        );
-    });
-    assert!(message(into.expect_err("optimize_join_into")).contains(expect));
-    let arena = std::panic::catch_unwind(|| {
-        let mut table = MisSizedWaves::with_rels(spec.n());
-        optimize_join_threshold_arena_with::<_, _, _, true>(
-            &mut table,
-            &mut PlanArena::new(),
-            &spec,
-            &Kappa0,
-            ThresholdSchedule::default(),
-            DriveOptions::parallel(2),
-            &mut NoStats,
-        );
-    });
-    assert!(message(arena.expect_err("optimize_join_threshold_arena_with")).contains(expect));
+    // One worker fills in waves too, so it reaches the same assertion.
+    for options in [DriveOptions::serial(), DriveOptions::parallel(2)] {
+        let into = std::panic::catch_unwind(|| {
+            let _: MisSizedWaves = optimize_join_into::<_, _, _, true>(
+                &spec,
+                &Kappa0,
+                f32::INFINITY,
+                options,
+                &mut NoStats,
+            );
+        });
+        assert!(message(into.expect_err("optimize_join_into")).contains(expect));
+        let arena = std::panic::catch_unwind(|| {
+            let mut table = MisSizedWaves::with_rels(spec.n());
+            optimize_join_threshold_arena_with::<_, _, _, true>(
+                &mut table,
+                &mut PlanArena::new(),
+                &spec,
+                &Kappa0,
+                ThresholdSchedule::default(),
+                options,
+                &mut NoStats,
+            );
+        });
+        assert!(message(arena.expect_err("optimize_join_threshold_arena_with")).contains(expect));
+    }
 }
