@@ -72,11 +72,11 @@
 //!
 //! # Dispatch
 //!
-//! [`DriverChoice`] is the knob on [`crate::DriveOptions`] (env
-//! `BLITZ_TEST_DRIVER`): `Split` is the reference enumeration and `Conv`
-//! uses this driver wherever the model supports it, falling back to
-//! `Split` otherwise. The service runs `Conv` at every size: below
-//! `n = 6`, where the split loop's smaller per-row setup could win,
+//! [`DriverChoice`] is the knob on [`crate::DriveOptions`]: `Split` is
+//! the reference enumeration (the default) and `Conv` uses this driver
+//! wherever the model supports it, falling back to `Split` otherwise.
+//! The service runs `Conv` at every size: below `n = 6`, where the
+//! split loop's smaller per-row setup could win,
 //! neither driver is consistently faster (a few hundred nanoseconds
 //! either way per optimization), and from `n = 6` conv is faster (see
 //! EXPERIMENTS.md). Resolution happens once per drive in
@@ -106,10 +106,10 @@ use crate::table::TableLayout;
 const SCALAR_WAVE_FLOOR: usize = 4;
 
 /// Runtime name for the DP driver used to fill each table row,
-/// selectable per [`crate::DriveOptions`] (env `BLITZ_TEST_DRIVER`). On
-/// models where the convolution reduction is exact
-/// ([`CostModel::CONV_SUPPORT`] of `Native` or `Canonical`) the drivers
-/// are cost-bit-identical; elsewhere `Conv` silently runs `Split`.
+/// selectable per [`crate::DriveOptions`]. On models where the
+/// convolution reduction is exact ([`CostModel::CONV_SUPPORT`] of
+/// `Native` or `Canonical`) the drivers are cost-bit-identical;
+/// elsewhere `Conv` silently runs `Split`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum DriverChoice {
     /// The Vance–Maier split enumeration of [`crate::split`]: every
@@ -132,11 +132,6 @@ impl DriverChoice {
             DriverChoice::Split => "split",
             DriverChoice::Conv => "conv",
         }
-    }
-
-    /// Inverse of [`name`](DriverChoice::name); `None` for unknown names.
-    pub fn parse(s: &str) -> Option<DriverChoice> {
-        DriverChoice::ALL.into_iter().find(|d| d.name() == s)
     }
 
     /// Resolve the choice against a model's capability, once per drive:
@@ -250,10 +245,8 @@ mod tests {
     #[test]
     fn driver_choice_names_roundtrip() {
         for choice in DriverChoice::ALL {
-            assert_eq!(DriverChoice::parse(choice.name()), Some(choice));
             assert_eq!(format!("{choice}"), choice.name());
         }
-        assert_eq!(DriverChoice::parse("fft"), None);
         assert_eq!(DriverChoice::default(), DriverChoice::Split);
     }
 

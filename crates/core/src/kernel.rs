@@ -96,9 +96,9 @@ pub(crate) const LANES_WIDE: usize = 16;
 pub(crate) struct LineAligned<T>(pub(crate) T);
 
 /// Runtime name for the split-kernel variant used by the DP drivers,
-/// selectable per [`crate::DriveOptions`] (env `BLITZ_TEST_KERNEL`, CLI
-/// `--kernel`, service config). Every kernel produces bit-identical
-/// tables, plans and [`crate::Counters`]; they differ only in speed.
+/// selectable per [`crate::DriveOptions`] (the service configures
+/// `Simd`). Every kernel produces bit-identical tables, plans and
+/// [`crate::Counters`]; they differ only in speed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum KernelChoice {
     /// The scalar reference cascade of [`crate::split`] — the paper's
@@ -120,15 +120,6 @@ impl KernelChoice {
         match self {
             KernelChoice::Scalar => "scalar",
             KernelChoice::Simd => "simd",
-        }
-    }
-
-    /// Inverse of [`name`](KernelChoice::name); `None` for unknown names.
-    pub fn parse(s: &str) -> Option<KernelChoice> {
-        match s {
-            "scalar" => Some(KernelChoice::Scalar),
-            "simd" => Some(KernelChoice::Simd),
-            _ => None,
         }
     }
 
@@ -276,9 +267,10 @@ pub(crate) fn find_best_split_batched<L, M, St, const PRUNE: bool, const CONV: b
 
     // Same walk, same order, same termination as the scalar cascade; the
     // batch buffer never reorders candidates, so the first-wins
-    // tie-break is decided on exactly the scalar visit order. No
-    // software prefetch here: the batch gathers touch the very lines a
-    // hint would have requested, one batch ahead of the re-judge.
+    // tie-break is decided on exactly the scalar visit order. Neither
+    // cascade issues software prefetch: measured, the hint cost the
+    // scalar cascade more than it hid (EXPERIMENTS.md, "Software
+    // prefetch, deleted").
     let (anchor, space, mut sub) = walk::<CONV>(s);
     while sub != space {
         // Run the successor walk ahead, depositing up to `lanes`
@@ -676,10 +668,8 @@ mod tests {
     #[test]
     fn kernel_choice_names_roundtrip() {
         for choice in KernelChoice::ALL {
-            assert_eq!(KernelChoice::parse(choice.name()), Some(choice));
             assert_eq!(format!("{choice}"), choice.name());
         }
-        assert_eq!(KernelChoice::parse("avx512"), None);
         assert_eq!(KernelChoice::default(), KernelChoice::Scalar);
     }
 

@@ -52,14 +52,11 @@ const CANCEL_CHECK_ROWS: u32 = 1 << 12;
 /// Execution options for the DP drivers — how much hardware to throw at
 /// one optimization, and how the DP table is laid out in memory.
 ///
-/// The default is read once per process from the environment —
-/// `BLITZ_TEST_THREADS` (unset or `1` ⇒ one worker),
-/// `BLITZ_TEST_LAYOUT` (`aos`/`hotcold`), `BLITZ_TEST_KERNEL`
-/// (`scalar`/`simd`) and `BLITZ_TEST_DRIVER` (`split`/`conv`) —
-/// which lets a CI job force every default-configured optimization in
-/// the workspace through several wave workers, the hot/cold
-/// table, the SIMD split kernel and/or the convolution driver without
-/// touching call sites.
+/// The default is the paper's serial reference, [`DriveOptions::serial`]:
+/// one worker, the array-of-structs table, the scalar cascade and the
+/// split enumeration. Nothing here reads the environment; a caller that
+/// wants another configuration — the service's is hot/cold + SIMD + conv
+/// — names it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DriveOptions {
     /// Wave workers for a [`HotColdTable`] fill, the calling thread
@@ -88,7 +85,8 @@ pub struct DriveOptions {
 }
 
 impl DriveOptions {
-    /// One worker, the calling thread, ignoring any environment override.
+    /// One worker, the calling thread, on the reference layout, kernel
+    /// and driver.
     pub fn serial() -> DriveOptions {
         DriveOptions::parallel(1)
     }
@@ -129,21 +127,9 @@ impl DriveOptions {
 }
 
 impl Default for DriveOptions {
+    /// The serial reference, [`DriveOptions::serial`].
     fn default() -> DriveOptions {
-        // Resolved once per process: each `BLITZ_TEST_*` variable that is
-        // set and parses overrides the compiled default of its knob.
-        static ENV: std::sync::OnceLock<DriveOptions> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| {
-            fn env<T>(key: &str, parse: impl FnOnce(&str) -> Option<T>) -> Option<T> {
-                std::env::var(key).ok().and_then(|v| parse(&v))
-            }
-            DriveOptions {
-                parallelism: env("BLITZ_TEST_THREADS", |v| v.parse().ok()).unwrap_or(1),
-                layout: env("BLITZ_TEST_LAYOUT", LayoutChoice::parse).unwrap_or_default(),
-                kernel: env("BLITZ_TEST_KERNEL", KernelChoice::parse).unwrap_or_default(),
-                driver: env("BLITZ_TEST_DRIVER", DriverChoice::parse).unwrap_or_default(),
-            }
-        })
+        DriveOptions::serial()
     }
 }
 
@@ -293,20 +279,6 @@ pub(crate) fn find_best_split<L, M, St, const PRUNE: bool, const CONV: bool>(
         let lhs = anchor | sub;
         let rhs = s - lhs;
 
-        // The successor walk knows the *next* candidate one iteration
-        // ahead for free, so start its operands' cost lines toward L1
-        // while the current one is judged. Purely advisory: prefetches
-        // are hints, not reads, so pruning semantics, statistics and the
-        // result bits are untouched. Gated on `L::PREFETCHES` so layouts
-        // whose `prefetch_cost` is a no-op don't pay for the operand
-        // arithmetic and two dead calls per iteration — the constant
-        // folds the whole block away at monomorphization.
-        let next = space.subset_successor(sub);
-        if L::PREFETCHES && next != space {
-            table.prefetch_cost(anchor | next);
-            table.prefetch_cost(s - (anchor | next));
-        }
-
         if PRUNE {
             // Nested-if structure: each test can disqualify the split
             // before the next (more expensive) quantity is touched.
@@ -342,7 +314,7 @@ pub(crate) fn find_best_split<L, M, St, const PRUNE: bool, const CONV: bool>(
             }
         }
 
-        sub = next;
+        sub = space.subset_successor(sub);
     }
 
     finish_row(table, s, best, best_lhs, kappa_ind, cap);
@@ -644,8 +616,16 @@ const CHUNK_ALIGN_ROWS: u64 = 16;
 /// `k` a worker reads only its own rows. Returns `true` when no worker
 /// skipped a row.
 ///
+/// A row that panics stops the drive the same way: its worker's
+/// [`PanicGuard`] raises a flag every worker polls beside `cancel` and
+/// passes the worker's remaining barriers, so no sibling waits forever
+/// on it.
+///
 /// # Panics
-/// Panics if `table.rels() != problem.rels()`. The views index the
+/// Re-raises a row's panic on the calling thread once every worker has
+/// finished (worker 0's if the caller's own row panicked, else the
+/// first panicking helper's). Also panics if
+/// `table.rels() != problem.rels()`. The views index the
 /// table's buffers through raw pointers with every row below
 /// `1 << problem.rels()`, so this one check per drive is what keeps a
 /// [`TableLayout::wave_table`] override that hands over a table of
@@ -672,12 +652,17 @@ where
     let threads = threads.min(usize::try_from(chunks).unwrap_or(usize::MAX)).max(1);
     init_singletons(table, problem, model);
     stats.pass();
+    // Raised when a row panics (see `PanicGuard`); every worker then
+    // treats the drive as cancelled.
+    let failed = AtomicBool::new(false);
+    let halted = || cancel.load(Relaxed) || failed.load(Relaxed);
     let shared = SyncTable::from_mut(table);
     // Worker `t`'s whole drive; `None` for the barrier when it runs alone.
     let worker = |t: usize, mut view: SyncTableView, barrier: Option<&Barrier>, stats: &mut St| {
+        let mut guard = PanicGuard { failed: &failed, barrier, waits: n - 1 };
         let mut skipping = false;
         for k in 2..=n {
-            skipping = skipping || cancel.load(Relaxed);
+            skipping = skipping || halted();
             let rows = binomial(n, k);
             // Even deal, rounded up to whole cache lines of hot costs;
             // trailing workers may come up empty on narrow waves.
@@ -689,7 +674,7 @@ where
                 view.begin_wave(k, Some((start, stop)));
                 let mut bits = nth_same_popcount(k, start);
                 for rank in start..stop {
-                    if rank.is_multiple_of(CANCEL_CHECK_ROWS.into()) && cancel.load(Relaxed) {
+                    if rank.is_multiple_of(CANCEL_CHECK_ROWS.into()) && halted() {
                         skipping = true;
                         break;
                     }
@@ -702,6 +687,7 @@ where
             if let Some(barrier) = barrier {
                 barrier.wait();
             }
+            guard.waits -= 1;
         }
         !skipping
     };
@@ -711,6 +697,8 @@ where
     }
     let barrier = Barrier::new(threads);
     let (barrier, worker) = (&barrier, &worker);
+    // A panic of worker 0 leaves this closure before the joins below;
+    // the scope then waits for the helpers and re-raises it.
     std::thread::scope(|scope| {
         let helpers: Vec<_> = (1..threads)
             .map(|t| {
@@ -730,12 +718,43 @@ where
         // SAFETY: as for the helpers' views; this one is worker 0's.
         let mut completed = worker(0, unsafe { shared.view() }, Some(barrier), stats);
         for helper in helpers {
-            let (local, done) = helper.join().expect("wave worker panicked");
-            stats.absorb(local);
-            completed &= done;
+            match helper.join() {
+                Ok((local, done)) => {
+                    stats.absorb(local);
+                    completed &= done;
+                }
+                // The scope still waits for the helpers not yet joined.
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
         completed
     })
+}
+
+/// What keeps a wave worker whose row panics from stranding its
+/// siblings: dropped by the unwind, it raises the drive's `failed` flag,
+/// which every worker polls beside the cancel flag, and passes the
+/// `waits` barriers the worker had left. The worker raised the flag
+/// before the barrier that ends the wave that panicked, so every
+/// sibling reads it at the next wave's top at the latest and skips
+/// every row after it, as on cancel.
+struct PanicGuard<'a> {
+    failed: &'a AtomicBool,
+    barrier: Option<&'a Barrier>,
+    waits: usize,
+}
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.failed.store(true, Relaxed);
+            if let Some(barrier) = self.barrier {
+                for _ in 0..self.waits {
+                    barrier.wait();
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

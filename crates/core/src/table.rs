@@ -60,15 +60,6 @@ impl LayoutChoice {
         }
     }
 
-    /// Inverse of [`name`](LayoutChoice::name); `None` for unknown names.
-    pub fn parse(s: &str) -> Option<LayoutChoice> {
-        match s {
-            "aos" => Some(LayoutChoice::Aos),
-            "hotcold" => Some(LayoutChoice::HotCold),
-            _ => None,
-        }
-    }
-
     /// Whether this layout fills in rank waves on
     /// [`crate::DriveOptions::parallelism`] workers — whether its table's
     /// [`TableLayout::wave_table`] is `Some` — rather than in integer
@@ -87,30 +78,6 @@ impl std::fmt::Display for LayoutChoice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Best-effort prefetch of the cache line holding `*p` into L1.
-///
-/// Compiles to `prefetcht0` on x86-64 and `prfm pldl1keep` elsewhere
-/// on aarch64; a no-op on other architectures. Prefetch instructions
-/// are architectural hints: they never fault and perform no observable
-/// memory access, so issuing one is not a read in the data-race sense —
-/// it is safe even for rows another thread is concurrently writing.
-#[inline(always)]
-pub(crate) fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHT0 is a hint with no architectural effect on
-    // memory or registers; it cannot fault even on invalid addresses.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch(p as *const i8, std::arch::x86_64::_MM_HINT_T0)
-    }
-    #[cfg(target_arch = "aarch64")]
-    // SAFETY: PRFM PLDL1KEEP is likewise a non-faulting hint.
-    unsafe {
-        std::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags));
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = p;
 }
 
 /// Guard against absurd allocations: `2^28` rows of 32 bytes is 8 GiB.
@@ -154,22 +121,6 @@ pub trait TableLayout {
     fn aux(&self, s: RelSet) -> f32;
     /// Set the cost-model memo field.
     fn set_aux(&mut self, s: RelSet, v: f32);
-
-    /// Whether [`prefetch_cost`](TableLayout::prefetch_cost) can do
-    /// anything at all on this layout/target. The split loop consults
-    /// this compile-time constant before computing prefetch operands
-    /// (`s - next_lhs`) and issuing hints, so layouts with a no-op
-    /// `prefetch_cost` — the default, or any layout on an architecture
-    /// without prefetch instructions — pay nothing per iteration.
-    const PREFETCHES: bool = false;
-
-    /// Hint that [`cost`](TableLayout::cost)`(s)` will be read shortly:
-    /// the split loop's successor walk knows the *next* iteration's
-    /// operands one step ahead, so the line can be in flight while the
-    /// current split is judged. Purely advisory — the default is a
-    /// no-op, and out-of-range sets are ignored.
-    #[inline]
-    fn prefetch_cost(&self, _s: RelSet) {}
 
     /// Base pointer of a dense `cost` column indexed by
     /// [`RelSet::index`], if this layout has one — the batched/SIMD
@@ -248,11 +199,6 @@ pub struct AosTable {
 }
 
 impl TableLayout for AosTable {
-    // `prefetch_cost` below issues real hints only where the target has
-    // prefetch instructions; elsewhere the split loop should skip the
-    // operand computation entirely.
-    const PREFETCHES: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
-
     fn with_rels(n: usize) -> Self {
         check_rels(n);
         AosTable { n, rows: vec![Row::default(); 1usize << n] }
@@ -312,13 +258,6 @@ impl TableLayout for AosTable {
     fn set_aux(&mut self, s: RelSet, v: f32) {
         self.rows[s.index()].aux = v;
     }
-
-    #[inline]
-    fn prefetch_cost(&self, s: RelSet) {
-        if let Some(row) = self.rows.get(s.index()) {
-            prefetch_read(&row.cost);
-        }
-    }
 }
 
 /// One row of the paper-exact 16-byte layout (Section 4.1):
@@ -356,9 +295,6 @@ pub struct CompactProductTable {
 }
 
 impl TableLayout for CompactProductTable {
-    // See `AosTable`: hints are real only on prefetch-capable targets.
-    const PREFETCHES: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
-
     fn with_rels(n: usize) -> Self {
         check_rels(n);
         CompactProductTable { n, rows: vec![CompactRow::default(); 1usize << n] }
@@ -417,13 +353,6 @@ impl TableLayout for CompactProductTable {
     #[inline]
     fn set_aux(&mut self, _s: RelSet, v: f32) {
         assert!(v == 0.0, "CompactProductTable has no aux column");
-    }
-
-    #[inline]
-    fn prefetch_cost(&self, s: RelSet) {
-        if let Some(row) = self.rows.get(s.index()) {
-            prefetch_read(&row.cost);
-        }
     }
 }
 
@@ -597,8 +526,8 @@ impl TableLayout for HotColdTable {
         self.auxs[s.index()] = v;
     }
 
-    // No `prefetch_cost` or `cost_base`: every fill reads this table
-    // through a `SyncTableView`, which has both.
+    // No `cost_base`: every fill reads this table through a
+    // `SyncTableView`, which has one.
     #[inline]
     fn wave_table(&mut self) -> Option<&mut HotColdTable> {
         Some(self)
@@ -770,9 +699,6 @@ impl SyncTableView {
 unsafe impl Send for SyncTableView {}
 
 impl TableLayout for SyncTableView {
-    // See `AosTable`: hints are real only on prefetch-capable targets.
-    const PREFETCHES: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
-
     fn with_rels(_n: usize) -> Self {
         unreachable!("SyncTableView is a borrowed view; allocate a HotColdTable instead")
     }
@@ -869,15 +795,6 @@ impl TableLayout for SyncTableView {
         self.guard.check_write(s);
         // SAFETY: live borrow, in-bounds row, race-free (see above).
         unsafe { *self.cols.auxs.add(self.at(s)) = v }
-    }
-
-    #[inline]
-    fn prefetch_cost(&self, s: RelSet) {
-        // Not guard-checked: prefetches are architectural hints, not
-        // memory accesses (see `prefetch_read`), and the split loop
-        // legitimately prefetches rows ahead of the guard's wave window.
-        // `wrapping_add` keeps the address arithmetic itself safe.
-        prefetch_read(self.cols.costs.wrapping_add(self.at(s)));
     }
 
     // SAFETY: (implementor-side guarantee) the hot column holds
@@ -986,7 +903,6 @@ mod tests {
             view.set_pi_fan(s, 0.5);
             view.set_aux(s, 1.5);
             view.set_best_lhs(s, RelSet::from_bits(0b0010));
-            view.prefetch_cost(s); // hint only; must be harmless
             assert_eq!(view.cost(s), 3.25);
         }
         let s = RelSet::from_bits(0b1010);
@@ -998,21 +914,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_cost_tolerates_any_set() {
-        // Prefetch is advisory: in-bounds sets prefetch, out-of-range
-        // sets (possible on the safe `TableLayout` surface) are ignored.
-        let t = AosTable::with_rels(3);
-        t.prefetch_cost(RelSet::from_bits(0b101));
-        t.prefetch_cost(RelSet::from_bits(u32::MAX));
-    }
-
-    #[test]
     fn layout_choice_names_roundtrip() {
         for choice in LayoutChoice::ALL {
-            assert_eq!(LayoutChoice::parse(choice.name()), Some(choice));
             assert_eq!(format!("{choice}"), choice.name());
         }
-        assert_eq!(LayoutChoice::parse("compact"), None);
         assert_eq!(LayoutChoice::default(), LayoutChoice::Aos);
     }
 

@@ -134,11 +134,10 @@ pub struct LadderConfig {
     /// see the module docs on determinism).
     pub wall_clock: Option<Duration>,
     /// DP driver for the rung-1 exact step ([`DriverChoice::Split`] or
-    /// [`DriverChoice::Conv`]). Defaults to whatever
-    /// [`DriveOptions::default`] resolves (honoring the process-wide
-    /// `BLITZ_TEST_DRIVER` override), so ladder runs follow the same
-    /// driver policy as direct optimizations. Rung-2 block DPs stay on
-    /// the default driver.
+    /// [`DriverChoice::Conv`]), which otherwise runs the serial
+    /// reference, [`DriveOptions::default`]. Defaults to that
+    /// reference's `Split`; the service and the CLI pass their
+    /// configured `Conv`. Rung-2 block DPs stay on the reference driver.
     pub driver: DriverChoice,
 }
 
@@ -151,7 +150,7 @@ impl Default for LadderConfig {
             refine_steps: 20_000,
             seed: 0x01ad_de12,
             wall_clock: None,
-            driver: DriveOptions::default().driver,
+            driver: DriverChoice::Split,
         }
     }
 }

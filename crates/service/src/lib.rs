@@ -643,19 +643,15 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// The [`DriveOptions`] an exact optimization of `n` relations runs
-    /// under: [`ServiceConfig::parallelism`] wave workers for large
-    /// tables on a layout that [runs waves](LayoutChoice::runs_waves),
-    /// one worker — the job's thread — otherwise, always on this
-    /// configuration's layout, kernel and driver. A hot/cold table fills
-    /// in popcount waves at either count. The service runs every exact DP under these options (so
-    /// its deadline estimate divides by the threads that really run),
-    /// and so does the one-shot CLI, whose answer is then the server's.
-    ///
-    /// Always config-driven, never env-driven: a configuration with one
-    /// worker (`parallelism == 1`) — and every query below
-    /// `parallel_min_rels` — stays on one worker even when the process-wide
-    /// `BLITZ_TEST_THREADS` override (honored by
-    /// [`DriveOptions::default`]) is set.
+    /// under, always on this configuration's layout, kernel and driver:
+    /// [`ServiceConfig::parallelism`] wave workers from
+    /// [`parallel_min_rels`](ServiceConfig::parallel_min_rels) relations
+    /// up on a layout that [runs waves](LayoutChoice::runs_waves), one
+    /// worker — the job's thread — otherwise. A hot/cold table fills in
+    /// popcount waves at either count. The service runs every exact DP
+    /// under these options (so its deadline estimate divides by the
+    /// threads that really run), and so does the one-shot CLI, whose
+    /// answer is then the server's. Nothing here reads the environment.
     pub fn drive_options(&self, n: usize) -> DriveOptions {
         let waves = self.layout.runs_waves();
         let options = if waves && n >= self.parallel_min_rels && self.parallelism != 1 {
@@ -946,9 +942,8 @@ impl OptimizerService {
             refine_steps: settings.refine_steps,
             seed: settings.seed,
             wall_clock: settings.budget,
-            // Config-driven like the exact path: the ladder's rung-1
-            // gate must not pick up the BLITZ_TEST_DRIVER env override
-            // that LadderConfig::default() honors for tests.
+            // Rung 1 answers like the exact path: on the configured
+            // driver, not the library's reference default.
             driver: self.config.driver,
         });
         Offload {

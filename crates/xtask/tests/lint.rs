@@ -278,7 +278,7 @@ fn workspace_semantic_analysis_is_clean_with_populated_graph() {
     assert!(summary.calls > 2000, "only {} call sites", summary.calls);
     // The audited pointer surface must be found by name — core's
     // cost-column hooks (a trait's default method is qualified by its
-    // bare name), gather kernels, prefetch, aligned cost buffer and
+    // bare name), gather kernels, aligned cost buffer and
     // shared-table view, plus the poller's FFI declarations — so the
     // populated graph is checked without leaning on how many such
     // functions the workspace happens to have.
@@ -288,7 +288,6 @@ fn workspace_semantic_analysis_is_clean_with_populated_graph() {
         "gather_mask_avx2",
         "gather_mask_avx512",
         "gather_mask_neon",
-        "prefetch_read",
         "AlignedCosts::as_mut_ptr",
         "SyncTable::view",
         "epoll_ctl",

@@ -24,13 +24,17 @@
 //! threshold schedule, one pass capped by greedy GOO's plan
 //! (`certified_schedule`); `--threshold T` runs the paper's schedule
 //! from `T` instead. Every exact run prints its `passes:`. A subcommand
-//! answers any flag it does not take with an error.
+//! answers any flag it does not take with an error: the ladder's budget
+//! flags (and `optimize`'s `--max-rels`) need `--ladder`, and
+//! `optimize --ladder` takes neither `--threshold` nor `--threads`.
 //!
 //! `optimize` takes an explicit problem; with `--ladder` it runs the
 //! anytime optimality ladder (exact → block DP → stochastic under a
 //! budget, any size up to 128 relations) and reports the rung reached
-//! and the optimality gap. `sql` parses against the built-in demo
-//! retail catalog; `workload` generates a paper-Appendix benchmark
+//! and the optimality gap. Its exact rung runs the server's DP driver,
+//! as `serve --ladder` does, so it prints `optimize`'s plan. `sql`
+//! parses against the built-in demo retail catalog; `workload`
+//! generates a paper-Appendix benchmark
 //! point and optionally times its optimization; `serve` runs the
 //! concurrent optimizer service (plan cache, worker pool, admission
 //! control, metrics — with `--ladder`, over-limit queries are served by
@@ -75,20 +79,26 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// The flags each subcommand takes, switches included. Any other flag
-/// is an error, so a misspelt or removed flag is never ignored silently.
+/// The flags each subcommand takes, switches included, with
+/// `optimize --ladder` and `serve --ladder` listed apart: the ladder's
+/// budgets mean nothing without `--ladder`, and the exact path's
+/// `--threshold` and `--threads` nothing to `optimize --ladder`. Any
+/// other flag is an error, so a misspelt, removed or unused flag is
+/// never ignored silently.
 const FLAGS: &[(&str, &[&str])] = &[
+    ("optimize", &["cards", "pred", "model", "threshold", "threads", "dot"]),
     (
-        "optimize",
+        "optimize --ladder",
         &[
-            "cards", "pred", "model", "threshold", "threads", "dot", "ladder", "budget-ms",
-            "refine-steps", "dp-window", "dp-rounds", "seed", "max-rels",
+            "cards", "pred", "model", "dot", "ladder", "budget-ms", "refine-steps", "dp-window",
+            "dp-rounds", "seed", "max-rels",
         ],
     ),
     ("sql", &["model", "threshold", "threads", "dot"]),
     ("workload", &["topology", "n", "mu", "var", "model", "threshold", "threads", "time", "dot"]),
+    ("serve", &["addr", "max-conns", "workers", "cache", "max-rels", "threads"]),
     (
-        "serve",
+        "serve --ladder",
         &[
             "addr", "max-conns", "workers", "cache", "max-rels", "threads", "ladder", "budget-ms",
             "refine-steps", "dp-window", "dp-rounds", "seed",
@@ -328,9 +338,15 @@ fn main() -> ExitCode {
         return fail("missing subcommand");
     };
     let args = Args::parse(&argv[1..]);
-    if let Some((_, takes)) = FLAGS.iter().find(|(name, _)| *name == cmd) {
+    let ladder = format!("{cmd} --ladder");
+    let mode = if args.has("ladder") && FLAGS.iter().any(|(name, _)| *name == ladder) {
+        ladder
+    } else {
+        cmd.clone()
+    };
+    if let Some((_, takes)) = FLAGS.iter().find(|(name, _)| *name == mode) {
         if let Some(flag) = args.names().find(|f| !takes.contains(f)) {
-            return fail(&format!("{cmd} does not take --{flag}"));
+            return fail(&format!("{mode} does not take --{flag}"));
         }
     }
     let model = args.get("model").unwrap_or("k0").to_string();
@@ -372,7 +388,9 @@ fn main() -> ExitCode {
                     Err(e) => return fail(&e.to_string()),
                 };
                 let cfg = match parse_ladder_flags(&args) {
-                    Ok(c) => c,
+                    // Rung 1 runs the server's driver, so its plan is
+                    // `optimize`'s plan.
+                    Ok(c) => LadderConfig { driver: service.driver, ..c },
                     Err(e) => return fail(&e),
                 };
                 return with_ladder_model(&model, &spec, &cfg, dot).unwrap_or_else(|e| fail(&e));

@@ -81,6 +81,26 @@ fn exact_runs_take_one_certified_pass() {
     assert!(stdout.contains("passes:         1\n"), "{stdout}");
 }
 
+/// `optimize --ladder` answers a query under its exact limit as
+/// `optimize` does: its rung 1 runs the server's DP driver, so it prints
+/// the same plan, not another orientation of equal cost.
+#[test]
+fn ladder_rung1_prints_the_exact_plan() {
+    let query = [
+        "--cards", "1000,1000,1000,1000", "--pred", "0:3:0.001", "--pred", "1:2:0.001", "--pred",
+        "0:1:0.5",
+    ];
+    let (ok, exact, _) = run(&[&["optimize"], &query[..]].concat());
+    assert!(ok, "{exact}");
+    let (ok, ladder, _) = run(&[&["optimize", "--ladder"], &query[..]].concat());
+    assert!(ok, "{ladder}");
+    assert!(ladder.contains("rung:           exact (reached exact)"), "{ladder}");
+    let line = |out: &str, prefix: &str| out.lines().find(|l| l.starts_with(prefix)).map(str::to_owned);
+    assert_eq!(line(&ladder, "plan:"), Some("plan:           ((R0 x R3) x (R1 x R2))".to_owned()));
+    assert_eq!(line(&ladder, "plan:"), line(&exact, "plan:"));
+    assert_eq!(line(&ladder, "cost:"), line(&exact, "cost:"));
+}
+
 #[test]
 fn sql_subcommand_optimizes_demo_catalog_queries() {
     let (ok, stdout, _) = run(&[
@@ -198,5 +218,31 @@ fn errors_are_reported_cleanly() {
         let (ok, stdout, stderr) = run(args);
         assert!(!ok, "{args:?} succeeded: {stdout}");
         assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
+
+    // Nor is a flag the chosen mode would ignore: the exact path's knobs
+    // beside `optimize --ladder`, the ladder's budgets without `--ladder`.
+    // (`serve` gets an address it cannot bind, so a flag that slipped
+    // through ends the run instead of starting a server.)
+    let optimize = ["optimize", "--cards", "10,20"];
+    let serve = ["serve", "--addr", "256.0.0.1:0"];
+    for flag in ["threshold", "threads"] {
+        let switch = format!("--{flag}");
+        let args = [&optimize[..], &["--ladder", switch.as_str(), "2"]].concat();
+        let (ok, stdout, stderr) = run(&args);
+        assert!(!ok, "{args:?} succeeded: {stdout}");
+        assert!(stderr.contains(&format!("optimize --ladder does not take --{flag}")), "{stderr}");
+    }
+    for flag in ["budget-ms", "refine-steps", "dp-window", "dp-rounds", "seed", "max-rels"] {
+        for (cmd, head) in [("optimize", &optimize[..]), ("serve", &serve[..])] {
+            if cmd == "serve" && flag == "max-rels" {
+                continue; // `serve --max-rels` gates the exact path
+            }
+            let switch = format!("--{flag}");
+            let args = [head, &[switch.as_str(), "2"]].concat();
+            let (ok, stdout, stderr) = run(&args);
+            assert!(!ok, "{args:?} succeeded: {stdout}");
+            assert!(stderr.contains(&format!("{cmd} does not take --{flag}")), "{stderr}");
+        }
     }
 }

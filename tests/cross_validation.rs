@@ -1,6 +1,8 @@
 //! Cross-validation: every exhaustive optimizer in the workspace must
 //! agree on optimal cost over a stream of seeded random problems, and
 //! the restricted/heuristic optimizers must never beat the bushy optimum.
+//! Every blitzsplit optimum is also the service configuration's, to the
+//! bit (see `common`).
 
 use blitzsplit::baselines::{
     best_bushy, best_left_deep, goo, hybrid_dp_local, iterated_improvement,
@@ -8,14 +10,16 @@ use blitzsplit::baselines::{
     simulated_annealing, Connectivity, CrossProducts, IiParams, ProductPolicy, SaParams,
 };
 use blitzsplit::catalog::{random_specs, RandomSpecParams};
-use blitzsplit::{optimize_join, CostModel, DiskNestedLoops, JoinSpec, Kappa0, SmDnl, SortMerge};
+use blitzsplit::{CostModel, DiskNestedLoops, JoinSpec, Kappa0, SmDnl, SortMerge};
+
+mod common;
 
 fn close(a: f32, b: f32) -> bool {
     (a - b).abs() <= a.abs().max(b.abs()) * 1e-4 + 1e-4
 }
 
 fn check_exhaustive_agreement<M: CostModel + Sync>(spec: &JoinSpec, model: &M) {
-    let bz = optimize_join(spec, model).unwrap();
+    let bz = common::optimize_checked(spec, model);
     let dpsub = optimize_dpsub(spec, model, Connectivity::ProductsAllowed);
     let dpsize = optimize_dpsize(spec, model, CrossProducts::Allowed);
     assert!(close(bz.cost, dpsub.cost), "{}: blitzsplit {} vs dpsub {}", model.name(), bz.cost, dpsub.cost);
@@ -53,7 +57,7 @@ fn exhaustive_optimizers_agree_on_disconnected_graphs() {
 fn blitzsplit_matches_brute_force_oracle() {
     let params = RandomSpecParams { n: 6, edge_probability: 0.4, ..Default::default() };
     for spec in random_specs(params, 3000, 15) {
-        let bz = optimize_join(&spec, &Kappa0).unwrap();
+        let bz = common::optimize_checked(&spec, &Kappa0);
         let (_, bf) = best_bushy(&spec, &Kappa0, spec.all_rels());
         assert!(close(bz.cost, bf), "blitzsplit {} vs oracle {}", bz.cost, bf);
     }
@@ -66,7 +70,7 @@ fn left_deep_dp_matches_left_deep_oracle_and_never_beats_bushy() {
         let ld = optimize_left_deep(&spec, &Kappa0, ProductPolicy::Allowed);
         let (_, oracle) = best_left_deep(&spec, &Kappa0, spec.all_rels());
         assert!(close(ld.cost, oracle), "left-deep DP {} vs oracle {}", ld.cost, oracle);
-        let bushy = optimize_join(&spec, &Kappa0).unwrap().cost;
+        let bushy = common::optimize_checked(&spec, &Kappa0).cost;
         assert!(bushy <= ld.cost * (1.0 + 1e-4), "bushy {bushy} > left-deep {}", ld.cost);
         assert!(ld.plan.is_left_deep());
     }
@@ -76,7 +80,7 @@ fn left_deep_dp_matches_left_deep_oracle_and_never_beats_bushy() {
 fn restricted_searches_never_beat_the_full_space() {
     let params = RandomSpecParams { n: 7, edge_probability: 0.35, ..Default::default() };
     for spec in random_specs(params, 5000, 12) {
-        let optimum = optimize_join(&spec, &Kappa0).unwrap().cost;
+        let optimum = common::optimize_checked(&spec, &Kappa0).cost;
         let candidates = [
             optimize_dpsub(&spec, &Kappa0, Connectivity::ConnectedOnly).cost,
             optimize_dpsize(&spec, &Kappa0, CrossProducts::Avoided).cost,
@@ -114,7 +118,7 @@ fn all_exhaustive_optimizers_agree_on_tpch_presets() {
     use blitzsplit::catalog::all_presets;
     for (name, graph) in all_presets() {
         let spec = graph.to_spec().unwrap();
-        let bz = optimize_join(&spec, &Kappa0).unwrap();
+        let bz = common::optimize_checked(&spec, &Kappa0);
         let dpsub = optimize_dpsub(&spec, &Kappa0, Connectivity::ProductsAllowed);
         let dpsize = optimize_dpsize(&spec, &Kappa0, CrossProducts::Allowed);
         let td = optimize_topdown(&spec, &Kappa0, f32::INFINITY);

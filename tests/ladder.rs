@@ -7,7 +7,7 @@ use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::CostModel;
 use blitzsplit::ladder::{optimize_ladder, BigSpec, GapBasis, LadderConfig, Rung};
 use blitzsplit::{
-    optimize_join_with, DiskNestedLoops, DriveOptions, JoinSpec, Kappa0, SortMerge,
+    optimize_join_with, DiskNestedLoops, DriveOptions, DriverChoice, JoinSpec, Kappa0, SortMerge,
 };
 
 const TOPOLOGIES: [Topology; 4] =
@@ -40,24 +40,25 @@ fn assert_full_coverage(report: &blitzsplit::ladder::LadderReport, n: usize) {
 
 /// Rung 1 must return the exact optimizer's plan *bit-identically* —
 /// same tree, same f32 cost bits, same f64 cardinality bits — for every
-/// oracle topology and cost model.
+/// oracle topology and cost model, on the reference split driver and on
+/// the conv driver the service configures.
 #[test]
 fn rung1_is_bit_identical_to_optimize_join_with() {
-    fn check<M: CostModel + Sync>(topology: Topology, model: &M) {
+    fn check<M: CostModel + Sync>(topology: Topology, model: &M, driver: DriverChoice) {
         let n = 10;
         let spec = small_workload(n, topology);
         let big = BigSpec::from_spec(&spec);
-        let report = optimize_ladder(&big, model, &LadderConfig::default());
+        let report = optimize_ladder(&big, model, &LadderConfig { driver, ..Default::default() });
         assert_eq!(report.rung, Rung::Exact, "{topology:?}/{}", model.name());
         assert_eq!(report.gap, 0.0);
         assert_eq!(report.gap_basis, GapBasis::Exact);
-        let exact = optimize_join_with(&spec, model, DriveOptions::default())
+        let exact = optimize_join_with(&spec, model, DriveOptions::serial().with_driver(driver))
             .expect("exact optimization must succeed at n=10");
-        assert_eq!(report.plan, exact.plan, "{topology:?}/{}", model.name());
+        assert_eq!(report.plan, exact.plan, "{topology:?}/{}/{driver}", model.name());
         assert_eq!(
             report.cost.to_bits(),
             exact.cost.to_bits(),
-            "{}/{}: {} vs {}",
+            "{}/{}/{driver}: {} vs {}",
             topology_name(topology),
             model.name(),
             report.cost,
@@ -66,9 +67,11 @@ fn rung1_is_bit_identical_to_optimize_join_with() {
         assert_eq!(report.card.to_bits(), exact.card.to_bits());
     }
     for topology in TOPOLOGIES {
-        check(topology, &Kappa0);
-        check(topology, &SortMerge);
-        check(topology, &DiskNestedLoops::default());
+        for driver in DriverChoice::ALL {
+            check(topology, &Kappa0, driver);
+            check(topology, &SortMerge, driver);
+            check(topology, &DiskNestedLoops::default(), driver);
+        }
     }
 }
 

@@ -18,8 +18,8 @@ use blitzsplit::baselines::best_bushy;
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
     optimize_join_into, optimize_join_threshold_arena_cancellable,
-    optimize_join_threshold_arena_with, AosTable, ArenaThresholdOutcome, Counters, HotColdTable,
-    NoStats, PlanArena, RelSet, Stats, TableLayout,
+    optimize_join_threshold_arena_with, AosTable, ArenaThresholdOutcome, ConvSupport, Counters,
+    HotColdTable, NoStats, PlanArena, RelSet, Stats, TableLayout,
 };
 use blitzsplit::{
     optimize_join_threshold_with, optimize_join_with, CostModel, DiskNestedLoops, DriveOptions,
@@ -65,30 +65,37 @@ fn assert_tables_bit_identical<A: TableLayout, B: TableLayout>(
     }
 }
 
+/// Both drivers, each against its own serial AoS reference: the conv
+/// walk records the other orientation of a winning partition, so its
+/// `best_lhs` bits are its own.
 fn check_bit_identical<M: CostModel + Sync>(spec: &JoinSpec, model: &M, threads: usize) {
-    let (inf, serial) = (f32::INFINITY, DriveOptions::serial());
-    let reference: AosTable =
-        optimize_join_into::<_, _, _, true>(spec, model, inf, serial, &mut NoStats);
-    let waves: HotColdTable =
-        optimize_join_into::<_, _, _, true>(spec, model, inf, parallel(threads), &mut NoStats);
-    let label = format!("{} n={} threads={}", model.name(), spec.n(), threads);
-    assert_tables_bit_identical(spec.n(), &reference, &waves, &label);
+    for driver in DriverChoice::ALL {
+        let inf = f32::INFINITY;
+        let (serial, waves) =
+            (DriveOptions::serial().with_driver(driver), parallel(threads).with_driver(driver));
+        let reference: AosTable =
+            optimize_join_into::<_, _, _, true>(spec, model, inf, serial, &mut NoStats);
+        let filled: HotColdTable =
+            optimize_join_into::<_, _, _, true>(spec, model, inf, waves, &mut NoStats);
+        let label = format!("{} {driver} n={} threads={}", model.name(), spec.n(), threads);
+        assert_tables_bit_identical(spec.n(), &reference, &filled, &label);
 
-    // Tie-break determinism surfaces in the extracted plan: identical
-    // `best_lhs` chains mean identical canonical trees, not just equal
-    // costs.
-    let ser = optimize_join_with(spec, model, serial).unwrap();
-    let par = optimize_join_with(spec, model, parallel(threads)).unwrap();
-    assert_eq!(ser.cost.to_bits(), par.cost.to_bits(), "{label}: plan cost");
-    assert_eq!(ser.plan.canonical(), par.plan.canonical(), "{label}: canonical plan");
+        // Tie-break determinism surfaces in the extracted plan: identical
+        // `best_lhs` chains mean identical canonical trees, not just equal
+        // costs.
+        let ser = optimize_join_with(spec, model, serial).unwrap();
+        let par = optimize_join_with(spec, model, waves).unwrap();
+        assert_eq!(ser.cost.to_bits(), par.cost.to_bits(), "{label}: plan cost");
+        assert_eq!(ser.plan.canonical(), par.plan.canonical(), "{label}: canonical plan");
 
-    // AoS is the serial reference: a parallel request on it runs the
-    // serial driver and returns the serial AoS bits.
-    let aos = DriveOptions::parallel(threads).with_layout(LayoutChoice::Aos);
-    let on_aos = optimize_join_with(spec, model, aos).unwrap();
-    assert_eq!(on_aos.cost.to_bits(), ser.cost.to_bits(), "{label}: parallel aos cost");
-    assert_eq!(on_aos.card.to_bits(), ser.card.to_bits(), "{label}: parallel aos card");
-    assert_eq!(on_aos.plan, ser.plan, "{label}: parallel aos plan");
+        // AoS is the serial reference: a parallel request on it runs the
+        // serial driver and returns the serial AoS bits.
+        let aos = DriveOptions::parallel(threads).with_layout(LayoutChoice::Aos);
+        let on_aos = optimize_join_with(spec, model, aos.with_driver(driver)).unwrap();
+        assert_eq!(on_aos.cost.to_bits(), ser.cost.to_bits(), "{label}: parallel aos cost");
+        assert_eq!(on_aos.card.to_bits(), ser.card.to_bits(), "{label}: parallel aos card");
+        assert_eq!(on_aos.plan, ser.plan, "{label}: parallel aos plan");
+    }
 }
 
 #[test]
@@ -448,6 +455,70 @@ fn cancel_flag_stops_a_wave_worker_mid_chunk() {
     }
 }
 
+/// κ0 whose `κ′` panics on the full set of a 12-relation product of
+/// tens, whose cardinality (10¹²) no smaller set reaches: the panic comes
+/// from the last wave, which one worker runs while its siblings wait.
+struct PanicsOnFullSet;
+
+impl CostModel for PanicsOnFullSet {
+    const HAS_DEP: bool = false;
+    const HAS_AUX: bool = false;
+    const CONV_SUPPORT: ConvSupport = ConvSupport::Native;
+
+    fn kappa_ind(&self, out_card: f64) -> f32 {
+        assert!(out_card < 5e11, "kappa_ind of the full set");
+        out_card as f32
+    }
+
+    fn kappa_dep(&self, _out: f64, _lhs: f64, _rhs: f64, _la: f32, _ra: f32) -> f32 {
+        0.0
+    }
+
+    fn name(&self) -> &'static str {
+        "panics_on_full_set"
+    }
+}
+
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
+    }
+}
+
+/// A row that panics fails its drive instead of hanging it: its worker
+/// still passes every barrier its siblings wait at, and the panic comes
+/// back to the caller — on one wave worker, two and four, split and
+/// conv. Each drive runs on its own thread under a watchdog, so a hang
+/// fails the test instead of stalling the suite.
+#[test]
+fn a_panicking_row_fails_its_drive_instead_of_hanging_it() {
+    let spec = JoinSpec::cartesian(&[10.0; 12]).unwrap();
+    for options in [DriveOptions::serial(), DriveOptions::parallel(2), DriveOptions::parallel(4)] {
+        for driver in DriverChoice::ALL {
+            let label = format!("{driver} threads={}", options.parallelism);
+            let (spec, options) = (spec.clone(), options.with_driver(driver));
+            let (done, finished) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let run = std::panic::catch_unwind(|| {
+                    let _: HotColdTable = optimize_join_into::<_, _, _, true>(
+                        &spec,
+                        &PanicsOnFullSet,
+                        f32::INFINITY,
+                        options,
+                        &mut NoStats,
+                    );
+                });
+                let _ = done.send(run.err().map(panic_message));
+            });
+            let got = finished
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("{label}: the drive hung"));
+            assert_eq!(got.as_deref(), Some("kappa_ind of the full set"), "{label}");
+        }
+    }
+}
+
 /// A downstream layout whose `wave_table` override hands the wave driver
 /// a two-relation table while the layout itself holds `n` relations.
 struct MisSizedWaves {
@@ -505,12 +576,7 @@ impl TableLayout for MisSizedWaves {
 fn mis_sized_wave_table_panics_instead_of_writing_out_of_bounds() {
     let spec = Workload::new(10, Topology::Chain, 100.0, 0.5).spec();
     let expect = "wave table allocated for a different relation count";
-    let message = |payload: Box<dyn std::any::Any + Send>| -> String {
-        match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(p) => p.downcast_ref::<&str>().map(|s| s.to_string()).unwrap_or_default(),
-        }
-    };
+    let message = panic_message;
     // One worker fills in waves too, so it reaches the same assertion.
     for options in [DriveOptions::serial(), DriveOptions::parallel(2)] {
         let into = std::panic::catch_unwind(|| {

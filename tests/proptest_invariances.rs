@@ -7,11 +7,16 @@
 //!   (huge split-dependent components, zero split-independent part);
 //! * hypergraph optimization agrees with flat optimization whenever all
 //!   edges are binary.
+//!
+//! Every flat optimum is also the service configuration's, to the bit
+//! (see `common`).
 
 use blitzsplit::core::hyper::{optimize_hyper, HyperSpec};
 use blitzsplit::core::CostModel;
-use blitzsplit::{optimize_join, JoinSpec, Kappa0};
+use blitzsplit::{JoinSpec, Kappa0};
 use proptest::prelude::*;
+
+mod common;
 
 /// Random small problem: `(cards, predicate list)`.
 fn arb_problem() -> impl Strategy<Value = (Vec<f64>, Vec<(usize, usize, f64)>)> {
@@ -73,8 +78,8 @@ proptest! {
             preds.iter().map(|&(a, b, s)| (perm[a], perm[b], s)).collect();
         let pspec = JoinSpec::new(&pcards, &ppreds).unwrap();
 
-        let a = optimize_join(&spec, &Kappa0).unwrap().cost;
-        let b = optimize_join(&pspec, &Kappa0).unwrap().cost;
+        let a = common::optimize_checked(&spec, &Kappa0).cost;
+        let b = common::optimize_checked(&pspec, &Kappa0).cost;
         let tol = a.abs().max(b.abs()) * 1e-4 + 1e-4;
         prop_assert!((a - b).abs() <= tol, "original {a} vs relabeled {b}");
     }
@@ -97,8 +102,8 @@ proptest! {
         let spec = JoinSpec::new(&cards, &preds).unwrap();
         let scaled_cards: Vec<f64> = cards.iter().map(|c| c * factor).collect();
         let scaled = JoinSpec::new(&scaled_cards, &preds).unwrap();
-        let a = optimize_join(&spec, &Kappa0).unwrap().cost as f64;
-        let b = optimize_join(&scaled, &Kappa0).unwrap().cost as f64;
+        let a = common::optimize_checked(&spec, &Kappa0).cost as f64;
+        let b = common::optimize_checked(&scaled, &Kappa0).cost as f64;
         if a > 0.0 && b.is_finite() {
             prop_assert!(b >= a * factor * (1.0 - 1e-5),
                 "scaling cards by {factor} grew cost only {a} → {b}");
@@ -113,12 +118,12 @@ proptest! {
     ) {
         prop_assume!(!preds.is_empty());
         let spec = JoinSpec::new(&cards, &preds).unwrap();
-        let a = optimize_join(&spec, &Kappa0).unwrap().cost;
+        let a = common::optimize_checked(&spec, &Kappa0).cost;
         let k = which % preds.len();
         // Weaken: selectivity closer to 1 (larger), capped at 1.
         preds[k].2 = (preds[k].2 * weaken).min(1.0);
         let weakened = JoinSpec::new(&cards, &preds).unwrap();
-        let b = optimize_join(&weakened, &Kappa0).unwrap().cost;
+        let b = common::optimize_checked(&weakened, &Kappa0).cost;
         prop_assert!(b >= a * (1.0 - 1e-5),
             "weakening predicate {k} lowered the optimum {a} → {b}");
     }
@@ -126,7 +131,7 @@ proptest! {
     #[test]
     fn adversarial_model_is_handled_totally((cards, preds) in arb_problem()) {
         let spec = JoinSpec::new(&cards, &preds).unwrap();
-        let opt = optimize_join(&spec, &Adversarial).unwrap();
+        let opt = common::optimize_checked(&spec, &Adversarial);
         prop_assert!(opt.cost >= 0.0);
         prop_assert_eq!(opt.plan.rel_set(), spec.all_rels());
         // Recost agreement (within f32 slop at large magnitudes).
@@ -149,7 +154,7 @@ proptest! {
             .map(|(m, &(_, _, s))| (&m[..], s))
             .collect();
         let hyper = HyperSpec::new(&cards, &hyperedges).unwrap();
-        let a = optimize_join(&flat, &Kappa0).unwrap().cost;
+        let a = common::optimize_checked(&flat, &Kappa0).cost;
         let b = optimize_hyper(&hyper, &Kappa0).unwrap().cost;
         let tol = a.abs() * 1e-5 + 1e-5;
         prop_assert!((a - b).abs() <= tol, "flat {a} vs hyper {b}");

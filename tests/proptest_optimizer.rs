@@ -1,15 +1,18 @@
 //! Property-based tests for the optimizer's core invariants:
 //! optimality against a brute-force oracle, the fan/cardinality
 //! recurrences against closed forms, threshold-pass soundness, and
-//! monotonicity of the searched spaces.
+//! monotonicity of the searched spaces. Every optimum is also the
+//! service configuration's, to the bit (see `common`).
 
 use blitzsplit::baselines::best_bushy;
 use blitzsplit::core::{optimize_join_into, AosTable, NoStats, TableLayout};
 use blitzsplit::{
-    optimize_join, optimize_join_threshold, DiskNestedLoops, DriveOptions, JoinSpec, Kappa0,
-    RelSet, SortMerge, ThresholdSchedule,
+    optimize_join_threshold, optimize_join_threshold_with, DiskNestedLoops, DriveOptions,
+    JoinSpec, Kappa0, RelSet, SortMerge, ThresholdSchedule,
 };
 use proptest::prelude::*;
+
+mod common;
 
 /// A random join problem of 2..=6 relations with random topology.
 fn arb_spec() -> impl Strategy<Value = JoinSpec> {
@@ -34,7 +37,7 @@ proptest! {
 
     #[test]
     fn blitzsplit_is_optimal(spec in arb_spec()) {
-        let opt = optimize_join(&spec, &Kappa0).unwrap();
+        let opt = common::optimize_checked(&spec, &Kappa0);
         let (_, oracle) = best_bushy(&spec, &Kappa0, spec.all_rels());
         let tol = oracle.abs() * 1e-4 + 1e-4;
         prop_assert!((opt.cost - oracle).abs() <= tol,
@@ -43,7 +46,7 @@ proptest! {
 
     #[test]
     fn blitzsplit_is_optimal_under_sort_merge(spec in arb_spec()) {
-        let opt = optimize_join(&spec, &SortMerge).unwrap();
+        let opt = common::optimize_checked(&spec, &SortMerge);
         let (_, oracle) = best_bushy(&spec, &SortMerge, spec.all_rels());
         let tol = oracle.abs() * 1e-4 + 1e-4;
         prop_assert!((opt.cost - oracle).abs() <= tol);
@@ -92,7 +95,7 @@ proptest! {
 
     #[test]
     fn extracted_plan_recosts_to_table_cost(spec in arb_spec()) {
-        let opt = optimize_join(&spec, &DiskNestedLoops::default()).unwrap();
+        let opt = common::optimize_checked(&spec, &DiskNestedLoops::default());
         let (_, recost) = opt.plan.cost(&spec, &DiskNestedLoops::default());
         let tol = opt.cost.abs() * 1e-4 + 1e-4;
         prop_assert!((recost - opt.cost).abs() <= tol);
@@ -100,7 +103,7 @@ proptest! {
 
     #[test]
     fn plan_covers_every_relation_exactly_once(spec in arb_spec()) {
-        let opt = optimize_join(&spec, &Kappa0).unwrap();
+        let opt = common::optimize_checked(&spec, &Kappa0);
         prop_assert_eq!(opt.plan.rel_set(), spec.all_rels());
         let mut leaves = opt.plan.leaves();
         leaves.sort_unstable();
@@ -110,9 +113,14 @@ proptest! {
 
     #[test]
     fn threshold_result_equals_unbounded_result(spec in arb_spec(), exp in -2i32..9) {
-        let unbounded = optimize_join(&spec, &Kappa0).unwrap();
+        let unbounded = common::optimize_checked(&spec, &Kappa0);
         let schedule = ThresholdSchedule::new(10f32.powi(exp), 100.0, 10);
         let out = optimize_join_threshold(&spec, &Kappa0, schedule).unwrap();
+        let service =
+            optimize_join_threshold_with(&spec, &Kappa0, schedule, common::service_options())
+                .unwrap();
+        prop_assert_eq!(service.optimized.cost.to_bits(), out.optimized.cost.to_bits());
+        prop_assert_eq!(service.optimized.card.to_bits(), out.optimized.card.to_bits());
         if unbounded.cost.is_finite() {
             let tol = unbounded.cost.abs() * 1e-5 + 1e-5;
             prop_assert!((out.optimized.cost - unbounded.cost).abs() <= tol,
@@ -128,7 +136,7 @@ proptest! {
         // much as... is NOT generally true. Instead check a true
         // monotonicity: the optimum is nonnegative and finite for sane
         // inputs.
-        let opt = optimize_join(&spec, &Kappa0).unwrap();
+        let opt = common::optimize_checked(&spec, &Kappa0);
         prop_assert!(opt.cost >= 0.0);
     }
 
@@ -136,7 +144,7 @@ proptest! {
     fn commuting_the_optimal_plan_does_not_change_kappa0_cost(spec in arb_spec()) {
         // κ0 is symmetric in its operands, so commuting any join leaves
         // the cost unchanged — a sanity check on Plan::cost.
-        let opt = optimize_join(&spec, &Kappa0).unwrap();
+        let opt = common::optimize_checked(&spec, &Kappa0);
         fn mirror(p: &blitzsplit::Plan) -> blitzsplit::Plan {
             match p {
                 blitzsplit::Plan::Scan { rel } => blitzsplit::Plan::scan(*rel),

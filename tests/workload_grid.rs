@@ -1,10 +1,14 @@
 //! Integration tests over the paper's Appendix workload grid: every
 //! sampled point must produce a valid, optimizable problem with the
 //! advertised invariants (geometric-mean cardinality, result size μ,
-//! topology shape), at a size small enough to keep CI fast.
+//! topology shape), at a size small enough to keep CI fast. Every
+//! optimum is also the service configuration's, to the bit (see
+//! `common`).
 
 use blitzsplit::catalog::{mean_cardinality_axis, variability_axis, Topology, Workload};
-use blitzsplit::{optimize_join, DiskNestedLoops, Kappa0, SortMerge};
+use blitzsplit::{DiskNestedLoops, Kappa0, SortMerge};
+
+mod common;
 
 #[test]
 fn every_grid_point_optimizes_to_a_finite_plan() {
@@ -14,9 +18,9 @@ fn every_grid_point_optimizes_to_a_finite_plan() {
             for &v in &variability_axis(3) {
                 let spec = Workload::new(n, topo, mu, v).spec();
                 for cost in [
-                    optimize_join(&spec, &Kappa0).unwrap().cost,
-                    optimize_join(&spec, &SortMerge).unwrap().cost,
-                    optimize_join(&spec, &DiskNestedLoops::default()).unwrap().cost,
+                    common::optimize_checked(&spec, &Kappa0).cost,
+                    common::optimize_checked(&spec, &SortMerge).cost,
+                    common::optimize_checked(&spec, &DiskNestedLoops::default()).cost,
                 ] {
                     assert!(
                         cost.is_finite(),
@@ -37,7 +41,7 @@ fn result_cardinality_equals_mu_on_the_whole_grid() {
         for &mu in &[4.64, 100.0, 46_400.0] {
             for &v in &variability_axis(3) {
                 let spec = Workload::new(n, topo, mu, v).spec();
-                let opt = optimize_join(&spec, &Kappa0).unwrap();
+                let opt = common::optimize_checked(&spec, &Kappa0);
                 assert!(
                     (opt.card - mu).abs() / mu < 1e-6,
                     "{} mu={mu} v={v}: result card {}",
@@ -55,7 +59,7 @@ fn chain_queries_never_need_products_but_stars_might() {
     // κ0 should be product-free (the graph is connected and chains don't
     // reward products).
     let spec = Workload::new(10, Topology::Chain, 100.0, 0.5).spec();
-    let opt = optimize_join(&spec, &Kappa0).unwrap();
+    let opt = common::optimize_checked(&spec, &Kappa0);
     assert!(!opt.plan.contains_cartesian_product(&spec));
 }
 
