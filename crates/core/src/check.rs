@@ -9,10 +9,17 @@
 //! * Under `--cfg blitz_check`, every [`crate::table::SyncTableView`]
 //!   accessor is tagged with the worker's id and current wave popcount
 //!   and validated against a **shadow table**: one atomic epoch/owner
-//!   word per DP row recording which (wave, worker) last wrote it. Any
-//!   cross-wave write, double-write within a wave, future-wave read, or
-//!   same-wave read of a row owned by another worker panics with a
-//!   precise diagnostic naming the row, the wave, and both workers.
+//!   word per DP row recording which (wave, step, worker) last wrote it.
+//!   Any cross-wave write, double-write within a step of a wave,
+//!   future-wave read, or same-step read of a row owned by another
+//!   worker panics with a precise diagnostic naming the row, the wave,
+//!   and both workers.
+//! * A wave may run in **steps** separated by a barrier (a capped conv
+//!   fill writes every row's properties in step 0, then its cost in
+//!   step 1, where a live-pair wave hands the whole wave to worker 0).
+//!   A row written in an earlier step of the current wave is final for
+//!   that wave's later steps: any worker may read it, and a later step
+//!   may rewrite it under a new claim.
 //! * Under plain `debug_assertions` (without `blitz_check`), a cheaper
 //!   subset runs with no atomics: writes must target the current wave's
 //!   popcount and, when the view claims a chunk, fall inside the
@@ -35,23 +42,29 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 ///
 /// ```text
 /// bit 63      : WRITTEN flag (0 ⇒ the row was never written via a view)
+/// bits 40..48 : step of the wave the last write happened in
 /// bits 32..40 : wave popcount of the last write (k ≤ MAX_RELS < 2^8)
 /// bits  0..32 : id of the worker that performed the last write
 /// ```
 #[cfg(blitz_check)]
 const WRITTEN: u64 = 1 << 63;
 
+/// Who last wrote a row: `(wave, step, worker)`.
 #[cfg(blitz_check)]
-fn encode(wave: usize, worker: usize) -> u64 {
-    WRITTEN | ((wave as u64) << 32) | (worker as u64 & 0xffff_ffff)
+type Writer = (usize, usize, usize);
+
+#[cfg(blitz_check)]
+fn encode((wave, step, worker): Writer) -> u64 {
+    WRITTEN | ((step as u64 & 0xff) << 40) | ((wave as u64) << 32) | (worker as u64 & 0xffff_ffff)
 }
 
 #[cfg(blitz_check)]
-fn decode(word: u64) -> Option<(usize, usize)> {
+fn decode(word: u64) -> Option<Writer> {
     if word & WRITTEN == 0 {
         None
     } else {
-        Some((((word >> 32) & 0xff) as usize, (word & 0xffff_ffff) as usize))
+        let field = |shift: u32| ((word >> shift) & 0xff) as usize;
+        Some((field(32), field(40), (word & 0xffff_ffff) as usize))
     }
 }
 
@@ -92,6 +105,10 @@ pub(crate) struct WaveGuard {
     /// wave unclaimed (the seeded tests — the wave driver always claims
     /// a chunk, the whole wave for a lone worker).
     chunk: Option<(u64, u64)>,
+    /// Step of the current wave: 0 from `begin_wave`, one more per
+    /// `begin_step`.
+    #[cfg(blitz_check)]
+    step: usize,
     #[cfg(blitz_check)]
     worker: usize,
     #[cfg(blitz_check)]
@@ -109,7 +126,7 @@ impl WaveGuard {
     /// drawn from the shared shadow state.
     #[cfg(blitz_check)]
     pub(crate) fn unconstrained(shadow: &ShadowState) -> WaveGuard {
-        WaveGuard { wave: None, chunk: None, worker: shadow.next_worker(), shadow }
+        WaveGuard { wave: None, chunk: None, step: 0, worker: shadow.next_worker(), shadow }
     }
 
     /// Enter wave `k`, optionally bounding this worker's writes to the
@@ -117,6 +134,20 @@ impl WaveGuard {
     pub(crate) fn begin_wave(&mut self, k: usize, chunk: Option<(u64, u64)>) {
         self.wave = Some(k);
         self.chunk = chunk;
+        #[cfg(blitz_check)]
+        {
+            self.step = 0;
+        }
+    }
+
+    /// Enter the next step of the current wave — the caller has passed a
+    /// barrier since the last one — with a new claim on the wave's rows.
+    pub(crate) fn begin_step(&mut self, chunk: Option<(u64, u64)>) {
+        self.chunk = chunk;
+        #[cfg(blitz_check)]
+        {
+            self.step += 1;
+        }
     }
 
     #[cfg(blitz_check)]
@@ -149,10 +180,10 @@ impl WaveGuard {
         #[cfg(blitz_check)]
         {
             let word = &self.shadow().words[s.index()];
-            let prev = word.swap(encode(k, self.worker), Ordering::SeqCst);
-            if let Some((pw, po)) = decode(prev) {
+            let prev = word.swap(encode((k, self.step, self.worker)), Ordering::SeqCst);
+            if let Some((pw, ps, po)) = decode(prev) {
                 assert!(
-                    pw != k || po == self.worker,
+                    pw != k || ps != self.step || po == self.worker,
                     "wave-discipline violation: row {s:?} written by worker {po} and worker {} \
                      in the same wave {k} — per-wave row ownership must be disjoint",
                     self.worker
@@ -178,8 +209,10 @@ impl WaveGuard {
         if p == k {
             let word = self.shadow().words[s.index()].load(Ordering::SeqCst);
             match decode(word) {
-                Some((pw, po)) if pw == k && po == self.worker => {}
-                Some((pw, po)) => panic!(
+                // The reader's own row, or one an earlier step of this
+                // wave finished before the barrier the reader passed.
+                Some((pw, ps, po)) if pw == k && (ps < self.step || po == self.worker) => {}
+                Some((pw, _, po)) => panic!(
                     "wave-discipline violation: worker {} read row {s:?} of the current wave \
                      {k}, but the row was last written by worker {po} in wave {pw} — same-wave \
                      reads are only sound on a worker's own row",

@@ -91,6 +91,12 @@
 //! requested kernel. Kernels are
 //! bit-identical (tables, plans, counters — see [`crate::kernel`]), so
 //! the floor is pure scheduling.
+//!
+//! Under a finite cap the wave driver may skip the conv walk for a whole
+//! wave: when the rows the cap left alive make fewer pairs than the
+//! walk has candidates, it fills the wave from pairs of live rows
+//! (`split`'s live-pair waves), with the walk's bits. The split driver
+//! and uncapped fills always walk.
 
 use crate::bitset::RelSet;
 use crate::cost::{ConvSupport, CostModel};
@@ -164,14 +170,40 @@ pub(crate) struct RowEngine {
     pub(crate) kernel: ResolvedKernel,
     /// Resolved driver: `Conv` only on a model that supports it.
     pub(crate) driver: DriverChoice,
+    /// Unit tests only: fill every wave of a capped conv fill from live
+    /// pairs, whatever the counts say, so the pair path meets every
+    /// input the walk does.
+    #[cfg(test)]
+    pub(crate) force_pairs: bool,
 }
 
 impl RowEngine {
+    /// The engine that runs `kernel` over `driver`'s walk.
+    pub(crate) fn new(kernel: ResolvedKernel, driver: DriverChoice) -> RowEngine {
+        RowEngine {
+            kernel,
+            driver,
+            #[cfg(test)]
+            force_pairs: false,
+        }
+    }
+
     /// Resolve a full [`DriveOptions`] policy against the model.
     pub(crate) fn resolve<M: CostModel>(options: DriveOptions, _model: &M) -> RowEngine {
-        RowEngine {
-            kernel: options.kernel.resolve(),
-            driver: options.driver.resolve(M::CONV_SUPPORT),
+        RowEngine::new(options.kernel.resolve(), options.driver.resolve(M::CONV_SUPPORT))
+    }
+
+    /// Whether a capped conv fill must pair every wave (unit tests) rather
+    /// than choose by counts.
+    #[inline(always)]
+    pub(crate) fn forces_pairs(self) -> bool {
+        #[cfg(test)]
+        {
+            self.force_pairs
+        }
+        #[cfg(not(test))]
+        {
+            false
         }
     }
 
@@ -237,7 +269,7 @@ mod tests {
         counters: &mut Counters,
     ) -> L {
         let mut table = L::with_rels(spec.n());
-        let engine = RowEngine { kernel: ResolvedKernel::Scalar, driver };
+        let engine = RowEngine::new(ResolvedKernel::Scalar, driver);
         fill_with_engine::<L, _, _, PRUNE>(&mut table, spec, &Kappa0, engine, counters);
         table
     }
@@ -365,7 +397,7 @@ mod check_tests {
     /// Conv engine with the scalar cascade pinned, so the seeded rows
     /// exercise the conv walk of `find_best_split` itself.
     fn conv_engine() -> RowEngine {
-        RowEngine { kernel: ResolvedKernel::Scalar, driver: DriverChoice::Conv }
+        RowEngine::new(ResolvedKernel::Scalar, DriverChoice::Conv)
     }
 
     /// Conv fill of a popcount-3 row while wave 4 is in progress: the

@@ -138,6 +138,29 @@ pub trait CostModel {
         0.0
     }
 
+    /// The least `κ''` any join with a set as one operand pays, given
+    /// that set's [`aux`](CostModel::aux) memo: the *operand charge*.
+    /// The default is `0`; [`SortMerge`] charges `aux`, the operand's own
+    /// sort term.
+    ///
+    /// The DP adds it to every finished row but the full set: a row with
+    /// `cost + charge ≥ cap` is rejected like an overflowed one, before
+    /// any superset reads it, because no plan under the cap can use it.
+    /// That holds when, in `f32`, for all operands `L`, `R`:
+    ///
+    /// * `kappa_dep(…, aux(L), aux(R)) ≥ operand_charge(aux(L))` and
+    ///   `≥ operand_charge(aux(R))`;
+    /// * hence `(cost(L) + cost(R)) + κ'' ≥ cost(L) + charge(L)`, since
+    ///   costs are nonnegative and `f32` addition is monotone.
+    ///
+    /// Every plan through the row then costs at least `cost + charge`,
+    /// so the charge rejects only rows whose every use the cap would
+    /// reject anyway: no surviving row, root or plan changes a bit.
+    #[inline]
+    fn operand_charge(&self, _aux: f32) -> f32 {
+        0.0
+    }
+
     /// Instance-side view of [`CostModel::CONV_SUPPORT`], convenient
     /// where only a `&M` is in hand (tests, capability probes).
     #[inline]
@@ -235,6 +258,14 @@ impl CostModel for SortMerge {
     #[inline]
     fn aux(&self, card: f64) -> f32 {
         sort_term(card) as f32
+    }
+
+    /// Every join with this operand sorts it: `κ_sm'' = aux(L) + aux(R)`
+    /// is at least each operand's `aux` in `f32` (the other term is
+    /// nonnegative and addition is monotone).
+    #[inline]
+    fn operand_charge(&self, aux: f32) -> f32 {
+        aux
     }
 
     fn name(&self) -> &'static str {
@@ -544,6 +575,33 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The operand charge's precondition for κ_sm, on random values in
+    /// `f32`: κ'' is at least each operand's charge, and so a candidate
+    /// through an operand `S` costs at least `cost(S) + charge(S)`.
+    /// Cards span card 1 through f32 overflow, costs 0 through 10³⁹.
+    #[test]
+    fn sort_merge_charge_is_a_lower_bound_on_kappa_dep() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let m = SortMerge;
+        assert_eq!(Kappa0.operand_charge(123.0), 0.0, "the default charges nothing");
+        let mut rng = StdRng::seed_from_u64(0x6368_6172);
+        let mut log_uniform = |hi: f64| 10f64.powf(rng.random_range(0.0..hi));
+        for _ in 0..100_000 {
+            let (card_l, card_r, out) = (log_uniform(40.0), log_uniform(40.0), log_uniform(60.0));
+            let (aux_l, aux_r) = (m.aux(card_l), m.aux(card_r));
+            let dep = m.kappa_dep(out, card_l, card_r, aux_l, aux_r);
+            assert!(dep >= m.operand_charge(aux_l), "κ'' {dep} < charge of L ({card_l})");
+            assert!(dep >= m.operand_charge(aux_r), "κ'' {dep} < charge of R ({card_r})");
+            let (cost_s, cost_r) = ((log_uniform(39.0) - 1.0) as f32, (log_uniform(39.0) - 1.0) as f32);
+            let through_s = (cost_s + cost_r) + dep;
+            assert!(
+                through_s >= cost_s + m.operand_charge(aux_l),
+                "cost {cost_s} + {cost_r} + κ'' {dep} < cost + charge {aux_l}"
+            );
         }
     }
 

@@ -369,7 +369,7 @@ pub(crate) fn find_best_split_batched<L, M, St, const PRUNE: bool, const CONV: b
         }
     }
 
-    finish_row(table, s, best, best_lhs, kappa_ind, cap);
+    finish_row(table, model, s, best, best_lhs, kappa_ind, cap);
 }
 
 /// Portable batch evaluation through the layout's safe accessors: the
@@ -743,10 +743,10 @@ mod tests {
         }
         fn check_model<M: CostModel + Sync>(spec: &JoinSpec, model: &M) {
             for driver in [DriverChoice::Split, DriverChoice::Conv] {
-                let scalar = RowEngine { kernel: ResolvedKernel::Scalar, driver };
+                let scalar = RowEngine::new(ResolvedKernel::Scalar, driver);
                 let reference = snapshot::<AosTable, M>(spec, model, scalar);
                 for kernel in host_vector_kernels() {
-                    let engine = RowEngine { kernel, driver };
+                    let engine = RowEngine::new(kernel, driver);
                     let aos = snapshot::<AosTable, M>(spec, model, engine);
                     let hot = snapshot::<HotColdTable, M>(spec, model, engine);
                     for got in [&aos, &hot] {

@@ -34,6 +34,14 @@ pub trait Stats {
     fn loop_skipped(&mut self);
     /// One full optimization pass (threshold re-optimization counts each).
     fn pass(&mut self);
+    /// `checks` pairs of live rows a pair wave tested for disjointness
+    /// (see `split`'s live-pair waves), the pair wave's stand-in for
+    /// `loop_iter`. A no-op by default, so a sink written before pair
+    /// waves existed keeps compiling.
+    #[inline(always)]
+    fn pair_checks(&mut self, checks: u64) {
+        let _ = checks;
+    }
     /// Fold a per-thread sink back into this one. The rank-wave driver
     /// gives every helper thread a `Self::default()`-style private sink
     /// and absorbs them after the waves complete (the calling thread,
@@ -84,6 +92,12 @@ pub struct Counters {
     pub loops_skipped: u64,
     /// Optimization passes (more than 1 ⇒ threshold re-optimization).
     pub passes: u64,
+    /// Pairs of live rows tested by live-pair waves, overlapping or not
+    /// (zero on a fill that walked every wave). Rows a pair wave fills
+    /// count `subsets`, `kappa_ind_evals` and `loops_skipped` as the
+    /// walk would, and `kappa_dep_evals`/`cond_hits` for the pairs
+    /// judged, but no `loop_iters`.
+    pub pair_checks: u64,
 }
 
 impl Stats for Counters {
@@ -116,6 +130,10 @@ impl Stats for Counters {
         self.passes += 1;
     }
     #[inline(always)]
+    fn pair_checks(&mut self, checks: u64) {
+        self.pair_checks += checks;
+    }
+    #[inline(always)]
     fn absorb(&mut self, child: Counters) {
         *self += &child;
     }
@@ -130,6 +148,7 @@ impl std::ops::AddAssign<&Counters> for Counters {
         self.cond_hits += rhs.cond_hits;
         self.loops_skipped += rhs.loops_skipped;
         self.passes += rhs.passes;
+        self.pair_checks += rhs.pair_checks;
     }
 }
 
@@ -199,6 +218,9 @@ mod tests {
         c.cond_hit();
         c.loop_skipped();
         c.pass();
+        c.pair_checks(5);
+        c.pair_checks(2);
+        assert_eq!(c.pair_checks, 7);
         assert_eq!(c.loop_iters, 2);
         assert_eq!(c.subsets, 1);
         assert_eq!(c.kappa_ind_evals, 1);
@@ -241,11 +263,12 @@ mod tests {
     #[test]
     fn counters_add_assign_sums_fieldwise() {
         let mut a = Counters { loop_iters: 1, subsets: 2, ..Counters::default() };
-        let b = Counters { loop_iters: 10, passes: 3, ..Counters::default() };
+        let b = Counters { loop_iters: 10, passes: 3, pair_checks: 4, ..Counters::default() };
         a += &b;
         assert_eq!(a.loop_iters, 11);
         assert_eq!(a.subsets, 2);
         assert_eq!(a.passes, 3);
+        assert_eq!(a.pair_checks, 4);
     }
 
     /// The service layer moves specs, plans, models and counters across

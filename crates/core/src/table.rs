@@ -455,7 +455,16 @@ pub struct HotColdTable {
     pi_fans: Vec<f64>,
     best_lhss: Vec<u32>,
     auxs: Vec<f32>,
+    /// Scratch for live-pair waves, not a column: the live rows of each
+    /// finished wave with their costs, listed by the wave driver's
+    /// worker 0 (see `split`). Kept with the table so a recycled table
+    /// fills without allocating; empty until a fill runs a pair wave.
+    live: Vec<LiveRow>,
 }
+
+/// One entry of a live-pair wave's operand lists: a row whose cost is
+/// finite, with that cost.
+pub(crate) type LiveRow = (RelSet, f32);
 
 impl TableLayout for HotColdTable {
     fn with_rels(n: usize) -> Self {
@@ -468,6 +477,7 @@ impl TableLayout for HotColdTable {
             pi_fans: vec![1.0; cap],
             best_lhss: vec![0; cap],
             auxs: vec![0.0; cap],
+            live: Vec::new(),
         }
     }
 
@@ -603,21 +613,33 @@ impl<'t> SyncTable<'t> {
     /// Wrap an exclusively borrowed table for the duration of a wave
     /// computation, capturing its buffer base pointers.
     pub fn from_mut(table: &'t mut HotColdTable) -> SyncTable<'t> {
+        SyncTable::with_live_rows(table).0
+    }
+
+    /// [`SyncTable::from_mut`], also handing back the table's live-row
+    /// scratch buffer. The buffer is no column: no view reaches it, so
+    /// the one thread holding it (the wave driver's worker 0) owns it
+    /// outright beside the views.
+    pub(crate) fn with_live_rows(
+        table: &'t mut HotColdTable,
+    ) -> (SyncTable<'t>, &'t mut Vec<LiveRow>) {
+        let HotColdTable { n, costs, cards, pi_fans, best_lhss, auxs, live } = table;
         #[cfg(blitz_check)]
-        let shadow = Box::new(crate::check::ShadowState::new(table.n));
-        SyncTable {
+        let shadow = Box::new(crate::check::ShadowState::new(*n));
+        let shared = SyncTable {
             cols: Columns {
-                n: table.n,
-                costs: table.costs.as_mut_ptr(),
-                cards: table.cards.as_mut_ptr(),
-                pi_fans: table.pi_fans.as_mut_ptr(),
-                best_lhss: table.best_lhss.as_mut_ptr(),
-                auxs: table.auxs.as_mut_ptr(),
+                n: *n,
+                costs: costs.as_mut_ptr(),
+                cards: cards.as_mut_ptr(),
+                pi_fans: pi_fans.as_mut_ptr(),
+                best_lhss: best_lhss.as_mut_ptr(),
+                auxs: auxs.as_mut_ptr(),
             },
             #[cfg(blitz_check)]
             shadow,
             _borrow: PhantomData,
-        }
+        };
+        (shared, live)
     }
 
     /// Create one worker's mutable view of the shared table.
@@ -678,6 +700,20 @@ impl SyncTableView {
         self.guard.begin_wave(k, chunk);
         #[cfg(not(any(blitz_check, debug_assertions)))]
         let _ = (k, chunk);
+    }
+
+    /// Tell the view the current wave goes on in a new step, after a
+    /// barrier, with this worker claiming the colex rank range `chunk`
+    /// of the wave (see [`begin_wave`](SyncTableView::begin_wave)). A
+    /// capped conv fill runs each wave in two steps: every row's
+    /// properties, then every row's cost. Rows an earlier step wrote are
+    /// final for the later ones, whichever worker wrote them.
+    #[inline]
+    pub(crate) fn begin_step(&mut self, chunk: Option<(u64, u64)>) {
+        #[cfg(any(blitz_check, debug_assertions))]
+        self.guard.begin_step(chunk);
+        #[cfg(not(any(blitz_check, debug_assertions)))]
+        let _ = chunk;
     }
 
     /// The element offset of row `s`, bounds-checked in debug builds:

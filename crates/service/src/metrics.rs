@@ -139,6 +139,11 @@ pub struct Metrics {
     pub threshold_passes: AtomicU64,
     /// Split-loop iterations summed over all exact optimizations.
     pub split_loop_iters: AtomicU64,
+    /// Pairs of live rows tested by live-pair waves (the enumeration a
+    /// capped conv fill runs on a wave with few surviving rows), summed
+    /// over all exact optimizations. They stand in for the split-loop
+    /// iterations those waves did not run.
+    pub pair_checks: AtomicU64,
     /// Subsets whose split loop was skipped by overflow/threshold
     /// pruning, summed over all exact optimizations.
     pub subsets_pruned: AtomicU64,
@@ -229,6 +234,7 @@ impl Metrics {
         self.optimizations.fetch_add(1, Relaxed);
         self.threshold_passes.fetch_add(passes as u64, Relaxed);
         self.split_loop_iters.fetch_add(counters.loop_iters, Relaxed);
+        self.pair_checks.fetch_add(counters.pair_checks, Relaxed);
         self.subsets_pruned.fetch_add(counters.loops_skipped, Relaxed);
         self.optimize_latency.record(elapsed);
         let mut rate = sync::lock(&self.work_rate);
@@ -244,7 +250,9 @@ impl Metrics {
     /// candidate count, which deadline admission prices every request
     /// at. A capped pass runs fewer iterations but still pays for the
     /// rows it prunes, so a pruned job can only raise this rate: the
-    /// price stays an upper bound on an unpruned DP.
+    /// price stays an upper bound on an unpruned DP. The same holds for
+    /// live-pair waves: their pair checks are not iterations, so a job
+    /// that paired pays for them in time alone.
     pub fn ns_per_loop_iter(&self) -> Option<f64> {
         let rate = sync::lock(&self.work_rate);
         (rate.loop_iters > 0.0).then(|| rate.cpu_ns / rate.loop_iters)
@@ -285,6 +293,7 @@ impl Metrics {
             exact_cancelled: self.exact_cancelled.load(Relaxed),
             threshold_passes: self.threshold_passes.load(Relaxed),
             split_loop_iters: self.split_loop_iters.load(Relaxed),
+            pair_checks: self.pair_checks.load(Relaxed),
             subsets_pruned: self.subsets_pruned.load(Relaxed),
             table_pool_hits: self.table_pool_hits.load(Relaxed),
             table_pool_misses: self.table_pool_misses.load(Relaxed),
@@ -345,6 +354,8 @@ pub struct MetricsSnapshot {
     pub threshold_passes: u64,
     /// See [`Metrics::split_loop_iters`].
     pub split_loop_iters: u64,
+    /// See [`Metrics::pair_checks`].
+    pub pair_checks: u64,
     /// See [`Metrics::subsets_pruned`].
     pub subsets_pruned: u64,
     /// See [`Metrics::table_pool_hits`].
@@ -406,7 +417,7 @@ impl MetricsSnapshot {
             "requests={} cache_hits={} cache_misses={} cache_shared={} cache_bypass={} \
              optimizations={} fallback_over_limit={} fallback_queue_full={} \
              fallback_deadline={} fallback_abandoned={} fallback_over_budget={} \
-             exact_cancelled={} threshold_passes={} split_loop_iters={} \
+             exact_cancelled={} threshold_passes={} split_loop_iters={} pair_checks={} \
              subsets_pruned={} table_pool_hits={} table_pool_misses={} \
              driver_conv={} driver_split={} \
              ladder_runs={} ladder_rung_greedy={} ladder_rung_exact={} \
@@ -431,6 +442,7 @@ impl MetricsSnapshot {
             self.exact_cancelled,
             self.threshold_passes,
             self.split_loop_iters,
+            self.pair_checks,
             self.subsets_pruned,
             self.table_pool_hits,
             self.table_pool_misses,
@@ -488,6 +500,7 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(f, "threshold passes:    {}", self.threshold_passes)?;
         writeln!(f, "split-loop iters:    {}", self.split_loop_iters)?;
+        writeln!(f, "live-pair checks:    {}", self.pair_checks)?;
         writeln!(f, "subsets pruned:      {}", self.subsets_pruned)?;
         writeln!(
             f,
@@ -661,6 +674,28 @@ mod tests {
         // true time.
         let (_, took) = job(candidates);
         assert!(price > took.as_nanos() as f64, "{price} ns vs {took:?}");
+    }
+
+    /// Pair checks reach the wire line and the summary but stay out of
+    /// the work rate's denominator: a job whose waves paired ran fewer
+    /// walk candidates for its time, so it raises the rate per executed
+    /// candidate and never lowers the closed-form price.
+    #[test]
+    fn pair_checks_stay_out_of_the_work_rate() {
+        let m = Metrics::default();
+        let walked = Counters { loop_iters: 1_000_000, ..Counters::default() };
+        m.record_optimization(&walked, 1, Duration::from_millis(2), 1);
+        let walk_rate = m.ns_per_loop_iter().unwrap();
+        // As long, with most candidates replaced by many more pair checks.
+        let paired = Counters { loop_iters: 100_000, pair_checks: 4_000_000, ..Counters::default() };
+        m.record_optimization(&paired, 1, Duration::from_millis(2), 1);
+        let rate = m.ns_per_loop_iter().unwrap();
+        assert!(rate > walk_rate, "a paired job lowered the rate: {rate} vs {walk_rate}");
+        let s = m.snapshot(0, 0);
+        assert_eq!((s.split_loop_iters, s.pair_checks), (1_100_000, 4_000_000));
+        let line = s.to_line();
+        assert!(line.contains("split_loop_iters=1100000 pair_checks=4000000 subsets_pruned=0"), "{line}");
+        assert!(format!("{s}").contains("live-pair checks:    4000000"));
     }
 
     #[test]

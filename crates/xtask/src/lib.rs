@@ -604,24 +604,35 @@ fn rule_whole_table_borrow(rel: &str, raw_lines: &[&str], san: &str, starts: &[u
     let Some(end) = matching_close(san, body) else {
         return fail(line_of(starts, body), "unbalanced `drive_waves` body".into());
     };
-    const SHARE: &str = "SyncTable::from_mut";
+    const SHARE: &str = "SyncTable::with_live_rows";
     let Some(open) = san[body..end].find(SHARE).map(|p| body + p + SHARE.len()) else {
         return fail(
             line_of(starts, body),
-            "could not locate `SyncTable::from_mut` inside `drive_waves`".into(),
+            "could not locate `SyncTable::with_live_rows` inside `drive_waves`".into(),
         );
     };
     let Some(close) = matching_close(san, open) else {
-        return fail(line_of(starts, open), "unbalanced `SyncTable::from_mut` call".into());
+        return fail(line_of(starts, open), "unbalanced `SyncTable::with_live_rows` call".into());
+    };
+    // The live-pair pass runs outside `drive_waves`, on worker 0's view
+    // of the shared table: its body is held to the same rule.
+    let Some(pair_at) = san.find("fn pair_wave") else {
+        return fail(1, "could not locate `fn pair_wave` — rule anchor lost".into());
+    };
+    let Some(pair_body) = san[pair_at..].find('{').map(|p| pair_at + p) else {
+        return fail(line_of(starts, pair_at), "could not locate the body of `pair_wave`".into());
+    };
+    let Some(pair_end) = matching_close(san, pair_body) else {
+        return fail(line_of(starts, pair_body), "unbalanced `pair_wave` body".into());
     };
     // Everything after the table is shared — the worker closure, the
-    // lone worker's run and the helpers' `thread::scope` — must reach
-    // the table through its views alone.
-    let region = &san[close..end];
-    word_offsets(region, "table")
+    // lone worker's run, the helpers' `thread::scope` and the pair pass
+    // — must reach the table through its views alone.
+    [(close, end), (pair_body, pair_end)]
         .into_iter()
+        .flat_map(|(from, to)| word_offsets(&san[from..to], "table").into_iter().map(move |at| from + at))
         .map(|at| {
-            let line = line_of(starts, close + at);
+            let line = line_of(starts, at);
             Finding {
                 rule: "whole-table-borrow",
                 file: rel.to_string(),

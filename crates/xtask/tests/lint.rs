@@ -132,8 +132,9 @@ fn token_rules_see_constructs_split_across_lines() {
 
 /// `whole-table-borrow` covers every wave worker of the real driver: a
 /// whole-table touch seeded into the worker closure (which the lone
-/// worker runs on the caller) or into the helpers' `thread::scope` is a
-/// finding, and so is a lost anchor.
+/// worker runs on the caller), into the helpers' `thread::scope` or into
+/// worker 0's live-pair pass (`pair_wave`) is a finding, and so is a
+/// lost anchor.
 #[test]
 fn whole_table_borrow_covers_every_wave_worker() {
     let rel = "crates/core/src/split.rs";
@@ -146,13 +147,18 @@ fn whole_table_borrow_covers_every_wave_worker() {
     for (anchor, seeded) in [
         ("let mut skipping = false;", "let mut skipping = table.rels() == 0;"),
         ("let mut local = St::default();", "let mut local = St::default(); let _ = &table;"),
+        (
+            "let rows = binomial(view.rels(), k);",
+            "let rows = binomial(view.rels(), k); let _ = &table;",
+        ),
     ] {
         assert!(src.contains(anchor), "anchor `{anchor}` gone from split.rs");
         let bad = src.replacen(anchor, seeded, 1);
         assert_eq!(rules(&bad), ["whole-table-borrow"], "seeded `{seeded}`");
     }
-    let renamed = src.replace("fn drive_waves", "fn drive_rows");
-    assert_eq!(rules(&renamed), ["whole-table-borrow"], "lost anchor");
+    for (name, renamed) in [("fn drive_waves", "fn drive_rows"), ("fn pair_wave", "fn pair_rows")] {
+        assert_eq!(rules(&src.replace(name, renamed)), ["whole-table-borrow"], "lost anchor {name}");
+    }
 }
 
 fn analyze_fixture(rel: &str, name: &str) -> Vec<xtask::Finding> {

@@ -4,7 +4,7 @@
 //! blitzsplit optimize --cards 10,20,30,40 --pred 0:1:0.1 --pred 0:2:0.2 \
 //!                     [--model k0|sm|dnl|smdnl] [--threshold 1e9] [--threads N] [--dot]
 //! blitzsplit optimize --ladder --cards ... [--pred i:j:sel]... [--budget-ms N] \
-//!                     [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S]
+//!                     [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S] [--max-rels N]
 //! blitzsplit sql "SELECT * FROM sales s, customer c WHERE s.custkey = c.custkey"
 //! blitzsplit workload --topology chain|cycle3|star|clique --n 15 --mu 100 --var 0.5 [--time]
 //! blitzsplit serve  [--addr 127.0.0.1:7878] [--max-conns N] \
@@ -32,7 +32,8 @@
 //! anytime optimality ladder (exact → block DP → stochastic under a
 //! budget, any size up to 128 relations) and reports the rung reached
 //! and the optimality gap. Its exact rung runs the server's DP driver,
-//! as `serve --ladder` does, so it prints `optimize`'s plan. `sql`
+//! as `serve --ladder` does, up to the server's size limit
+//! (`--max-rels` sets another), so there it prints `optimize`'s plan. `sql`
 //! parses against the built-in demo retail catalog; `workload`
 //! generates a paper-Appendix benchmark
 //! point and optionally times its optimization; `serve` runs the
@@ -273,10 +274,8 @@ fn with_ladder_model(
 }
 
 /// Parse the ladder budget flags shared by `optimize --ladder` and
-/// `serve --ladder` into one config; `None` on a malformed flag (the
-/// caller reports which).
-fn parse_ladder_flags(args: &Args) -> Result<LadderConfig, String> {
-    let mut cfg = LadderConfig::default();
+/// `serve --ladder` over `cfg`; an error names a malformed flag.
+fn parse_ladder_flags(args: &Args, mut cfg: LadderConfig) -> Result<LadderConfig, String> {
     if let Some(b) = args.get("budget-ms") {
         match b.parse::<u64>() {
             Ok(ms) => cfg.wall_clock = Some(std::time::Duration::from_millis(ms)),
@@ -387,10 +386,16 @@ fn main() -> ExitCode {
                     Ok(s) => s,
                     Err(e) => return fail(&e.to_string()),
                 };
-                let cfg = match parse_ladder_flags(&args) {
-                    // Rung 1 runs the server's driver, so its plan is
-                    // `optimize`'s plan.
-                    Ok(c) => LadderConfig { driver: service.driver, ..c },
+                // Rung 1 runs the server's driver up to the server's size
+                // limit (`--max-rels` overrides it), so there its plan is
+                // `optimize`'s plan.
+                let server = LadderConfig {
+                    driver: service.driver,
+                    max_exact_rels: service.max_exact_rels,
+                    ..LadderConfig::default()
+                };
+                let cfg = match parse_ladder_flags(&args, server) {
+                    Ok(c) => c,
                     Err(e) => return fail(&e),
                 };
                 return with_ladder_model(&model, &spec, &cfg, dot).unwrap_or_else(|e| fail(&e));
@@ -463,7 +468,7 @@ fn main() -> ExitCode {
                 }
             }
             if args.has("ladder") {
-                let lc = match parse_ladder_flags(&args) {
+                let lc = match parse_ladder_flags(&args, LadderConfig::default()) {
                     Ok(c) => c,
                     Err(e) => return fail(&e),
                 };

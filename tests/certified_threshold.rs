@@ -14,15 +14,26 @@
 //! reference, and the service's hot/cold conv SIMD, serial and on two
 //! wave threads.
 //!
+//! Under the certified cap the service's configuration fills the waves
+//! with few surviving rows from live pairs instead of the anchored walk,
+//! and every configuration adds the model's operand charge to each row.
+//! So the capped table of each service configuration is also compared,
+//! row for row, with the serial AoS conv scalar reference's under the
+//! same cap, which walks every row in integer order; at service sizes
+//! most cases must have paired, or the comparison would prove nothing.
+//!
 //! Every case is drawn from `StdRng::seed_from_u64(SEED + case)`, and a
 //! failure names its case, so any failure replays exactly.
 
 use blitzsplit::baselines::goo;
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::service::certified_schedule;
+use blitzsplit::core::{
+    optimize_join_threshold_arena_with, AosTable, Counters, HotColdTable, PlanArena, TableLayout,
+};
 use blitzsplit::{
     optimize_join_threshold_with, optimize_join_with, CostModel, DiskNestedLoops, DriveOptions,
-    DriverChoice, JoinSpec, Kappa0, KernelChoice, LayoutChoice, SmDnl, SortMerge,
+    DriverChoice, JoinSpec, Kappa0, KernelChoice, LayoutChoice, RelSet, SmDnl, SortMerge,
     ThresholdSchedule,
 };
 use rand::rngs::StdRng;
@@ -115,12 +126,50 @@ fn configurations() -> [(&'static str, DriveOptions); 3] {
     ]
 }
 
+/// Fill a fresh `L` table for `spec` under `schedule` on `options`,
+/// with its counters.
+fn fill_certified<L: TableLayout, M: CostModel + Sync>(
+    spec: &JoinSpec,
+    model: &M,
+    schedule: ThresholdSchedule,
+    options: DriveOptions,
+) -> (L, Counters) {
+    let mut table = L::with_rels(spec.n());
+    let mut counters = Counters::default();
+    let mut arena = PlanArena::new();
+    optimize_join_threshold_arena_with::<L, M, Counters, true>(
+        &mut table, &mut arena, spec, model, schedule, options, &mut counters,
+    );
+    (table, counters)
+}
+
+/// Every row's `(cost, card, best_lhs)` bits.
+fn rows<L: TableLayout>(table: &L) -> Vec<(u32, u64, u32)> {
+    (1u32..1 << table.rels())
+        .map(|bits| {
+            let s = RelSet::from_bits(bits);
+            (table.cost(s).to_bits(), table.card(s).to_bits(), table.best_lhs(s).bits())
+        })
+        .collect()
+}
+
 /// Run `spec` under `model` capped by the certificate and uncapped on
-/// every configuration, and assert the certificate's contract.
-fn check<M: CostModel + Sync>(case: &str, spec: &JoinSpec, model: &M) {
+/// every configuration, and assert the certificate's contract; then
+/// compare each service configuration's capped table with the serial
+/// AoS conv reference's, row for row. Returns whether any service
+/// configuration filled a wave from live pairs.
+fn check<M: CostModel + Sync>(case: &str, spec: &JoinSpec, model: &M) -> bool {
     let (_, goo_cost) = goo(spec, model);
     let schedule = certified_schedule(spec, model);
     assert_eq!(schedule, ThresholdSchedule::certified(goo_cost), "{case}");
+    let reference = DriveOptions::serial()
+        .with_layout(LayoutChoice::Aos)
+        .with_kernel(KernelChoice::Scalar)
+        .with_driver(DriverChoice::Conv);
+    let (aos, walked) = fill_certified::<AosTable, M>(spec, model, schedule, reference);
+    assert_eq!(walked.pair_checks, 0, "{case}: the integer-order driver never pairs");
+    let reference_rows = rows(&aos);
+    let mut paired = false;
     for (config, options) in configurations() {
         let ctx = format!("{case} {} {config} (GOO cost {goo_cost:e})", model.name());
         let capped = optimize_join_threshold_with(spec, model, schedule, options).unwrap();
@@ -133,14 +182,28 @@ fn check<M: CostModel + Sync>(case: &str, spec: &JoinSpec, model: &M) {
         assert_eq!(cost.to_bits(), uncapped_cost.to_bits(), "{cost_ctx}");
         assert_eq!(got.card.to_bits(), want.card.to_bits(), "{ctx}: card");
         assert_eq!(got.plan.canonical(), want.plan.canonical(), "{ctx}: plan");
+        if options.layout == LayoutChoice::HotCold {
+            let (table, counters) = fill_certified::<HotColdTable, M>(spec, model, schedule, options);
+            let first = rows(&table).iter().zip(&reference_rows).position(|(g, w)| g != w);
+            let row = first.map_or(0, |i| i + 1);
+            assert!(first.is_none(), "{ctx}: row {row:#b} differs from the AoS conv reference's");
+            paired |= counters.pair_checks > 0;
+        }
     }
+    paired
 }
 
-fn check_all_models(case: &str, spec: &JoinSpec) {
-    check(case, spec, &Kappa0);
-    check(case, spec, &SortMerge);
-    check(case, spec, &DiskNestedLoops::default());
-    check(case, spec, &SmDnl::default());
+/// [`check`] under the four shipped models; how many of them paired.
+fn check_all_models(case: &str, spec: &JoinSpec) -> usize {
+    [
+        check(case, spec, &Kappa0),
+        check(case, spec, &SortMerge),
+        check(case, spec, &DiskNestedLoops::default()),
+        check(case, spec, &SmDnl::default()),
+    ]
+    .into_iter()
+    .filter(|&paired| paired)
+    .count()
 }
 
 /// Every family on every topology at n = 2 and 3.
@@ -178,6 +241,31 @@ fn certified_pass_is_exact_at_service_sizes() {
             case += 1;
         }
     }
+}
+
+/// Random statistics, as a service sees them, on every topology at the
+/// service's sizes (n = 13 unoptimized, 13–16 optimized), three draws
+/// each. Here the cap leaves few rows alive, so live-pair waves must
+/// have run on most (case, model) checks; the edge families above keep
+/// most rows alive and mostly walk.
+#[test]
+fn certified_pass_is_exact_where_waves_pair() {
+    let sizes = if cfg!(debug_assertions) { 13..=13 } else { 13..=16 };
+    let mut case = 2000;
+    let (mut checks, mut paired) = (0, 0);
+    for n in sizes {
+        for topology in TOPOLOGIES {
+            for _ in 0..3 {
+                let mut rng = StdRng::seed_from_u64(SEED + case);
+                let spec = draw(Family::Random, n, topology, &mut rng);
+                let label = format!("case {case}: Random n={n} {}", topology.name());
+                paired += check_all_models(&label, &spec);
+                checks += 4;
+                case += 1;
+            }
+        }
+    }
+    assert!(2 * paired > checks, "pair waves ran on only {paired} of {checks} checks");
 }
 
 /// The overflow family really overflows GOO's cost (and the ties family

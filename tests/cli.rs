@@ -101,6 +101,41 @@ fn ladder_rung1_prints_the_exact_plan() {
     assert_eq!(line(&ladder, "cost:"), line(&exact, "cost:"));
 }
 
+/// `optimize --ladder` gates its exact rung at the server's
+/// `max_exact_rels`, as `optimize` does, not at the ladder's own default
+/// of 18: on a 19-relation chain it prints `optimize`'s exact plan
+/// wherever the server admits 19 relations (20 on ≥ 2 cores), and an
+/// explicit `--max-rels 18` still sends it to the stochastic rung.
+#[test]
+fn ladder_gates_rung1_at_the_server_limit() {
+    let cards = (0..19).map(|i| (100 + 7 * i).to_string()).collect::<Vec<_>>().join(",");
+    let preds: Vec<String> = (0..18).map(|i| format!("{i}:{}:0.01", i + 1)).collect();
+    let mut query = vec!["--cards", cards.as_str()];
+    for pred in &preds {
+        query.extend(["--pred", pred.as_str()]);
+    }
+    let line = |out: &str, prefix: &str| out.lines().find(|l| l.starts_with(prefix)).map(str::to_owned);
+    let (ok, exact, _) = run(&[&["optimize"], &query[..]].concat());
+    assert!(ok, "{exact}");
+    assert_eq!(line(&exact, "cost:").as_deref(), Some("cost:           6.400875e5"), "{exact}");
+    let stochastic = |out: &str| {
+        assert!(out.contains("rung:           stochastic (reached stochastic)"), "{out}");
+        assert_eq!(line(out, "cost:").as_deref(), Some("cost:           6.430539e5"), "{out}");
+    };
+    let (ok, ladder, _) = run(&[&["optimize", "--ladder"], &query[..]].concat());
+    assert!(ok, "{ladder}");
+    if blitzsplit::service::ServiceConfig::default().max_exact_rels >= 19 {
+        assert!(ladder.contains("rung:           exact (reached exact)"), "{ladder}");
+        assert_eq!(line(&ladder, "plan:"), line(&exact, "plan:"));
+        assert_eq!(line(&ladder, "cost:"), line(&exact, "cost:"));
+    } else {
+        stochastic(&ladder);
+    }
+    let (ok, gated, _) = run(&[&["optimize", "--ladder", "--max-rels", "18"], &query[..]].concat());
+    assert!(ok, "{gated}");
+    stochastic(&gated);
+}
+
 #[test]
 fn sql_subcommand_optimizes_demo_catalog_queries() {
     let (ok, stdout, _) = run(&[

@@ -12,8 +12,8 @@
 //! file to the single test below.
 
 use blitz_core::{
-    optimize_join, optimize_join_threshold_arena_with, DriveOptions, DriverChoice, HotColdTable,
-    JoinSpec, Kappa0, NoStats, PlanArena, TableLayout, ThresholdSchedule,
+    optimize_join, optimize_join_threshold_arena_with, Counters, DriveOptions, DriverChoice,
+    HotColdTable, JoinSpec, Kappa0, PlanArena, TableLayout, ThresholdSchedule,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -56,27 +56,34 @@ fn chain(n: usize, card: f64, sel: f64) -> JoinSpec {
 }
 
 /// Measure the allocations of one optimize-and-extract run over a warm
-/// table and arena.
+/// table and arena under `schedule`, with the live-pair checks it made.
+fn allocs_for_schedule(
+    table: &mut HotColdTable,
+    arena: &mut PlanArena,
+    spec: &JoinSpec,
+    schedule: ThresholdSchedule,
+    options: DriveOptions,
+) -> (u64, f32, blitz_core::PlanNodeId, u64) {
+    arena.clear();
+    let mut stats = Counters::default();
+    let before = ALLOCS.load(Relaxed);
+    let out = optimize_join_threshold_arena_with::<HotColdTable, _, _, true>(
+        table, arena, spec, &Kappa0, schedule, options, &mut stats,
+    );
+    let after = ALLOCS.load(Relaxed);
+    (after - before, out.cost, out.root, stats.pair_checks)
+}
+
+/// [`allocs_for_schedule`] under the default threshold schedule.
 fn allocs_for_run(
     table: &mut HotColdTable,
     arena: &mut PlanArena,
     spec: &JoinSpec,
     options: DriveOptions,
 ) -> (u64, f32, blitz_core::PlanNodeId) {
-    arena.clear();
-    let mut stats = NoStats;
-    let before = ALLOCS.load(Relaxed);
-    let out = optimize_join_threshold_arena_with::<HotColdTable, _, _, true>(
-        table,
-        arena,
-        spec,
-        &Kappa0,
-        ThresholdSchedule::default(),
-        options,
-        &mut stats,
-    );
-    let after = ALLOCS.load(Relaxed);
-    (after - before, out.cost, out.root)
+    let (allocs, cost, root, _) =
+        allocs_for_schedule(table, arena, spec, ThresholdSchedule::default(), options);
+    (allocs, cost, root)
 }
 
 #[test]
@@ -109,6 +116,29 @@ fn warm_optimize_and_extract_is_allocation_free() {
         assert_eq!(cost, direct.cost);
         assert_eq!(arena.to_plan(root).canonical(), direct.plan.canonical());
     }
+
+    // A conv fill capped just above the optimum, as the service's
+    // certified pass is, fills most waves from live pairs, whose operand
+    // lists live in the table's reused buffer: warm, it allocates
+    // nothing either.
+    // Both chains give every connected set one card, so the cap keeps
+    // those alone alive.
+    let options = DriveOptions::serial().with_driver(DriverChoice::Conv);
+    let certified = |query: &JoinSpec| {
+        let optimum = optimize_join(query, &Kappa0).unwrap();
+        (ThresholdSchedule::certified(optimum.cost), optimum)
+    };
+    let (schedule, _) = certified(&warmup);
+    let (_, _, _, warm_pairs) = allocs_for_schedule(&mut table, &mut arena, &warmup, schedule, options);
+    assert!(warm_pairs > 0, "the capped warm-up fill ran no pair wave");
+    let paired = chain(n, 500.0, 0.002);
+    let (schedule, optimum) = certified(&paired);
+    let (allocs, cost, root, pairs) =
+        allocs_for_schedule(&mut table, &mut arena, &paired, schedule, options);
+    assert!(pairs > 0, "the capped fill ran no pair wave");
+    assert_eq!(allocs, 0, "a warm capped conv fill must not allocate, saw {allocs}");
+    assert_eq!(cost, optimum.cost);
+    assert_eq!(arena.to_plan(root).canonical(), optimum.plan.canonical());
 
     // Two workers requested on 5 relations: the widest wave (10 rows) is
     // one 16-row chunk, so the caller fills the table alone and spawns

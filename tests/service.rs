@@ -1091,8 +1091,8 @@ fn metrics_line_carries_exactly_the_documented_keys() {
         line.split_whitespace().filter_map(|kv| kv.split_once('=').map(|(k, _)| k)).collect();
     let expected = "requests cache_hits cache_misses cache_shared cache_bypass optimizations \
         fallback_over_limit fallback_queue_full fallback_deadline fallback_abandoned \
-        fallback_over_budget exact_cancelled threshold_passes split_loop_iters subsets_pruned \
-        table_pool_hits table_pool_misses driver_conv driver_split ladder_runs \
+        fallback_over_budget exact_cancelled threshold_passes split_loop_iters pair_checks \
+        subsets_pruned table_pool_hits table_pool_misses driver_conv driver_split ladder_runs \
         ladder_rung_greedy ladder_rung_exact ladder_rung_hybrid_dp ladder_rung_stochastic \
         ladder_refine_steps ladder_dp_blocks connections_accepted connections_refused \
         accept_transient_errors live_connections frontend_batches frontend_batch_lines \
