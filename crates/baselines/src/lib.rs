@@ -46,5 +46,6 @@ pub use leftdeep::{optimize_left_deep, LeftDeepResult, ProductPolicy};
 pub use topdown::{optimize_topdown, TopDownResult};
 pub use stochastic::{
     anneal_from, apply_move, hybrid_dp_local, improve_from, iterated_improvement, quickpick,
-    random_bushy_plan, simulated_annealing, IiParams, Move, SaParams, SearchOutcome,
+    random_bushy_plan, simulated_annealing, IiParams, LocalSearch, Move, SaParams, SearchOutcome,
+    SearchSpec,
 };

@@ -25,6 +25,14 @@
 //! Appendix topologies under κ0. Results go to `BENCH_ladder.json`
 //! (override with `BLITZ_LADDER_OUT`) plus an ASCII table per point.
 //!
+//! With `--check`, nothing is timed and nothing is written: every
+//! configuration runs and is verified as usual, and every deterministic
+//! field of each `(topology, n)` group the run covers — the basis and
+//! greedy costs, and each configuration's cost, ratios, rung,
+//! `rung_reached`, `refine_steps_spent` and `dp_blocks` — must equal the
+//! committed artifact's exactly. Only `secs` is ignored. A mismatch, or
+//! a group or configuration missing from the artifact, fails the run.
+//!
 //! Environment knobs: `BLITZ_LADDER_SMALL` / `BLITZ_LADDER_LARGE`
 //! (comma-separated size lists), `BLITZ_LADDER_BUDGETS` (comma-separated
 //! rung-3 step budgets; default `2000,8000,32000`), and the shared
@@ -146,7 +154,47 @@ fn assert_full_coverage(report: &LadderReport, n: usize, label: &str) {
     );
 }
 
+/// Compare one freshly computed group with the committed artifact's
+/// group of the same `(topology, n)`: every member but `secs`, each
+/// configuration matched by its label.
+fn check_group(committed: &Json, fresh: &Json, point: &str) -> Vec<String> {
+    let key = |g: &Json| (g.get("topology").cloned(), g.get("n").cloned());
+    let Some(old) = committed
+        .get("groups")
+        .and_then(Json::as_arr)
+        .and_then(|groups| groups.iter().find(|g| key(g) == key(fresh)))
+    else {
+        return vec![format!("{point}: no group in the committed artifact")];
+    };
+    let mut problems = Vec::new();
+    let mut compare = |what: &str, old: Option<&Json>, new: &Json| {
+        if old != Some(new) {
+            problems.push(format!("{point} {what}: committed {old:?} != freshly computed {new:?}"));
+        }
+    };
+    let Json::Obj(members) = fresh else { unreachable!("groups are objects") };
+    for (name, value) in members {
+        if name != "configs" {
+            compare(name, old.get(name), value);
+        }
+    }
+    let old_rows = old.get("configs").and_then(Json::as_arr).unwrap_or(&[]);
+    for row in fresh.get("configs").and_then(Json::as_arr).unwrap_or(&[]) {
+        let label = row.get("config").and_then(Json::as_str).unwrap_or("?");
+        let old_row =
+            old_rows.iter().find(|r| r.get("config").and_then(Json::as_str) == Some(label));
+        let Json::Obj(fields) = row else { unreachable!("config rows are objects") };
+        for (name, value) in fields {
+            if name != "secs" {
+                compare(&format!("{label}.{name}"), old_row.and_then(|r| r.get(name)), value);
+            }
+        }
+    }
+    problems
+}
+
 fn main() {
+    let check_mode = std::env::args().skip(1).any(|a| a == "--check");
     let small = env_list("BLITZ_LADDER_SMALL", &[10, 14, 18]);
     let large = env_list("BLITZ_LADDER_LARGE", &[24, 40, 64, 100]);
     let budgets = env_budgets();
@@ -159,6 +207,20 @@ fn main() {
     println!(
         "exact basis at n in {small:?}; greedy basis at n in {large:?}; budgets {budgets:?}\n"
     );
+
+    let committed = if check_mode {
+        let text = std::fs::read_to_string(&out_path).unwrap_or_else(|e| {
+            eprintln!("--check: cannot read committed artifact {out_path}: {e}");
+            std::process::exit(2);
+        });
+        Some(Json::parse(&text).unwrap_or_else(|e| {
+            eprintln!("--check: committed artifact {out_path} is not valid JSON: {e}");
+            std::process::exit(2);
+        }))
+    } else {
+        None
+    };
+    let mut problems: Vec<String> = Vec::new();
 
     let points: Vec<(usize, Basis)> = small
         .iter()
@@ -215,15 +277,19 @@ fn main() {
             }
 
             // Interleaved rounds, minimum per config: all configs sample
-            // the same host-noise windows.
-            let best = min_over_rounds(sweep.len(), rounds, |i| {
-                time_avg(
-                    || {
-                        std::hint::black_box(optimize_ladder(&big, &Kappa0, &sweep[i].ladder));
-                    },
-                    cfg,
-                )
-            });
+            // the same host-noise windows. A check times nothing.
+            let best = if check_mode {
+                vec![0.0; sweep.len()]
+            } else {
+                min_over_rounds(sweep.len(), rounds, |i| {
+                    time_avg(
+                        || {
+                            std::hint::black_box(optimize_ladder(&big, &Kappa0, &sweep[i].ladder));
+                        },
+                        cfg,
+                    )
+                })
+            };
 
             let mut table =
                 Table::new(["config", "rung reached", "cost ratio", "vs greedy", "time"]);
@@ -257,10 +323,7 @@ fn main() {
                     ("secs", Json::Num(secs)),
                 ]));
             }
-            println!("-- {} n={n} (basis: {})", topo.name(), basis.name());
-            println!("{}", table.render());
-
-            groups.push(Json::obj(vec![
+            let group = Json::obj(vec![
                 ("topology", Json::str(topo.name())),
                 ("n", Json::Num(n as f64)),
                 ("basis", Json::str(basis.name())),
@@ -270,8 +333,36 @@ fn main() {
                     ratio_json(greedy_cost.is_finite().then(|| f64::from(greedy_cost))),
                 ),
                 ("configs", Json::Arr(rows)),
-            ]));
+            ]);
+
+            if let Some(committed) = &committed {
+                let point = format!("{}/{n}", topo.name());
+                let found = check_group(committed, &group, &point);
+                if found.is_empty() {
+                    println!("-- {point}: all configs verified, matches artifact");
+                }
+                for p in &found {
+                    eprintln!("--check: {p}");
+                }
+                problems.extend(found);
+                continue;
+            }
+            println!("-- {} n={n} (basis: {})", topo.name(), basis.name());
+            println!("{}", table.render());
+            groups.push(group);
         }
+    }
+
+    if check_mode {
+        if problems.is_empty() {
+            println!(
+                "ladder --check: {} group(s) verified against {out_path}; no drift",
+                Topology::ALL.len() * points.len()
+            );
+            return;
+        }
+        eprintln!("ladder --check: {} problem(s) against {out_path}", problems.len());
+        std::process::exit(1);
     }
 
     let doc = Json::obj(vec![

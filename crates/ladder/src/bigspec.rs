@@ -13,11 +13,14 @@
 //! core plan type and the stochastic move set work unchanged on big
 //! problems; the one rule is that `Plan::rel_set`/`Plan::cost` — which go
 //! through `RelSet` — must never be called on a plan whose leaves exceed
-//! [`MAX_RELS`]. All costing of big plans goes through
-//! [`BigSpec::plan_cost`] instead, which mirrors the `Plan::cost`
-//! recursion exactly (same operation order, bit-identical results for
-//! problems both types can represent).
+//! [`MAX_RELS`]. Big plans are costed by [`BigSpec::plan_cost`]
+//! instead, which mirrors the `Plan::cost` recursion exactly (same
+//! operation order, bit-identical results for problems both types can
+//! represent), and by rung 3's in-place
+//! [`blitz_baselines::LocalSearch`], which reads a [`BigSpec`] through
+//! its [`SearchSpec`] impl and keeps the same bits.
 
+use blitz_baselines::SearchSpec;
 use blitz_core::{CostModel, JoinSpec, Plan, SpecError, MAX_RELS};
 
 /// Hard cap on [`BigSpec`] relations: one bit per relation in a `u128`.
@@ -253,6 +256,23 @@ impl BigSpec {
                 (ls | rs, out, cost)
             }
         }
+    }
+}
+
+/// Rung 3 searches a [`BigSpec`] in place through
+/// [`blitz_baselines::LocalSearch`]; its symmetric selectivity matrix
+/// meets the trait's contract.
+impl SearchSpec for BigSpec {
+    fn n(&self) -> usize {
+        BigSpec::n(self)
+    }
+
+    fn card(&self, rel: usize) -> f64 {
+        BigSpec::card(self, rel)
+    }
+
+    fn selectivity(&self, i: usize, j: usize) -> f64 {
+        BigSpec::selectivity(self, i, j)
     }
 }
 
